@@ -114,7 +114,6 @@ from .strategy import (
     InclusionReport,
     check_trace_inclusion,
     first_move_strategy,
-    lift_history,
     positional_strategy,
     pull_back_strategy,
     random_strategy,

@@ -1,11 +1,20 @@
-"""Sampled checking of alternating-bisimulation witnesses.
+"""Stage relations as data, and sampled checking of alternating bisimulations.
 
-A witness packages the relation between configurations of two games together
-with the move translation in both directions.  The local check takes one
-related pair and verifies, on a sampled set of enabled moves, that labels
-agree and that each player's moves are matched by the translated move with
-related successors.  Checks are sampled, not exhaustive: a Pass is evidence,
-a Fail is definite (it carries a counterexample that replays).
+Every lowering stage relates its input game g1 to its output game g2 in the
+same way: a g2 location stands for the g1 location left after stripping its
+last annotation (or for itself), a g2 valuation is the image of the g1
+valuation under a diagonal affine map chosen per g2 location, and a g2 edge
+stands for the g1 edge recorded as its provenance, taking the same delay.  A
+BisimWitness holds exactly that data, read off the two games by
+stage_witness.  Composing two witnesses chains the location and edge maps
+and composes the affine maps, so the end-to-end relation of the chain is one
+more record of the same kind.
+
+The local check takes one related pair and verifies, on a sampled set of
+enabled moves, that labels agree and that each player's moves are matched by
+the translated move with related successors.  Checks are sampled, not
+exhaustive: a Pass is evidence, a Fail is definite (it carries a
+counterexample that replays).
 """
 
 from __future__ import annotations
@@ -13,95 +22,142 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
-from .core import Game, MoveNotEnabled, OwnershipMismatch, Player
+from .core import Game, LocId, MoveNotEnabled, OwnershipMismatch, Player
 from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
 
 
 @dataclass(frozen=True)
-class BisimWitness:
-    """A claimed bisimulation between g1 and g2.
+class Affine:
+    """The diagonal valuation map v -> scale*v + shift, one exact pair per
+    variable; every scale is nonzero, so the map is invertible."""
 
-    contains(q1, q2) decides relation membership.  forward_configs(q1) lists
-    the finitely many partners a g1 configuration can take (one per reachable
-    bookkeeping annotation); backward_config(q2) strips the bookkeeping off a
-    constructed g2 configuration.  move_forward(q2, m1) translates a g1 move
-    in the context of the related g2 configuration, and move_backward(q1, m2)
-    does the opposite; both keep the delay and follow edge provenance, and
-    both return None when no counterpart edge exists.
+    scale: tuple[Fraction, ...]
+    shift: tuple[Fraction, ...]
+
+    def apply(self, val: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        return tuple(a * x + b for a, x, b in zip(self.scale, val, self.shift))
+
+    def inverse(self) -> "Affine":
+        scale = tuple(1 / a for a in self.scale)
+        return Affine(scale, tuple(-b * s for b, s in zip(self.shift, scale)))
+
+    def is_identity(self) -> bool:
+        return all(a == 1 for a in self.scale) and not any(self.shift)
+
+
+def _then(first: Optional[Affine], second: Optional[Affine]) -> Optional[Affine]:
+    """second after first, with None standing for the identity both ways."""
+    if first is None or second is None:
+        return second if first is None else first
+    out = Affine(tuple(a2 * a1 for a1, a2 in zip(first.scale, second.scale)),
+                 tuple(a2 * b1 + b2 for b1, a2, b2
+                       in zip(first.shift, second.scale, second.shift)))
+    return None if out.is_identity() else out
+
+
+@dataclass(frozen=True)
+class BisimWitness:
+    """A claimed bisimulation between g1 and g2, held as data.
+
+    loc_back maps each g2 location to the g1 location it stands for.
+    affine maps a g2 location to the valuation map from g1 values to g2
+    values there; locations where the map is the identity are absent, so
+    they cost no arithmetic.  edge_back maps a g2 edge id to its g1 edge id,
+    and edge_fwd, derived from it, maps (g2 source location, g1 edge id) to
+    the g2 edge id.  Moves keep their delay in both directions, and the move
+    translations return None when no counterpart edge exists.
     """
 
     name: str
     g1: Game
     g2: Game
-    contains: Callable[[Configuration, Configuration], bool]
-    forward_configs: Callable[[Configuration], tuple[Configuration, ...]]
-    backward_config: Callable[[Configuration], Configuration]
-    move_forward: Callable[[Configuration, Move], Optional[Move]]
-    move_backward: Callable[[Configuration, Move], Optional[Move]]
+    loc_back: Mapping[LocId, LocId]
+    affine: Mapping[LocId, Affine]
+    edge_back: Mapping[str, str]
+    edge_fwd: Mapping[tuple[LocId, str], str] = field(init=False, repr=False,
+                                                       compare=False)
+
+    def __post_init__(self) -> None:
+        fwd = {(self.g2.edges[e2].src, e1): e2 for e2, e1 in self.edge_back.items()}
+        object.__setattr__(self, "edge_fwd", fwd)
+
+    def _image(self, loc2: LocId, val: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        a = self.affine.get(loc2)
+        return val if a is None else a.apply(val)
+
+    def contains(self, q1: Configuration, q2: Configuration) -> bool:
+        """Relation membership."""
+        return (self.loc_back.get(q2.loc) == q1.loc
+                and self._image(q2.loc, q1.val) == q2.val)
+
+    def forward_configs(self, q1: Configuration) -> tuple[Configuration, ...]:
+        """Every g2 partner of a g1 configuration, one per g2 location that
+        stands for its location, ordered by rendered location id."""
+        locs = sorted((l2 for l2, l1 in self.loc_back.items() if l1 == q1.loc),
+                      key=LocId.render)
+        return tuple(Configuration(l2, self._image(l2, q1.val)) for l2 in locs)
+
+    def backward_config(self, q2: Configuration) -> Configuration:
+        """The g1 configuration a g2 configuration stands for."""
+        a = self.affine.get(q2.loc)
+        val = q2.val if a is None else a.inverse().apply(q2.val)
+        return Configuration(self.loc_back[q2.loc], val)
+
+    def move_forward(self, q2: Configuration, m1: Move) -> Optional[Move]:
+        """The g2 counterpart, from q2, of a g1 move."""
+        eid = self.edge_fwd.get((q2.loc, m1.edge))
+        return None if eid is None else Move(eid, m1.delay)
+
+    def move_backward(self, _q1: Configuration, m2: Move) -> Optional[Move]:
+        """The g1 counterpart of a g2 move."""
+        eid = self.edge_back.get(m2.edge)
+        return None if eid is None else Move(eid, m2.delay)
+
+
+def stage_witness(name: str, g1: Game, g2: Game, strip: bool = False,
+                  affine: Optional[Callable[[LocId], Affine]] = None) -> BisimWitness:
+    """The relation of one lowering stage, read off the two games.
+
+    Each g2 location stands for itself, or with `strip` for its id minus the
+    last annotation; `affine` gives the valuation map at a g2 location (the
+    identity when omitted); each g2 edge stands for its provenance.
+    """
+    loc_back = {l2: (l2.parent() if strip else l2) for l2 in g2.locations}
+    maps = {}
+    if affine is not None:
+        for l2 in g2.locations:
+            a = affine(l2)
+            if not a.is_identity():
+                maps[l2] = a
+    edge_back = {eid: e.provenance for eid, e in g2.edges.items()
+                 if e.provenance is not None}
+    return BisimWitness(name, g1, g2, loc_back, maps, edge_back)
 
 
 def identity_witness(g: Game) -> BisimWitness:
     """The identity relation on one game, useful as a composition unit."""
-    return BisimWitness(
-        name="identity",
-        g1=g,
-        g2=g,
-        contains=lambda q1, q2: q1 == q2,
-        forward_configs=lambda q1: (q1,),
-        backward_config=lambda q2: q2,
-        move_forward=lambda q2, m: m,
-        move_backward=lambda q1, m: m,
-    )
+    return BisimWitness("identity", g, g, {lid: lid for lid in g.locations}, {},
+                        {eid: eid for eid in g.edges})
 
 
 def compose(ab: BisimWitness, bc: BisimWitness) -> BisimWitness:
     """Relational composition of two witnesses sharing the middle game."""
     if ab.g2 is not bc.g1 and ab.g2 != bc.g1:
         raise ValueError("witnesses do not share the middle game")
-
-    def contains(qa: Configuration, qc: Configuration) -> bool:
-        qb = bc.backward_config(qc)
-        return bc.contains(qb, qc) and ab.contains(qa, qb)
-
-    def forward_configs(qa: Configuration) -> tuple[Configuration, ...]:
-        out = []
-        for qb in ab.forward_configs(qa):
-            out.extend(bc.forward_configs(qb))
-        return tuple(out)
-
-    def backward_config(qc: Configuration) -> Configuration:
-        return ab.backward_config(bc.backward_config(qc))
-
-    def move_forward(qc: Configuration, m: Move) -> Optional[Move]:
-        qb = bc.backward_config(qc)
-        mb = ab.move_forward(qb, m)
-        if mb is None:
-            return None
-        return bc.move_forward(qc, mb)
-
-    def move_backward(qa: Configuration, m: Move) -> Optional[Move]:
-        # Translate in two hops; the middle configuration is recovered by
-        # pushing qa forward, which is unique per bookkeeping annotation.
-        for qb in ab.forward_configs(qa):
-            if ab.contains(qa, qb):
-                mb = bc.move_backward(qb, m)
-                if mb is None:
-                    return None
-                return ab.move_backward(qa, mb)
-        return None
-
-    return BisimWitness(
-        name=f"{ab.name}*{bc.name}",
-        g1=ab.g1,
-        g2=bc.g2,
-        contains=contains,
-        forward_configs=forward_configs,
-        backward_config=backward_config,
-        move_forward=move_forward,
-        move_backward=move_backward,
-    )
+    loc_back = {}
+    affine = {}
+    for lc, lb in bc.loc_back.items():
+        if lb in ab.loc_back:
+            loc_back[lc] = ab.loc_back[lb]
+            a = _then(ab.affine.get(lb), bc.affine.get(lc))
+            if a is not None:
+                affine[lc] = a
+    edge_back = {ec: ab.edge_back[eb] for ec, eb in bc.edge_back.items()
+                 if eb in ab.edge_back}
+    return BisimWitness(f"{ab.name}*{bc.name}", ab.g1, bc.g2, loc_back, affine,
+                        edge_back)
 
 
 @dataclass
@@ -309,7 +365,7 @@ def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0,
     Reachable pairs come from random plays of the source game, lifted through
     the chain so each stage sees genuinely related configurations.
     """
-    from .chain import build_chain, lift_run, stage_witnesses
+    from .chain import build_chain, stage_witnesses
 
     chain = build_chain(g_isr)
     witnesses = stage_witnesses(chain)

@@ -9,10 +9,10 @@ one run per stage with pointwise related configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import reduce
 
 from .bisim import BisimWitness, compose
-from .core import Flavor, Game, InvalidGame, InvalidHistory, LocId, MoveNotEnabled, validate_game
+from .core import Flavor, Game, InvalidGame, InvalidHistory, MoveNotEnabled, validate_game
 from .semantics import Configuration, Move, Run, initial_config, step
 from .to_stopwatch import stopwatch_witness, to_stopwatch
 from .to_timed import offset_witness, to_timed
@@ -21,19 +21,16 @@ from .to_updatable import annotation_witness, annotate_resets, rewrite_witness, 
 
 @dataclass(frozen=True)
 class Chain:
+    """The five games of the chain, the relation of each of the four stages
+    in chain order, and their composition from source to timed stage."""
+
     isr: Game
     stopwatch: Game
     annotated: Game
     updatable: Game
     timed: Game
-    _ann_by_prov: Mapping[tuple[LocId, str], str] = field(init=False, repr=False, compare=False)
-    _timed_by_prov: Mapping[tuple[LocId, str], str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ann = {(e.src, e.provenance): eid for eid, e in self.annotated.edges.items()}
-        timed = {(e.src, e.provenance): eid for eid, e in self.timed.edges.items()}
-        object.__setattr__(self, "_ann_by_prov", ann)
-        object.__setattr__(self, "_timed_by_prov", timed)
+    stages: tuple[BisimWitness, ...] = field(repr=False, compare=False)
+    end_to_end: BisimWitness = field(repr=False, compare=False)
 
     def games(self) -> tuple[Game, Game, Game, Game, Game]:
         return (self.isr, self.stopwatch, self.annotated, self.updatable, self.timed)
@@ -48,19 +45,16 @@ def build_chain(g_isr: Game) -> Chain:
     g_ann = annotate_resets(g_w)
     g_u = to_updatable(g_ann)
     g_t = to_timed(g_u)
-    return Chain(g_isr, g_w, g_ann, g_u, g_t)
+    stages = (stopwatch_witness(g_isr, g_w), annotation_witness(g_w, g_ann),
+              rewrite_witness(g_ann, g_u), offset_witness(g_u, g_t))
+    return Chain(g_isr, g_w, g_ann, g_u, g_t, stages, reduce(compose, stages))
 
 
 def stage_witnesses(chain: Chain) -> list[BisimWitness]:
     """Every stage witness, the composed annotation witness and the composed
     end-to-end witness, in the order matching lifted snapshots."""
-    w_slope = stopwatch_witness(chain.isr, chain.stopwatch)
-    w_ann = annotation_witness(chain.stopwatch, chain.annotated)
-    w_rw = rewrite_witness(chain.annotated, chain.updatable)
-    w_beta = compose(w_ann, w_rw)
-    w_off = offset_witness(chain.updatable, chain.timed)
-    w_end = compose(compose(w_slope, w_beta), w_off)
-    return [w_slope, w_ann, w_rw, w_beta, w_off, w_end]
+    w_slope, w_ann, w_rw, w_off = chain.stages
+    return [w_slope, w_ann, w_rw, compose(w_ann, w_rw), w_off, chain.end_to_end]
 
 
 @dataclass(frozen=True)
@@ -96,41 +90,21 @@ def initial_lifted(chain: Chain) -> LiftedRun:
 
 def lift_step(chain: Chain, lifted: LiftedRun, move: Move) -> LiftedRun:
     """Advance every stage by the counterparts of one source move."""
-    t = move.delay
     try:
-        q_s = step(chain.isr, lifted.source.last(), move)
+        q = step(chain.isr, lifted.source.last(), move)
     except MoveNotEnabled as exc:
         raise InvalidHistory(f"source move not enabled: {exc}") from exc
-
-    # The slope normalization keeps edge ids; later stages follow provenance.
-    move_w = Move(move.edge, t)
-    ann_eid = chain._ann_by_prov.get((lifted.annotated.last().loc, move.edge))
-    if ann_eid is None:
-        raise InvalidHistory(
-            f"no annotated counterpart of {move.edge} at "
-            f"{lifted.annotated.last().loc.render()}")
-    move_ann = Move(ann_eid, t)
-    if ann_eid not in chain.updatable.edges:
-        raise InvalidHistory(f"edge {ann_eid} was dropped by the guard rewrite")
-    move_u = Move(ann_eid, t)
-    timed_eid = chain._timed_by_prov.get((lifted.timed.last().loc, ann_eid))
-    if timed_eid is None:
-        raise InvalidHistory(
-            f"no timed counterpart of {ann_eid} at {lifted.timed.last().loc.render()}")
-    move_t = Move(timed_eid, t)
-
-    q_w = step(chain.stopwatch, lifted.stopwatch.last(), move_w)
-    q_ann = step(chain.annotated, lifted.annotated.last(), move_ann)
-    q_u = step(chain.updatable, lifted.updatable.last(), move_u)
-    q_t = step(chain.timed, lifted.timed.last(), move_t)
-
-    return LiftedRun(
-        source=lifted.source.extended(move, q_s),
-        stopwatch=lifted.stopwatch.extended(move_w, q_w),
-        annotated=lifted.annotated.extended(move_ann, q_ann),
-        updatable=lifted.updatable.extended(move_u, q_u),
-        timed=lifted.timed.extended(move_t, q_t),
-    )
+    runs = [lifted.source.extended(move, q)]
+    for w, run in zip(chain.stages, (lifted.stopwatch, lifted.annotated,
+                                     lifted.updatable, lifted.timed)):
+        q = run.last()
+        counterpart = w.move_forward(q, move)
+        if counterpart is None:
+            raise InvalidHistory(
+                f"no {w.name} counterpart of {move.edge} at {q.loc.render()}")
+        move = counterpart
+        runs.append(run.extended(move, step(w.g2, q, move)))
+    return LiftedRun(*runs)
 
 
 def lift_run(chain: Chain, run: Run) -> LiftedRun:

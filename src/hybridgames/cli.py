@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bisim import verify_chain
-from .chain import Chain, build_chain, lift_run
+from .chain import Chain, build_chain
 from .core import (
     Edge,
     Flavor,
@@ -36,17 +36,18 @@ from .core import (
     scale_to_integers,
     validate_game,
 )
-from .semantics import Move, Run, play
+from .semantics import play
 from .solver import (
     Region,
     RegionGame,
     RegionMove,
+    RegionNode,
     SolveResult,
     build_region_graph,
     solve_reachability,
     solve_safety,
 )
-from .strategy import random_strategy
+from .strategy import positional_strategy, pull_back_strategy, random_strategy
 from .to_stopwatch import to_stopwatch
 from .to_timed import to_timed
 from .to_updatable import annotate_resets, to_updatable
@@ -364,13 +365,6 @@ def parse_objective(text: str) -> Objective:
     return Objective(kind, frozenset(rest.split(",")))
 
 
-def _walk_back_edge(chain: Chain, timed_edge: str) -> str:
-    e_t = chain.timed.edges[timed_edge]
-    e_u = chain.updatable.edges[e_t.provenance]
-    e_a = chain.annotated.edges[e_u.provenance]
-    return e_a.provenance
-
-
 def solve_timed_game(g: Game, objective: Objective) -> tuple[RegionGame, SolveResult]:
     scaled, factor = scale_to_integers(g)
     rg = build_region_graph(scaled, scale=factor)
@@ -401,43 +395,42 @@ def strategy_file_for_source(g: Game, chain: Chain, rg: RegionGame,
         if mv is None:
             continue
         sf.entries.append(StrategyEntry(
-            node.loc.root().render(), node.region,
-            _walk_back_edge(chain, mv.edge), mv.region,
+            chain.end_to_end.loc_back[node.loc].render(), node.region,
+            chain.end_to_end.edge_back[mv.edge], mv.region,
             timed_location=node.loc.render()))
     return sf
 
 
-def positional_from_file(sf: StrategyFile, rg: RegionGame):
-    """Playable strategy for the (unscaled) timed game behind rg."""
-    table = {(e.location, e.region): e for e in sf.entries}
-
-    def strat(run: Run) -> Optional[Move]:
-        q = run.last()
-        node = rg.node_of(q)
-        ent = table.get((q.loc.render(), node.region))
-        if ent is None:
-            return None
-        return rg.concretize_move(q, RegionMove(ent.succ, ent.edge))
-
-    return strat
+def _entry_location(text: Optional[str], path: str) -> LocId:
+    if text is None:
+        raise ParseError(f"missing timed_location at {path}.note")
+    try:
+        return parse_locid(text)
+    except (ValueError, GameError) as exc:
+        raise ParseError(f"bad location id at {path}: {exc}") from None
 
 
-def pullback_from_file(sf: StrategyFile, chain: Chain, rg: RegionGame):
-    """Playable strategy for the chain's source game: lift the history, look
-    the timed configuration up, and reuse the concretized delay with the
-    pulled-back edge (every stage preserves delays exactly)."""
-    table = {(e.timed_location, e.region): e for e in sf.entries}
-
-    def strat(run: Run) -> Optional[Move]:
-        lifted = lift_run(chain, run)
-        q_t = lifted.timed.last()
-        node = rg.node_of(q_t)
-        ent = table.get((q_t.loc.render(), node.region))
-        if ent is None:
-            return None
-        return rg.concretize_move(q_t, RegionMove(ent.succ, ent.edge))
-
-    return strat
+def _strategy_table(sf: StrategyFile, rg: RegionGame,
+                    chain: Optional[Chain]) -> SolveResult:
+    """The region strategy a file records, checked against the rebuilt
+    region graph of the timed stage: every entry must name a node and one of
+    that node's moves.  `chain` is given for files pulled back to its source
+    game, whose entries name a source edge and their timed location."""
+    strategy = {}
+    for i, ent in enumerate(sf.entries):
+        path = f"$.entries[{i}]"
+        if chain is None:
+            loc = _entry_location(ent.location, path)
+            edge = ent.edge
+        else:
+            loc = _entry_location(ent.timed_location, path)
+            edge = chain.end_to_end.edge_fwd.get((loc, ent.edge))
+        node = RegionNode(loc, ent.region)
+        mv = RegionMove(ent.succ, edge)
+        if mv not in rg.moves.get(node, ()):
+            raise ParseError(f"no such region move in the game at {path}")
+        strategy[node] = mv
+    return SolveResult(sf.kind, frozenset(strategy), strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +565,17 @@ def cmd_pull_back(args) -> int:
     if sf.pulled_back:
         print("strategy file is already pulled back", file=sys.stderr)
         return 1
+    w = chain.end_to_end
     out = StrategyFile(game_hash(g), sf.kind, sf.scale)
-    for ent in sf.entries:
+    for i, ent in enumerate(sf.entries):
+        path = f"$.entries[{i}]"
+        loc = _entry_location(ent.location, path)
+        back = w.edge_back.get(ent.edge)
+        if w.edge_fwd.get((loc, back)) != ent.edge:
+            raise ParseError(f"no timed edge {ent.edge!r} leaves "
+                             f"{ent.location} at {path}")
         out.entries.append(StrategyEntry(
-            parse_locid(ent.location).root().render(), ent.region,
-            _walk_back_edge(chain, ent.edge), ent.succ,
+            w.loc_back[loc].render(), ent.region, back, ent.succ,
             timed_location=ent.location))
     _write_out(strategy_to_bytes(out), args.out)
     return 0
@@ -593,25 +592,19 @@ def cmd_simulate(args) -> int:
     if sf.game != game_hash(g):
         print("strategy file was produced for a different game", file=sys.stderr)
         return 1
-    if g.flavor is Flavor.TIMED and not sf.pulled_back:
-        scaled, factor = scale_to_integers(g)
-        if factor != sf.scale:
-            print("strategy file scale does not match the game", file=sys.stderr)
-            return 1
-        rg = build_region_graph(scaled, scale=factor)
-        sigma = positional_from_file(sf, rg)
-    else:
-        if not sf.pulled_back and g.flavor is not Flavor.TIMED:
-            print("strategy file is not pulled back; solve the source game "
-                  "or pull the file back first", file=sys.stderr)
-            return 1
-        chain = build_chain(g)
-        scaled, factor = scale_to_integers(chain.timed)
-        if factor != sf.scale:
-            print("strategy file scale does not match the game", file=sys.stderr)
-            return 1
-        rg = build_region_graph(scaled, scale=factor)
-        sigma = pullback_from_file(sf, chain, rg)
+    if not sf.pulled_back and g.flavor is not Flavor.TIMED:
+        print("strategy file is not pulled back; solve the source game "
+              "or pull the file back first", file=sys.stderr)
+        return 1
+    chain = build_chain(g) if sf.pulled_back else None
+    scaled, factor = scale_to_integers(g if chain is None else chain.timed)
+    if factor != sf.scale:
+        print("strategy file scale does not match the game", file=sys.stderr)
+        return 1
+    rg = build_region_graph(scaled, scale=factor)
+    sigma = positional_strategy(rg, _strategy_table(sf, rg, chain))
+    if chain is not None:
+        sigma = pull_back_strategy(chain, sigma)
     opponent = random_strategy(g, args.seed)
     run = play(g, sigma, opponent, args.steps)
     for i, q in enumerate(run.configs()):

@@ -236,6 +236,20 @@ class LocId:
 
     base: str
     anns: tuple[Annotation, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Ids key every per-location table, and hashing the annotations
+        # (exact rationals) anew on each lookup is a large share of run
+        # lifting, so the hash is computed once.
+        object.__setattr__(self, "_hash", hash((self.base, self.anns)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy, _hash.
+        return (LocId, (self.base, self.anns))
 
     def annotated(self, ann: Annotation) -> "LocId":
         return LocId(self.base, self.anns + (ann,))

@@ -38,9 +38,6 @@ class Region:
     ints: tuple[Optional[int], ...]
     fracs: tuple[int, ...]
 
-    def key(self) -> tuple:
-        return (tuple(-1 if i is None else i for i in self.ints), self.fracs)
-
 
 def region_of(val: tuple[Fraction, ...], bounds: tuple[int, ...]) -> Region:
     """The region of an exact valuation (clocks must be nonnegative)."""
@@ -151,9 +148,6 @@ def region_satisfies(r: Region, conjuncts: tuple[tuple[int, int, int], ...]) -> 
 class RegionNode:
     loc: LocId
     region: Region
-
-    def key(self) -> tuple:
-        return (self.loc.render(), self.region.key())
 
 
 @dataclass(frozen=True)

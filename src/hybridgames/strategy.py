@@ -6,21 +6,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .chain import Chain, lift_run
 from .core import Game, InvalidHistory
-from .semantics import (
-    Configuration,
-    Move,
-    Run,
-    StrategyFn,
-    delay_window,
-    enabled_edges,
-    initial_config,
-    play,
-    trace_of,
-)
+from .semantics import Move, Run, StrategyFn, enabled_edges, play, trace_of
 from .solver import RegionGame, SolveResult
 
 
@@ -66,9 +56,9 @@ def pull_back_strategy(chain: Chain, sigma_t: StrategyFn) -> StrategyFn:
     """Turn a timed-stage strategy into one for the original game.
 
     Each query lifts the whole history through the chain, asks sigma_t on
-    the lifted timed run, and walks the chosen edge's provenance back down:
-    timed -> updatable -> annotated -> original edge id.  Delays transfer
-    unchanged because every stage preserves them.
+    the lifted timed run, and maps the chosen move back through the
+    end-to-end relation.  Delays transfer unchanged because every stage
+    preserves them.
     """
 
     def strat(run: Run) -> Optional[Move]:
@@ -76,12 +66,10 @@ def pull_back_strategy(chain: Chain, sigma_t: StrategyFn) -> StrategyFn:
         m_t = sigma_t(lifted.timed)
         if m_t is None:
             return None
-        e_t = chain.timed.edges.get(m_t.edge)
-        if e_t is None:
+        move = chain.end_to_end.move_backward(lifted.source_config(), m_t)
+        if move is None:
             raise InvalidHistory(f"strategy chose unknown timed edge {m_t.edge!r}")
-        e_u = chain.updatable.edges[e_t.provenance]
-        e_ann = chain.annotated.edges[e_u.provenance]
-        return Move(e_ann.provenance, m_t.delay)
+        return move
 
     return strat
 
@@ -100,11 +88,6 @@ def positional_strategy(rg: RegionGame, result: SolveResult) -> StrategyFn:
         return rg.concretize_move(q, mv)
 
     return strat
-
-
-def lift_history(chain: Chain, run: Run):
-    """Alias for chain lifting, exposed with the strategy tooling."""
-    return lift_run(chain, run)
 
 
 @dataclass

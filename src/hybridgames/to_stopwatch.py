@@ -11,8 +11,6 @@ endpoints, so guards stay well ordered.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     ONE,
     ZERO,
@@ -20,11 +18,12 @@ from .core import (
     Flavor,
     Game,
     Guard,
+    LocId,
     Location,
     Reset,
 )
-from .bisim import BisimWitness
-from .semantics import Configuration, Move
+from .bisim import Affine, BisimWitness, stage_witness
+from .semantics import Configuration
 
 
 def to_stopwatch(g: Game) -> Game:
@@ -57,46 +56,26 @@ def to_stopwatch(g: Game) -> Game:
     return Game(Flavor.STOPWATCH, g.vars, g.actions, g.obs, locations, edges, g.init)
 
 
+def _slope_map(g_isr: Game, lid: LocId) -> Affine:
+    """The valuation map of the slope normalization at a location: each
+    value is divided by its local slope, zero-slope values are unchanged."""
+    flow = g_isr.locations[lid].flow
+    scale = tuple(ONE if flow[var] == 0 else 1 / flow[var] for var in g_isr.vars)
+    return Affine(scale, (ZERO,) * len(scale))
+
+
 def rescale_config(g_isr: Game, q: Configuration) -> Configuration:
-    """Map a source configuration to its stopwatch counterpart by dividing
-    each value by its local slope (zero-slope values are unchanged)."""
-    flow = g_isr.locations[q.loc].flow
-    vals = []
-    for i, var in enumerate(g_isr.vars):
-        slope = flow[var]
-        vals.append(q.val[i] if slope == 0 else q.val[i] / slope)
-    return Configuration(q.loc, tuple(vals))
+    """Map a source configuration to its stopwatch counterpart."""
+    return Configuration(q.loc, _slope_map(g_isr, q.loc).apply(q.val))
 
 
 def unrescale_config(g_isr: Game, q_w: Configuration) -> Configuration:
     """Inverse of rescale_config: multiply each value by its local slope."""
-    flow = g_isr.locations[q_w.loc].flow
-    vals = []
-    for i, var in enumerate(g_isr.vars):
-        slope = flow[var]
-        vals.append(q_w.val[i] if slope == 0 else q_w.val[i] * slope)
-    return Configuration(q_w.loc, tuple(vals))
+    return Configuration(q_w.loc, _slope_map(g_isr, q_w.loc).inverse().apply(q_w.val))
 
 
 def stopwatch_witness(g_isr: Game, g_w: Game) -> BisimWitness:
     """The slope-normalization bisimulation: same location, rescaled values,
     identical edge ids and delays."""
-
-    def contains(q1: Configuration, q2: Configuration) -> bool:
-        if q1.loc != q2.loc or q1.loc not in g_isr.locations:
-            return False
-        return rescale_config(g_isr, q1).val == q2.val
-
-    def move_same(_q: Configuration, m: Move) -> Optional[Move]:
-        return m if m.edge in g_w.edges else None
-
-    return BisimWitness(
-        name="slope-normalization",
-        g1=g_isr,
-        g2=g_w,
-        contains=contains,
-        forward_configs=lambda q1: (rescale_config(g_isr, q1),),
-        backward_config=lambda q2: unrescale_config(g_isr, q2),
-        move_forward=move_same,
-        move_backward=move_same,
-    )
+    return stage_witness("slope-normalization", g_isr, g_w,
+                         affine=lambda lid: _slope_map(g_isr, lid))

@@ -10,9 +10,6 @@ clocks in the produced game never go below zero.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
-
 from .core import (
     OFFSET_KIND,
     ONE,
@@ -27,8 +24,9 @@ from .core import (
     Location,
     Reset,
 )
-from .bisim import BisimWitness
-from .semantics import Configuration, Move
+from .bisim import Affine, BisimWitness, stage_witness
+from .semantics import Configuration
+from .to_updatable import unfold_reachable
 
 
 def zero_offset(g_u: Game) -> Annotation:
@@ -60,18 +58,7 @@ def to_timed(g_u: Game) -> Game:
     resets all become zero, and each edge records the set of clocks it
     resets and the updatable edge it came from.
     """
-    start = (g_u.init, zero_offset(g_u))
-    seen = {start}
-    frontier = deque([start])
-    order = [start]
-    while frontier:
-        lid, off = frontier.popleft()
-        for e in g_u.edges_from(lid):
-            succ = (e.dst, successor_offset(g_u, off, e))
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-                order.append(succ)
+    order = unfold_reachable(g_u, zero_offset(g_u), successor_offset)
 
     locations = {}
     for (lid, off) in order:
@@ -99,64 +86,29 @@ def to_timed(g_u: Game) -> Game:
                 edges, init)
 
 
+def _offset_map(g_u: Game, timed_loc: LocId) -> Affine:
+    """The valuation map of the offset shift at a timed location: subtract
+    each clock's offset."""
+    offsets = offset_values(timed_loc)
+    return Affine((ONE,) * len(g_u.vars), tuple(-offsets[var] for var in g_u.vars))
+
+
 def shift_config(g_u: Game, q_u: Configuration, timed_loc: LocId) -> Configuration:
     """The timed counterpart of an updatable configuration at a given
     reachable offset annotation for its location."""
     if timed_loc.parent() != q_u.loc:
         raise InvalidGame(f"{timed_loc.render()} does not annotate {q_u.loc.render()}")
-    offsets = offset_values(timed_loc)
-    vals = tuple(q_u.val[i] - offsets[var] for i, var in enumerate(g_u.vars))
-    return Configuration(timed_loc, vals)
+    return Configuration(timed_loc, _offset_map(g_u, timed_loc).apply(q_u.val))
 
 
 def unshift_config(g_u: Game, q_t: Configuration) -> Configuration:
     """Add the offsets back: the updatable configuration a timed one stands for."""
-    offsets = offset_values(q_t.loc)
-    vals = tuple(q_t.val[i] + offsets[var] for i, var in enumerate(g_u.vars))
-    return Configuration(q_t.loc.parent(), vals)
+    return Configuration(q_t.loc.parent(),
+                         _offset_map(g_u, q_t.loc).inverse().apply(q_t.val))
 
 
 def offset_witness(g_u: Game, g_t: Game) -> BisimWitness:
     """Updatable vs timed: locations related by stripping the offset map,
     values by subtracting it, edges by provenance."""
-    partners: dict[LocId, list[LocId]] = {}
-    for lid in g_t.locations:
-        partners.setdefault(lid.parent(), []).append(lid)
-    for lst in partners.values():
-        lst.sort(key=lambda l: l.render())
-    by_provenance: dict[tuple[LocId, str], str] = {}
-    for eid, e in g_t.edges.items():
-        by_provenance[(e.src, e.provenance)] = eid
-
-    def contains(q1: Configuration, q2: Configuration) -> bool:
-        if q2.loc not in g_t.locations or q2.loc.parent() != q1.loc:
-            return False
-        offsets = offset_values(q2.loc)
-        return all(q2.val[i] == q1.val[i] - offsets[var]
-                   for i, var in enumerate(g_u.vars))
-
-    def forward_configs(q1: Configuration) -> tuple[Configuration, ...]:
-        return tuple(shift_config(g_u, q1, lid)
-                     for lid in partners.get(q1.loc, ()))
-
-    def backward_config(q2: Configuration) -> Configuration:
-        return unshift_config(g_u, q2)
-
-    def move_forward(q2: Configuration, m1: Move) -> Optional[Move]:
-        eid = by_provenance.get((q2.loc, m1.edge))
-        return Move(eid, m1.delay) if eid is not None else None
-
-    def move_backward(_q1: Configuration, m2: Move) -> Optional[Move]:
-        e = g_t.edges.get(m2.edge)
-        return Move(e.provenance, m2.delay) if e is not None else None
-
-    return BisimWitness(
-        name="offset-shift",
-        g1=g_u,
-        g2=g_t,
-        contains=contains,
-        forward_configs=forward_configs,
-        backward_config=backward_config,
-        move_forward=move_forward,
-        move_backward=move_backward,
-    )
+    return stage_witness("offset-shift", g_u, g_t, strip=True,
+                         affine=lambda lid: _offset_map(g_u, lid))

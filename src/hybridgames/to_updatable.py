@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     FROZEN_KIND,
@@ -36,8 +36,8 @@ from .core import (
     Location,
     Reset,
 )
-from .bisim import BisimWitness
-from .semantics import Configuration, Move
+from .bisim import BisimWitness, stage_witness
+from .semantics import Configuration
 
 
 def initial_annotation(g_w: Game, lid: LocId) -> Annotation:
@@ -72,7 +72,8 @@ def annotate_resets(g_w: Game, full_product: bool = False) -> Game:
     if full_product:
         pairs = _product_pairs(g_w)
     else:
-        pairs = _reachable_pairs(g_w)
+        pairs = unfold_reachable(g_w, initial_annotation(g_w, g_w.init),
+                                 successor_annotation)
 
     locations = {}
     for (lid, ann) in pairs:
@@ -97,15 +98,20 @@ def annotate_resets(g_w: Game, full_product: bool = False) -> Game:
                 locations, edges, init)
 
 
-def _reachable_pairs(g_w: Game) -> list[tuple[LocId, Annotation]]:
-    start = (g_w.init, initial_annotation(g_w, g_w.init))
-    seen = {start}
-    frontier = deque([start])
-    order = [start]
+def unfold_reachable(g: Game, start: Annotation,
+                     successor: Callable[[Game, Annotation, Edge], Annotation],
+                     ) -> list[tuple[LocId, Annotation]]:
+    """The (location, annotation) pairs reachable from the initial location
+    annotated `start`, in breadth-first order; taking e from (l, a) leads to
+    (e.dst, successor(g, a, e))."""
+    first = (g.init, start)
+    seen = {first}
+    frontier = deque([first])
+    order = [first]
     while frontier:
         lid, ann = frontier.popleft()
-        for e in g_w.edges_from(lid):
-            succ = (e.dst, successor_annotation(g_w, ann, e))
+        for e in g.edges_from(lid):
+            succ = (e.dst, successor(g, ann, e))
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
@@ -196,43 +202,7 @@ def annotation_relates(q_w: Configuration, q_u: Configuration) -> bool:
 def annotation_witness(g_w: Game, g_ann: Game) -> BisimWitness:
     """Stopwatch vs annotated stopwatch: identical valuations, locations
     related by stripping the pin map, edges related by provenance."""
-    partners: dict[LocId, list[LocId]] = {}
-    for lid in g_ann.locations:
-        partners.setdefault(lid.parent(), []).append(lid)
-    for lst in partners.values():
-        lst.sort(key=lambda l: l.render())
-    by_provenance: dict[tuple[LocId, str], str] = {}
-    for eid, e in g_ann.edges.items():
-        by_provenance[(e.src, e.provenance)] = eid
-
-    def contains(q1: Configuration, q2: Configuration) -> bool:
-        return (q2.loc in g_ann.locations and q2.loc.parent() == q1.loc
-                and q1.val == q2.val)
-
-    def forward_configs(q1: Configuration) -> tuple[Configuration, ...]:
-        return tuple(Configuration(lid, q1.val) for lid in partners.get(q1.loc, ()))
-
-    def backward_config(q2: Configuration) -> Configuration:
-        return Configuration(q2.loc.parent(), q2.val)
-
-    def move_forward(q2: Configuration, m1: Move) -> Optional[Move]:
-        eid = by_provenance.get((q2.loc, m1.edge))
-        return Move(eid, m1.delay) if eid is not None else None
-
-    def move_backward(_q1: Configuration, m2: Move) -> Optional[Move]:
-        e = g_ann.edges.get(m2.edge)
-        return Move(e.provenance, m2.delay) if e is not None else None
-
-    return BisimWitness(
-        name="reset-annotation",
-        g1=g_w,
-        g2=g_ann,
-        contains=contains,
-        forward_configs=forward_configs,
-        backward_config=backward_config,
-        move_forward=move_forward,
-        move_backward=move_backward,
-    )
+    return stage_witness("reset-annotation", g_w, g_ann, strip=True)
 
 
 def rewrite_witness(g_ann: Game, g_u: Game) -> BisimWitness:
@@ -241,23 +211,4 @@ def rewrite_witness(g_ann: Game, g_u: Game) -> BisimWitness:
     Edges keep their ids across the rewrite; an edge dropped as dead has no
     counterpart, which is only ever visible from unreachable configurations.
     """
-
-    def contains(q1: Configuration, q2: Configuration) -> bool:
-        return q1.loc == q2.loc and q1.val == q2.val and q1.loc in g_u.locations
-
-    def move_forward(_q2: Configuration, m1: Move) -> Optional[Move]:
-        return m1 if m1.edge in g_u.edges else None
-
-    def move_backward(_q1: Configuration, m2: Move) -> Optional[Move]:
-        return m2 if m2.edge in g_ann.edges else None
-
-    return BisimWitness(
-        name="guard-rewrite",
-        g1=g_ann,
-        g2=g_u,
-        contains=contains,
-        forward_configs=lambda q1: (q1,),
-        backward_config=lambda q2: q2,
-        move_forward=move_forward,
-        move_backward=move_backward,
-    )
+    return stage_witness("guard-rewrite", g_ann, g_u)

@@ -9,6 +9,8 @@ import pytest
 import hybridgames as hg
 from hybridgames.samples import worked_example
 
+from gamegen import gen_isr_game
+
 G = worked_example()
 
 
@@ -81,6 +83,27 @@ def test_compose_matches_two_hop_checks():
         for q_u in beta.forward_configs(q):
             v = hg.check_local_bisim(beta, q, q_u)
             assert v.passed, v.reason
+
+    # the end-to-end record relates the lifted source and timed runs
+    for g in (G, gen_isr_game(3, profile="thirds")):
+        ch = hg.build_chain(g)
+        w = ch.end_to_end
+        assert w.g1 is ch.isr and w.g2 is ch.timed
+        slope, ann, rw, off = ch.stages
+        other = hg.compose(hg.compose(slope, hg.compose(ann, rw)), off)
+        assert (other.loc_back, other.affine, other.edge_back) == \
+            (w.loc_back, w.affine, w.edge_back)
+        for seed in range(4):
+            run = hg.play(g, hg.random_strategy(g, seed),
+                          hg.random_strategy(g, seed + 31), 8)
+            lifted = hg.lift_run(ch, run)
+            for q_s, q_t in zip(lifted.source.configs(), lifted.timed.configs()):
+                assert w.contains(q_s, q_t)
+                assert w.backward_config(q_t) == q_s
+                assert q_t in w.forward_configs(q_s)
+            for m_s, m_t in zip(lifted.source.moves(), lifted.timed.moves()):
+                assert w.edge_back[m_t.edge] == m_s.edge
+                assert m_t.delay == m_s.delay
 
 
 def test_stage_witnesses_cover_the_chain():

@@ -225,3 +225,53 @@ class TestPipelines:
         code, _, err = run("pull-back", src, "--strategy", strat)
         assert code == 1
         assert "pulled back" in err or "does not match" in err
+
+    def _timed_strategy(self, run, game_file, tmp_path):
+        src = game_file(worked_example())
+        timed = str(tmp_path / "timed.json")
+        run("transform", src, "--to", "timed", "--out", timed)
+        strat = tmp_path / "timed-strat.json"
+        assert run("solve", timed, "--objective", "reach:goal",
+                   "--out", str(strat))[0] == 0
+        return src, strat, json.loads(strat.read_text())
+
+    @pytest.mark.parametrize("field,value", [("edge", "nope"),
+                                             ("location", "l0{")])
+    def test_pull_back_rejects_bad_entry(self, run, game_file, tmp_path,
+                                         field, value):
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        doc["entries"][1][field] = value
+        strat.write_text(json.dumps(doc))
+        code, _, err = run("pull-back", src, "--strategy", str(strat))
+        assert code == 1
+        assert "$.entries[1]" in err
+
+    def test_pull_back_rejects_edge_leaving_another_location(
+            self, run, game_file, tmp_path):
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        other = next(e for e in doc["entries"]
+                     if e["location"] != doc["entries"][0]["location"])
+        doc["entries"][0]["edge"] = other["edge"]
+        strat.write_text(json.dumps(doc))
+        code, _, err = run("pull-back", src, "--strategy", str(strat))
+        assert code == 1
+        assert "$.entries[0]" in err
+
+    @pytest.mark.parametrize("pulled", [False, True])
+    def test_simulate_rejects_made_up_region(self, run, game_file, tmp_path,
+                                             pulled):
+        src, strat, _ = self._timed_strategy(run, game_file, tmp_path)
+        if pulled:
+            target = tmp_path / "pulled.json"
+            assert run("pull-back", src, "--strategy", str(strat),
+                       "--out", str(target))[0] == 0
+            game = src
+        else:
+            target = strat
+            game = str(tmp_path / "timed.json")
+        doc = json.loads(target.read_text())
+        doc["entries"][0]["region"] = {"ints": [7], "fracs": [0]}
+        target.write_text(json.dumps(doc))
+        code, out, err = run("simulate", game, "--strategy", str(target))
+        assert code == 1 and out == ""
+        assert "$.entries[0]" in err

@@ -86,11 +86,6 @@ def test_generic_inclusion_spots_different_behavior():
     assert report.mismatches
 
 
-def test_lift_history_matches_lift_run():
-    run = hg.play(G, hg.first_move_strategy(G), hg.first_move_strategy(G), 4)
-    assert hg.lift_history(CH, run) == hg.lift_run(CH, run)
-
-
 def test_positional_strategy_ignores_history_details():
     g = small_timed()
     rg = hg.build_region_graph(g)
