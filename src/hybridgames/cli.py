@@ -437,6 +437,25 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
 # Subcommands
 
 
+def _load_valid_game(path: str) -> Optional[Game]:
+    """The game at `path`, or None after printing its violations to stderr."""
+    g = load_game(path)
+    violations = validate_game(g)
+    for v in violations:
+        print(v.render(), file=sys.stderr)
+    return None if violations else g
+
+
+def _region_graph_for(timed: Game, sf: StrategyFile) -> Optional[RegionGame]:
+    """The region graph a strategy file's entries refer to, or None after a
+    message when the file was solved at another scale."""
+    scaled, factor = scale_to_integers(timed)
+    if factor != sf.scale:
+        print("strategy file scale does not match the game", file=sys.stderr)
+        return None
+    return build_region_graph(scaled, scale=factor)
+
+
 def _write_out(data: bytes, out: Optional[str]):
     if out is None:
         sys.stdout.write(data.decode())
@@ -467,11 +486,8 @@ _CHAIN_ORDER = [Flavor.ISR, Flavor.STOPWATCH, Flavor.ANNOTATED_STOPWATCH,
 
 
 def cmd_transform(args) -> int:
-    g = load_game(args.game)
-    violations = validate_game(g)
-    if violations:
-        for v in violations:
-            print(v.render(), file=sys.stderr)
+    g = _load_valid_game(args.game)
+    if g is None:
         return 1
     try:
         target = Flavor(args.to)
@@ -519,11 +535,8 @@ def _prepare_solve(g: Game, objective: Objective):
 
 
 def cmd_solve(args) -> int:
-    g = load_game(args.game)
-    violations = validate_game(g)
-    if violations:
-        for v in violations:
-            print(v.render(), file=sys.stderr)
+    g = _load_valid_game(args.game)
+    if g is None:
         return 1
     objective = parse_objective(args.objective)
     unknown = objective.obs - set(g.obs)
@@ -545,11 +558,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pull_back(args) -> int:
-    g = load_game(args.game)
-    violations = validate_game(g)
-    if violations:
-        for v in violations:
-            print(v.render(), file=sys.stderr)
+    g = _load_valid_game(args.game)
+    if g is None:
         return 1
     if g.flavor is Flavor.TIMED:
         print("pull-back needs a game with something above the timed stage",
@@ -565,28 +575,22 @@ def cmd_pull_back(args) -> int:
     if sf.pulled_back:
         print("strategy file is already pulled back", file=sys.stderr)
         return 1
+    rg = _region_graph_for(chain.timed, sf)
+    if rg is None:
+        return 1
     w = chain.end_to_end
     out = StrategyFile(game_hash(g), sf.kind, sf.scale)
-    for i, ent in enumerate(sf.entries):
-        path = f"$.entries[{i}]"
-        loc = _entry_location(ent.location, path)
-        back = w.edge_back.get(ent.edge)
-        if w.edge_fwd.get((loc, back)) != ent.edge:
-            raise ParseError(f"no timed edge {ent.edge!r} leaves "
-                             f"{ent.location} at {path}")
+    for node, mv in _strategy_table(sf, rg, None).strategy.items():
         out.entries.append(StrategyEntry(
-            w.loc_back[loc].render(), ent.region, back, ent.succ,
-            timed_location=ent.location))
+            w.loc_back[node.loc].render(), node.region, w.edge_back[mv.edge],
+            mv.region, timed_location=node.loc.render()))
     _write_out(strategy_to_bytes(out), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    g = load_game(args.game)
-    violations = validate_game(g)
-    if violations:
-        for v in violations:
-            print(v.render(), file=sys.stderr)
+    g = _load_valid_game(args.game)
+    if g is None:
         return 1
     sf = load_strategy(args.strategy)
     if sf.game != game_hash(g):
@@ -597,11 +601,9 @@ def cmd_simulate(args) -> int:
               "or pull the file back first", file=sys.stderr)
         return 1
     chain = build_chain(g) if sf.pulled_back else None
-    scaled, factor = scale_to_integers(g if chain is None else chain.timed)
-    if factor != sf.scale:
-        print("strategy file scale does not match the game", file=sys.stderr)
+    rg = _region_graph_for(g if chain is None else chain.timed, sf)
+    if rg is None:
         return 1
-    rg = build_region_graph(scaled, scale=factor)
     sigma = positional_strategy(rg, _strategy_table(sf, rg, chain))
     if chain is not None:
         sigma = pull_back_strategy(chain, sigma)

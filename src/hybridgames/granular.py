@@ -3,8 +3,10 @@
 With closed integer guard bounds, any winning delay can be nudged to a
 multiple of one half without changing which guards it satisfies along the
 way, and clock values beyond every bound plus one behave identically.  That
-makes the clamped half-grid game finite and its bounded value iteration an
-independent oracle for the region solver on small inputs.
+makes the clamped half-grid game finite and its attractor an independent
+oracle for the region solver on small inputs.  One explorer and one sweep
+serve both objectives with the players swapped; nothing here comes from
+the solver it checks.
 """
 
 from __future__ import annotations
@@ -53,15 +55,10 @@ def _grid_moves(g: Game, q: Configuration, delays: list[Fraction],
     return succs
 
 
-def granular_reach_winner(g: Game, target_obs: frozenset,
-                          depth: Optional[int] = None,
-                          max_configs: int = 200_000) -> bool:
-    """Whether player one wins reachability from the initial configuration,
-    by value iteration over the clamped half-grid state space.
-
-    `depth` bounds the number of iteration layers; by default it runs to the
-    fixpoint, which exists because the clamped space is finite.
-    """
+def _half_grid_graph(g: Game, max_configs: int
+                     ) -> tuple[list[Configuration], dict]:
+    """The clamped half-grid configurations reachable from the initial one,
+    in discovery order (the initial one first), and their successors."""
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("half-grid oracle requires a timed-flavor game")
     cap_int = _integer_cap(g)
@@ -84,75 +81,59 @@ def granular_reach_winner(g: Game, target_obs: frozenset,
                 frontier.append(s)
         if len(configs) > max_configs:
             raise GameError("half-grid state space exceeded the size budget")
+    return configs, succ_map
 
-    win = {q for q in configs if g.locations[q.loc].obs in target_obs}
+
+def _attracts_init(g: Game, player: Player, in_seed, depth: Optional[int],
+                   max_configs: int) -> bool:
+    """Whether `player` forces the initial configuration to one whose
+    observation satisfies `in_seed`: its attractor on the clamped half-grid,
+    by at most `depth` sweeps over the configurations (to the fixpoint when
+    None)."""
+    configs, succ_map = _half_grid_graph(g, max_configs)
+    attr = {q for q in configs if in_seed(g.locations[q.loc].obs)}
     rounds = len(configs) if depth is None else depth
     for _ in range(rounds):
         changed = False
         for q in configs:
-            if q in win:
+            if q in attr:
                 continue
             succs = succ_map[q]
-            if g.owner(q.loc) is Player.ONE:
-                if any(s in win for s in succs):
-                    win.add(q)
-                    changed = True
+            if g.owner(q.loc) is player:
+                joins = any(s in attr for s in succs)
             else:
-                if succs and all(s in win for s in succs):
-                    win.add(q)
-                    changed = True
+                joins = bool(succs) and all(s in attr for s in succs)
+            if joins:
+                attr.add(q)
+                changed = True
         if not changed:
             break
-    return init in win
+    return configs[0] in attr
+
+
+def granular_reach_winner(g: Game, target_obs: frozenset,
+                          depth: Optional[int] = None,
+                          max_configs: int = 200_000) -> bool:
+    """Whether player one wins reachability from the initial configuration:
+    player one's attractor to the target on the clamped half-grid.
+
+    `depth` bounds the number of sweeps over the configurations; each sweep
+    grows the set in place, so one may attract configurations several moves
+    from the target.  By default the sweeps run to the fixpoint, which
+    exists because the clamped space is finite.
+    """
+    return _attracts_init(g, Player.ONE, lambda obs: obs in target_obs,
+                          depth, max_configs)
 
 
 def granular_safe_winner(g: Game, safe_obs: frozenset,
                          depth: Optional[int] = None,
                          max_configs: int = 200_000) -> bool:
-    """Safety twin of granular_reach_winner: player one wins iff the initial
-    configuration avoids the player-two attractor to unsafe observations."""
-    if g.flavor is not Flavor.TIMED:
-        raise InvalidGame("half-grid oracle requires a timed-flavor game")
-    cap_int = _integer_cap(g)
-    cap = Fraction(cap_int)
-    delays = [Fraction(j, 2) for j in range(2 * cap_int + 1)]
-
-    init = initial_config(g)
-    configs = [init]
-    seen = {init}
-    succ_map: dict[Configuration, list[Configuration]] = {}
-    frontier = deque([init])
-    while frontier:
-        q = frontier.popleft()
-        succs = _grid_moves(g, q, delays, cap)
-        succ_map[q] = succs
-        for s in succs:
-            if s not in seen:
-                seen.add(s)
-                configs.append(s)
-                frontier.append(s)
-        if len(configs) > max_configs:
-            raise GameError("half-grid state space exceeded the size budget")
-
-    bad = {q for q in configs if g.locations[q.loc].obs not in safe_obs}
-    rounds = len(configs) if depth is None else depth
-    for _ in range(rounds):
-        changed = False
-        for q in configs:
-            if q in bad:
-                continue
-            succs = succ_map[q]
-            if g.owner(q.loc) is Player.TWO:
-                if any(s in bad for s in succs):
-                    bad.add(q)
-                    changed = True
-            else:
-                if succs and all(s in bad for s in succs):
-                    bad.add(q)
-                    changed = True
-        if not changed:
-            break
-    return init not in bad
+    """Whether player one wins safety from the initial configuration: it
+    avoids player two's attractor to the unsafe observations.  `depth` and
+    `max_configs` are as in granular_reach_winner."""
+    return not _attracts_init(g, Player.TWO, lambda obs: obs not in safe_obs,
+                              depth, max_configs)
 
 
 def _grid_denominator(*games: Game) -> int:
@@ -221,50 +202,30 @@ def granular_witness_check(witness, depth: int, span: int = 3,
             return PairMismatch(q1, q2, "label", None, "observations differ")
         if d >= depth:
             continue
-        for e in g1.edges_from(q1.loc):
-            w = delay_window(g1, q1, e.id)
-            if w is None:
-                continue
-            for t in _window_delays(w, den, span):
-                m1 = Move(e.id, t)
-                m2 = witness.move_forward(q2, m1)
-                if m2 is None:
-                    return PairMismatch(q1, q2, "forward", m1,
-                                        "no counterpart move")
-                try:
-                    n1 = step(g1, q1, m1)
-                    n2 = step(g2, q2, m2)
-                except Exception as exc:
-                    return PairMismatch(q1, q2, "forward", m1, str(exc))
-                if not witness.contains(n1, n2):
-                    return PairMismatch(q1, q2, "forward", m1,
-                                        "successors unrelated")
-                if (n1, n2) not in visited:
-                    visited.add((n1, n2))
-                    frontier.append((n1, n2, d + 1))
-                    if len(visited) > max_pairs:
-                        raise GameError("paired walk exceeded the size budget")
-        for e in g2.edges_from(q2.loc):
-            w = delay_window(g2, q2, e.id)
-            if w is None:
-                continue
-            for t in _window_delays(w, den, span):
-                m2 = Move(e.id, t)
-                m1 = witness.move_backward(q1, m2)
-                if m1 is None:
-                    return PairMismatch(q1, q2, "backward", m2,
-                                        "no counterpart move")
-                try:
-                    n1 = step(g1, q1, m1)
-                    n2 = step(g2, q2, m2)
-                except Exception as exc:
-                    return PairMismatch(q1, q2, "backward", m2, str(exc))
-                if not witness.contains(n1, n2):
-                    return PairMismatch(q1, q2, "backward", m2,
-                                        "successors unrelated")
-                if (n1, n2) not in visited:
-                    visited.add((n1, n2))
-                    frontier.append((n1, n2, d + 1))
-                    if len(visited) > max_pairs:
-                        raise GameError("paired walk exceeded the size budget")
+        sides = (("forward", g1, q1, lambda m: (m, witness.move_forward(q2, m))),
+                 ("backward", g2, q2, lambda m: (witness.move_backward(q1, m), m)))
+        for direction, g, q, pair in sides:
+            for e in g.edges_from(q.loc):
+                w = delay_window(g, q, e.id)
+                if w is None:
+                    continue
+                for t in _window_delays(w, den, span):
+                    move = Move(e.id, t)
+                    m1, m2 = pair(move)
+                    if m1 is None or m2 is None:
+                        return PairMismatch(q1, q2, direction, move,
+                                            "no counterpart move")
+                    try:
+                        n1 = step(g1, q1, m1)
+                        n2 = step(g2, q2, m2)
+                    except Exception as exc:
+                        return PairMismatch(q1, q2, direction, move, str(exc))
+                    if not witness.contains(n1, n2):
+                        return PairMismatch(q1, q2, direction, move,
+                                            "successors unrelated")
+                    if (n1, n2) not in visited:
+                        visited.add((n1, n2))
+                        frontier.append((n1, n2, d + 1))
+                        if len(visited) > max_pairs:
+                            raise GameError("paired walk exceeded the size budget")
     return None

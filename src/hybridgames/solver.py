@@ -6,13 +6,14 @@ which clocks have fractional part zero, and the relative order of the
 positive fractional parts.  Guards with closed integer bounds cannot tell two
 valuations of the same region apart, time successors walk a finite chain of
 regions, and resets to zero stay inside the abstraction, so the turn-based
-reachability and safety games are solved exactly by finite attractors.
+reachability and safety games are solved exactly by one finite attractor
+with the players swapped.  Losing verdicts carry player two's spoiler.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -277,81 +278,86 @@ def build_region_graph(g: Game, scale: int = 1,
 
 @dataclass
 class SolveResult:
+    """`strategy` holds player one's moves on winning nodes; `spoiler` holds
+    player two's moves on the other nodes, the certificate of a loss."""
+
     objective: str
     winning: frozenset
     strategy: dict[RegionNode, RegionMove]
+    spoiler: dict[RegionNode, RegionMove] = field(default_factory=dict)
 
     def wins_from_init(self, rg: RegionGame) -> bool:
         return rg.init in self.winning
 
 
-def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
-    """Least-fixpoint attractor for player one to the target observations.
+def _attractor(rg: RegionGame, player: Player, seed: set
+               ) -> tuple[set, dict[RegionNode, RegionMove]]:
+    """The nodes from which `player` forces a visit to `seed`, and each
+    attracted `player` node's first move into the set when it joined.
 
-    A halted play never reaches anything, so deadlocked nodes outside the
-    target lose; player-two nodes need at least one move and all moves into
-    the attractor.  The recorded strategy takes, at each newly attracted
-    player-one node, the first move (in deterministic order) into the
-    previous layer, which makes plays shrink their attractor rank and reach
-    the target within one pass over the node set.
+    Passes over `rg.nodes` grow the set in place until one adds nothing.
+    Opponent nodes join once they have a move and all moves lead in, so
+    deadlocks never join.  Every recorded move, and every move of an
+    attracted opponent node, leads to a node that joined earlier.
     """
-    win = {n for n in rg.nodes if rg.obs(n) in target_obs}
-    strategy: dict[RegionNode, RegionMove] = {}
+    attr = set(seed)
+    moves: dict[RegionNode, RegionMove] = {}
     changed = True
     while changed:
         changed = False
         for node in rg.nodes:
-            if node in win:
+            if node in attr:
                 continue
             node_moves = rg.moves[node]
-            if rg.owner(node) is Player.ONE:
+            if rg.owner(node) is player:
                 for mv in node_moves:
-                    if rg.successor[(node, mv)] in win:
-                        win.add(node)
-                        strategy[node] = mv
-                        changed = True
+                    if rg.successor[(node, mv)] in attr:
+                        moves[node] = mv
                         break
-            else:
-                if node_moves and all(rg.successor[(node, mv)] in win
-                                      for mv in node_moves):
-                    win.add(node)
-                    changed = True
+                else:
+                    continue
+            elif not (node_moves and all(rg.successor[(node, mv)] in attr
+                                         for mv in node_moves)):
+                continue
+            attr.add(node)
+            changed = True
+    return attr, moves
+
+
+def _stay_out(rg: RegionGame, player: Player, attr: set
+              ) -> dict[RegionNode, RegionMove]:
+    """For each `player` node outside the opponent's attractor `attr`, its
+    first move that stays outside; only deadlocked nodes have none."""
+    out: dict[RegionNode, RegionMove] = {}
+    for node in rg.nodes:
+        if node in attr or rg.owner(node) is not player:
+            continue
+        for mv in rg.moves[node]:
+            if rg.successor[(node, mv)] not in attr:
+                out[node] = mv
+                break
+    return out
+
+
+def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
+    """Player one's attractor to the target observations.  A halted play
+    reaches nothing, so deadlocked nodes outside the target lose; the
+    strategy reaches the target within one pass over the node set and the
+    spoiler keeps plays outside the attractor."""
+    win, strategy = _attractor(
+        rg, Player.ONE, {n for n in rg.nodes if rg.obs(n) in target_obs})
     target_text = ",".join(sorted(target_obs))
-    return SolveResult(f"reach:{target_text}", frozenset(win), strategy)
+    return SolveResult(f"reach:{target_text}", frozenset(win), strategy,
+                       _stay_out(rg, Player.TWO, win))
 
 
 def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
-    """Complement of the player-two attractor to the unsafe observations.
-
-    Halting is safe: a deadlocked node with a safe observation stays out of
-    the attractor.  The strategy keeps player one inside the winning set; a
-    winning node with moves always has one (otherwise every move would be
-    attracted and so would the node).
-    """
-    bad = {n for n in rg.nodes if rg.obs(n) not in safe_obs}
-    changed = True
-    while changed:
-        changed = False
-        for node in rg.nodes:
-            if node in bad:
-                continue
-            node_moves = rg.moves[node]
-            if rg.owner(node) is Player.TWO:
-                if any(rg.successor[(node, mv)] in bad for mv in node_moves):
-                    bad.add(node)
-                    changed = True
-            else:
-                if node_moves and all(rg.successor[(node, mv)] in bad
-                                      for mv in node_moves):
-                    bad.add(node)
-                    changed = True
+    """Complement of player two's attractor to the unsafe observations.
+    Halting is safe; the strategy keeps plays outside the attractor and the
+    spoiler forces an unsafe observation within one pass over the nodes."""
+    bad, spoiler = _attractor(
+        rg, Player.TWO, {n for n in rg.nodes if rg.obs(n) not in safe_obs})
     winning = frozenset(n for n in rg.nodes if n not in bad)
-    strategy: dict[RegionNode, RegionMove] = {}
-    for node in rg.nodes:
-        if node in winning and rg.owner(node) is Player.ONE:
-            for mv in rg.moves[node]:
-                if rg.successor[(node, mv)] not in bad:
-                    strategy[node] = mv
-                    break
     safe_text = ",".join(sorted(safe_obs))
-    return SolveResult(f"safe:{safe_text}", winning, strategy)
+    return SolveResult(f"safe:{safe_text}", winning,
+                       _stay_out(rg, Player.ONE, bad), spoiler)

@@ -205,6 +205,19 @@ def gen_timed_game(seed: int, max_locs: int = 4, max_clocks: int = 2,
     return g
 
 
+def oracle_pool():
+    """(seed, game, reach targets, safe observations) for the 50 timed games
+    acceptance check 6 solves against the half-grid oracle, with the
+    objectives drawn as that check draws them."""
+    for i in range(50):
+        g = gen_timed_game(500 + i)
+        obs_list = sorted({l.obs for l in g.locations.values()})
+        rng = random.Random(i)
+        target = frozenset({rng.choice(obs_list)})
+        safe = frozenset(obs_list) - {rng.choice(obs_list)}
+        yield 500 + i, g, target, safe
+
+
 def probe_runs(g: Game, seed: int, count: int = 4, depth: int = 6) -> list[Run]:
     """Short random plays used to find which parts of a game actually move."""
     runs = []

@@ -235,8 +235,9 @@ class TestPipelines:
                    "--out", str(strat))[0] == 0
         return src, strat, json.loads(strat.read_text())
 
-    @pytest.mark.parametrize("field,value", [("edge", "nope"),
-                                             ("location", "l0{")])
+    @pytest.mark.parametrize("field,value", [
+        ("edge", "nope"), ("location", "l0{"),
+        pytest.param("region", {"ints": [7], "fracs": [0]}, id="region-made-up")])
     def test_pull_back_rejects_bad_entry(self, run, game_file, tmp_path,
                                          field, value):
         src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
@@ -245,6 +246,16 @@ class TestPipelines:
         code, _, err = run("pull-back", src, "--strategy", str(strat))
         assert code == 1
         assert "$.entries[1]" in err
+
+    @pytest.mark.parametrize("command", ["pull-back", "simulate"])
+    def test_strategy_scale_must_match(self, run, game_file, tmp_path, command):
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        doc["scale"] += 1
+        strat.write_text(json.dumps(doc))
+        game = src if command == "pull-back" else str(tmp_path / "timed.json")
+        code, out, err = run(command, game, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert "scale does not match" in err
 
     def test_pull_back_rejects_edge_leaving_another_location(
             self, run, game_file, tmp_path):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import hybridgames as hg
 from hybridgames.samples import small_timed, worked_example
 
+from gamegen import oracle_pool
+
 
 def R(ints, fracs):
     return hg.Region(tuple(ints), tuple(fracs))
@@ -264,3 +266,75 @@ class TestAttractors:
             run = hg.play(g, sigma, hg.random_strategy(g, seed),
                           len(rg.nodes) + 2)
             assert "done" in hg.trace_of(g, run)
+
+
+def _spoiled_graph(rg, result, stop):
+    """The region nodes reachable from init when player two follows the
+    spoiler and player one may take any move, each mapped to its successors;
+    nodes satisfying `stop` are not expanded."""
+    graph = {}
+    todo = [rg.init]
+    while todo:
+        node = todo.pop()
+        if node in graph:
+            continue
+        if stop(node):
+            graph[node] = []
+            continue
+        if rg.owner(node) is hg.Player.ONE:
+            moves = rg.moves[node]
+        else:
+            assert node in result.spoiler or not rg.moves[node]
+            moves = [result.spoiler[node]] if node in result.spoiler else []
+        graph[node] = [rg.successor[(node, mv)] for mv in moves]
+        todo.extend(graph[node])
+    return graph
+
+
+class TestSpoiler:
+    def test_losing_verdicts_carry_a_spoiler(self):
+        # on the check-6 pool player two rarely has a choice that matters;
+        # on the escaping ladder its first move is wrong for safety and its
+        # last one wrong for reachability
+        games = [(g, target, safe) for _, g, target, safe in oracle_pool()]
+        games.append((_ladder_game(True), frozenset({"goal"}),
+                      frozenset({"low", "mid"})))
+        losses = {"reach": 0, "safe": 0}
+        for g, target, safe in games:
+            rg = hg.build_region_graph(g)
+            reach = hg.solve_reachability(rg, target)
+            safety = hg.solve_safety(rg, safe)
+            for result in (reach, safety):
+                for node, mv in result.spoiler.items():
+                    assert rg.owner(node) is hg.Player.TWO
+                    assert node not in result.winning
+                    assert mv in rg.moves[node]
+
+            if not reach.wins_from_init(rg):
+                losses["reach"] += 1
+                found = _spoiled_graph(rg, reach, lambda n: False)
+                assert not any(rg.obs(n) in target for n in found)
+
+            if not safety.wins_from_init(rg):
+                losses["safe"] += 1
+                graph = _spoiled_graph(rg, safety, lambda n: rg.obs(n) not in safe)
+                assert all(graph[n] for n in graph if rg.obs(n) in safe), \
+                    "a play halts safely"
+                # Kahn's order covers every node only when the graph is
+                # acyclic; with no safe deadlock, every play then turns
+                # unsafe within len(rg.nodes) moves
+                pending = {n: len(succs) for n, succs in graph.items()}
+                preds = {n: [] for n in graph}
+                for n, succs in graph.items():
+                    for s in succs:
+                        preds[s].append(n)
+                ready = [n for n, k in pending.items() if k == 0]
+                ordered = 0
+                while ready:
+                    ordered += 1
+                    for p in preds[ready.pop()]:
+                        pending[p] -= 1
+                        if pending[p] == 0:
+                            ready.append(p)
+                assert ordered == len(graph), "a play stays safe forever"
+        assert losses["reach"] and losses["safe"], losses
