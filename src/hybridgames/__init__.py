@@ -48,7 +48,7 @@ from .semantics import (
     step,
     trace_of,
 )
-from .to_stopwatch import rescale_config, stopwatch_witness, to_stopwatch, unrescale_config
+from .to_stopwatch import rescale_config, stopwatch_witness, to_stopwatch
 from .to_updatable import (
     annotate_resets,
     annotation_relates,
@@ -59,14 +59,9 @@ from .to_updatable import (
     successor_annotation,
     to_updatable,
 )
-from .to_timed import (
-    offset_values,
-    offset_witness,
-    shift_config,
-    to_timed,
-    unshift_config,
-)
+from .to_timed import offset_values, offset_witness, to_timed
 from .chain import (
+    LOWERINGS,
     Chain,
     LiftedRun,
     build_chain,

@@ -227,33 +227,21 @@ class Verdict:
     reason: str = ""
 
 
-def _match_forward(w: BisimWitness, q1: Configuration, q2: Configuration,
-                   m1: Move) -> Optional[str]:
-    m2 = w.move_forward(q2, m1)
-    if m2 is None:
+def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
+           forward: bool) -> Optional[str]:
+    """The matching clause for one sampled move: a g1 move from q1 matched
+    by its g2 counterpart from q2 when `forward`, else a g2 move from q2 by
+    its g1 counterpart.  The mover's side steps first."""
+    other = w.move_forward(q2, move) if forward else w.move_backward(q1, move)
+    if other is None:
         return "no counterpart move"
-    if m2.delay != m1.delay:
+    if other.delay != move.delay:
         return "counterpart changes the delay"
     try:
-        q1n = step(w.g1, q1, m1)
-        q2n = step(w.g2, q2, m2)
-    except MoveNotEnabled as exc:
-        return f"counterpart not enabled ({exc})"
-    if not w.contains(q1n, q2n):
-        return "successors not related"
-    return None
-
-
-def _match_backward(w: BisimWitness, q1: Configuration, q2: Configuration,
-                    m2: Move) -> Optional[str]:
-    m1 = w.move_backward(q1, m2)
-    if m1 is None:
-        return "no counterpart move"
-    if m1.delay != m2.delay:
-        return "counterpart changes the delay"
-    try:
-        q2n = step(w.g2, q2, m2)
-        q1n = step(w.g1, q1, m1)
+        if forward:
+            q1n, q2n = step(w.g1, q1, move), step(w.g2, q2, other)
+        else:
+            q2n, q1n = step(w.g2, q2, move), step(w.g1, q1, other)
     except MoveNotEnabled as exc:
         return f"counterpart not enabled ({exc})"
     if not w.contains(q1n, q2n):
@@ -262,12 +250,13 @@ def _match_backward(w: BisimWitness, q1: Configuration, q2: Configuration,
 
 
 def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
-                      sampler: Optional[MoveSampler] = None,
-                      both_directions: bool = True) -> Verdict:
+                      sampler: Optional[MoveSampler] = None) -> Verdict:
     """Check the matching clauses at one related pair on sampled moves.
 
-    With both_directions the inverse-simulation clauses are checked too, so a
-    Pass certifies sampled bisimulation rather than one-way simulation.
+    The owner's moves are matched first (g1 moves forward for player one,
+    g2 moves backward for player two), then the other side's, so a Pass
+    certifies sampled bisimulation rather than one-way simulation.  The
+    first unmatched move ends the check.
     """
     sampler = sampler or MoveSampler()
     if not w.contains(q1, q2):
@@ -283,31 +272,16 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
         return Verdict(False, 0, cex, "observations differ")
 
     checked = 0
-    directions = []
-    if own1 is Player.ONE:
-        directions.append("forward")
-        if both_directions:
-            directions.append("backward")
-    else:
-        directions.append("backward")
-        if both_directions:
-            directions.append("forward")
-
-    for direction in directions:
-        if direction == "forward":
-            for m1 in sampler.moves(w.g1, q1):
-                checked += 1
-                problem = _match_forward(w, q1, q2, m1)
-                if problem:
-                    cex = Counterexample(w.name, "forward", q1, q2, m1, problem)
-                    return Verdict(False, checked, cex, problem)
-        else:
-            for m2 in sampler.moves(w.g2, q2):
-                checked += 1
-                problem = _match_backward(w, q1, q2, m2)
-                if problem:
-                    cex = Counterexample(w.name, "backward", q1, q2, m2, problem)
-                    return Verdict(False, checked, cex, problem)
+    owner_forward = own1 is Player.ONE
+    for forward in (owner_forward, not owner_forward):
+        g, q = (w.g1, q1) if forward else (w.g2, q2)
+        for move in sampler.moves(g, q):
+            checked += 1
+            problem = _match(w, q1, q2, move, forward)
+            if problem:
+                cex = Counterexample(w.name, "forward" if forward else "backward",
+                                     q1, q2, move, problem)
+                return Verdict(False, checked, cex, problem)
     return Verdict(True, checked)
 
 
@@ -317,9 +291,7 @@ def replay_counterexample(w: BisimWitness, cex: Counterexample) -> bool:
     unrelated successors)."""
     if cex.direction == "label":
         return w.g1.locations[cex.q1.loc].obs != w.g2.locations[cex.q2.loc].obs
-    if cex.direction == "forward":
-        return _match_forward(w, cex.q1, cex.q2, cex.move) is not None
-    return _match_backward(w, cex.q1, cex.q2, cex.move) is not None
+    return _match(w, cex.q1, cex.q2, cex.move, cex.direction == "forward") is not None
 
 
 @dataclass

@@ -36,18 +36,27 @@ class Chain:
         return (self.isr, self.stopwatch, self.annotated, self.updatable, self.timed)
 
 
+# The lowering stages in chain order: the flavor each one produces, its
+# construction, and the builder of its relation from input to output game.
+LOWERINGS = (
+    (Flavor.STOPWATCH, to_stopwatch, stopwatch_witness),
+    (Flavor.ANNOTATED_STOPWATCH, annotate_resets, annotation_witness),
+    (Flavor.UPDATABLE, to_updatable, rewrite_witness),
+    (Flavor.TIMED, to_timed, offset_witness),
+)
+
+
 def build_chain(g_isr: Game) -> Chain:
     """Validate the source game and run all lowering stages."""
     problems = validate_game(g_isr)
     if problems:
         raise InvalidGame("; ".join(v.render() for v in problems[:5]))
-    g_w = to_stopwatch(g_isr)
-    g_ann = annotate_resets(g_w)
-    g_u = to_updatable(g_ann)
-    g_t = to_timed(g_u)
-    stages = (stopwatch_witness(g_isr, g_w), annotation_witness(g_w, g_ann),
-              rewrite_witness(g_ann, g_u), offset_witness(g_u, g_t))
-    return Chain(g_isr, g_w, g_ann, g_u, g_t, stages, reduce(compose, stages))
+    games = [g_isr]
+    stages = []
+    for _, construct, witness in LOWERINGS:
+        games.append(construct(games[-1]))
+        stages.append(witness(games[-2], games[-1]))
+    return Chain(*games, tuple(stages), reduce(compose, stages))
 
 
 def stage_witnesses(chain: Chain) -> list[BisimWitness]:

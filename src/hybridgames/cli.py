@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bisim import verify_chain
-from .chain import Chain, build_chain
+from .chain import LOWERINGS, Chain, build_chain
 from .core import (
     Edge,
     Flavor,
@@ -48,9 +48,6 @@ from .solver import (
     solve_safety,
 )
 from .strategy import positional_strategy, pull_back_strategy, random_strategy
-from .to_stopwatch import to_stopwatch
-from .to_timed import to_timed
-from .to_updatable import annotate_resets, to_updatable
 
 
 class ParseError(GameError):
@@ -414,8 +411,9 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
                     chain: Optional[Chain]) -> SolveResult:
     """The region strategy a file records, checked against the rebuilt
     region graph of the timed stage: every entry must name a node and one of
-    that node's moves.  `chain` is given for files pulled back to its source
-    game, whose entries name a source edge and their timed location."""
+    that node's moves, and no node may have two entries.  `chain` is given
+    for files pulled back to its source game, whose entries name a source
+    edge and their timed location."""
     strategy = {}
     for i, ent in enumerate(sf.entries):
         path = f"$.entries[{i}]"
@@ -429,6 +427,8 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
         mv = RegionMove(ent.succ, edge)
         if mv not in rg.moves.get(node, ()):
             raise ParseError(f"no such region move in the game at {path}")
+        if node in strategy:
+            raise ParseError(f"second entry for one region node at {path}")
         strategy[node] = mv
     return SolveResult(sf.kind, frozenset(strategy), strategy)
 
@@ -481,8 +481,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-_CHAIN_ORDER = [Flavor.ISR, Flavor.STOPWATCH, Flavor.ANNOTATED_STOPWATCH,
-                Flavor.UPDATABLE, Flavor.TIMED]
+_CHAIN_ORDER = [Flavor.ISR] + [flavor for flavor, _, _ in LOWERINGS]
 
 
 def cmd_transform(args) -> int:
@@ -501,16 +500,11 @@ def cmd_transform(args) -> int:
               file=sys.stderr)
         return 2
     cur = g
-    for idx in range(src_idx, dst_idx):
-        nxt = _CHAIN_ORDER[idx + 1]
-        if nxt is Flavor.STOPWATCH:
-            cur = to_stopwatch(cur)
-        elif nxt is Flavor.ANNOTATED_STOPWATCH:
-            cur = annotate_resets(cur)
-        elif nxt is Flavor.UPDATABLE:
-            cur = to_updatable(cur, rewrite_guards=not args.no_rewrite)
+    for flavor, construct, _ in LOWERINGS[src_idx:dst_idx]:
+        if flavor is Flavor.UPDATABLE:
+            cur = construct(cur, rewrite_guards=not args.no_rewrite)
         else:
-            cur = to_timed(cur)
+            cur = construct(cur)
     _write_out(game_to_bytes(cur), args.out)
     return 0
 

@@ -366,16 +366,6 @@ class Game:
         """Outgoing edges of a location, ordered by edge id."""
         return self._by_src.get(lid, ())
 
-    def constants(self) -> frozenset:
-        """All rational constants appearing in guards and resets, plus zero."""
-        consts = {ZERO}
-        for e in self.edges.values():
-            for iv in e.guard.conjuncts.values():
-                consts.add(iv.lo)
-                consts.add(iv.hi)
-            consts.update(e.reset.assignments.values())
-        return frozenset(consts)
-
 
 class ViolationKind(Enum):
     INITIALIZATION_BROKEN = "initialization-broken"

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chain import Chain, lift_run
-from .core import Game, InvalidHistory
+from .core import Game, InvalidHistory, Player
 from .semantics import Move, Run, StrategyFn, enabled_edges, play, trace_of
 from .solver import RegionGame, SolveResult
 
@@ -110,52 +110,46 @@ class InclusionReport:
 
 def check_trace_inclusion(g_low: Game, g_high: Game, sigma_low: StrategyFn,
                           sigma_high: StrategyFn, k: int, trials: int,
-                          seed: int = 0,
-                          chain: Optional[Chain] = None) -> InclusionReport:
-    """Sampled k-bounded trace inclusion: every observation trace sigma_low
-    produces against a random opponent must be reproducible under sigma_high.
+                          seed: int = 0, *, chain: Chain) -> InclusionReport:
+    """Sampled k-bounded trace inclusion through a chain linking g_low (its
+    source) to g_high (its timed stage).
 
-    With a chain linking g_low (the chain's source) to g_high (its timed
-    stage), each sampled play is lifted and the mirrored timed run must
-    produce the identical observation trace, position by position.  Without
-    a chain it falls back to comparing sampled trace sets, which can only
-    report likely, not certain, violations.
+    Each play of sigma_low against a random opponent is lifted through the
+    chain.  The mirrored timed run must produce the identical observation
+    trace, position by position, and be an outcome of sigma_high: each
+    player-one ply is the move sigma_high picks on the lifted prefix, and a
+    play that halts early at a player-one position halts under sigma_high too.
     """
+    if g_low is not chain.isr or g_high is not chain.timed:
+        raise InvalidHistory("chain does not link the two games")
     report = InclusionReport(trials)
-    if chain is not None:
-        if g_low is not chain.isr or g_high is not chain.timed:
-            raise InvalidHistory("chain does not link the two games")
-        for i in range(trials):
-            opponent = random_strategy(g_low, seed + 7919 * i)
-            run_low = play(g_low, sigma_low, opponent, k)
-            try:
-                lifted = lift_run(chain, run_low)
-            except InvalidHistory as exc:
-                report.mismatches.append(InclusionMismatch(
-                    i, trace_of(g_low, run_low), None,
-                    f"history does not lift: {exc}"))
-                continue
-            t_low = trace_of(g_low, run_low)
-            t_high = trace_of(g_high, lifted.timed)
-            if t_low != t_high:
-                report.mismatches.append(InclusionMismatch(
-                    i, t_low, t_high, "lifted trace differs"))
-        return report
-
-    low_traces = []
     for i in range(trials):
         opponent = random_strategy(g_low, seed + 7919 * i)
         run_low = play(g_low, sigma_low, opponent, k)
-        low_traces.append(trace_of(g_low, run_low))
-    high_traces = set()
-    for i in range(trials * 4):
-        opponent = random_strategy(g_high, seed + 104729 + 31 * i)
-        run_high = play(g_high, sigma_high, opponent, k)
-        t = trace_of(g_high, run_high)
-        for j in range(len(t)):
-            high_traces.add(t[:j + 1])
-    for i, t in enumerate(low_traces):
-        if t not in high_traces:
+        t_low = trace_of(g_low, run_low)
+        try:
+            lifted = lift_run(chain, run_low)
+        except InvalidHistory as exc:
             report.mismatches.append(InclusionMismatch(
-                i, t, None, "trace not seen among sampled counterparts"))
+                i, t_low, None, f"history does not lift: {exc}"))
+            continue
+        t_high = trace_of(g_high, lifted.timed)
+        halted = len(run_low) < k
+        reason = ("lifted trace differs" if t_low != t_high
+                  else _off_strategy(g_high, sigma_high, lifted.timed, halted))
+        if reason:
+            report.mismatches.append(InclusionMismatch(i, t_low, t_high, reason))
     return report
+
+
+def _off_strategy(g: Game, sigma: StrategyFn, run: Run, halted: bool) -> Optional[str]:
+    """Why `run` is not an outcome of sigma for player one, or None; a
+    `halted` run must end where sigma halts too, if player one is to move."""
+    prefix = Run(run.start)
+    for j, s in enumerate(run.steps):
+        if g.owner(prefix.last().loc) is Player.ONE and sigma(prefix) != s.move:
+            return f"ply {j} is not the move sigma_high picks"
+        prefix = prefix.extended(s.move, s.config)
+    if halted and g.owner(run.last().loc) is Player.ONE and sigma(run) is not None:
+        return "sigma_high moves where the play halts"
+    return None

@@ -69,11 +69,6 @@ def rescale_config(g_isr: Game, q: Configuration) -> Configuration:
     return Configuration(q.loc, _slope_map(g_isr, q.loc).apply(q.val))
 
 
-def unrescale_config(g_isr: Game, q_w: Configuration) -> Configuration:
-    """Inverse of rescale_config: multiply each value by its local slope."""
-    return Configuration(q_w.loc, _slope_map(g_isr, q_w.loc).inverse().apply(q_w.val))
-
-
 def stopwatch_witness(g_isr: Game, g_w: Game) -> BisimWitness:
     """The slope-normalization bisimulation: same location, rescaled values,
     identical edge ids and delays."""

@@ -25,7 +25,6 @@ from .core import (
     Reset,
 )
 from .bisim import Affine, BisimWitness, stage_witness
-from .semantics import Configuration
 from .to_updatable import unfold_reachable
 
 
@@ -91,20 +90,6 @@ def _offset_map(g_u: Game, timed_loc: LocId) -> Affine:
     each clock's offset."""
     offsets = offset_values(timed_loc)
     return Affine((ONE,) * len(g_u.vars), tuple(-offsets[var] for var in g_u.vars))
-
-
-def shift_config(g_u: Game, q_u: Configuration, timed_loc: LocId) -> Configuration:
-    """The timed counterpart of an updatable configuration at a given
-    reachable offset annotation for its location."""
-    if timed_loc.parent() != q_u.loc:
-        raise InvalidGame(f"{timed_loc.render()} does not annotate {q_u.loc.render()}")
-    return Configuration(timed_loc, _offset_map(g_u, timed_loc).apply(q_u.val))
-
-
-def unshift_config(g_u: Game, q_t: Configuration) -> Configuration:
-    """Add the offsets back: the updatable configuration a timed one stands for."""
-    return Configuration(q_t.loc.parent(),
-                         _offset_map(g_u, q_t.loc).inverse().apply(q_t.val))
 
 
 def offset_witness(g_u: Game, g_t: Game) -> BisimWitness:

@@ -19,7 +19,6 @@ rewrite is necessary.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
 from typing import Callable, Optional
 
 from .core import (
@@ -61,19 +60,11 @@ def successor_annotation(g_w: Game, f1: Annotation, e: Edge) -> Annotation:
     return Annotation.of(FROZEN_KIND, values)
 
 
-def annotate_resets(g_w: Game, full_product: bool = False) -> Game:
-    """Attach reset annotations to a stopwatch game.
-
-    By default only the locations reachable from the annotated initial
-    location are produced; `full_product` emits the whole product of
-    locations and pin maps over the game's constants instead, for
-    conformance inspection.
-    """
-    if full_product:
-        pairs = _product_pairs(g_w)
-    else:
-        pairs = unfold_reachable(g_w, initial_annotation(g_w, g_w.init),
-                                 successor_annotation)
+def annotate_resets(g_w: Game) -> Game:
+    """Attach reset annotations to a stopwatch game: one location per
+    (location, pin map) pair reachable from the annotated initial location."""
+    pairs = unfold_reachable(g_w, initial_annotation(g_w, g_w.init),
+                             successor_annotation)
 
     locations = {}
     for (lid, ann) in pairs:
@@ -85,10 +76,7 @@ def annotate_resets(g_w: Game, full_product: bool = False) -> Game:
     for (lid, ann) in pairs:
         src_id = lid.annotated(ann)
         for e in g_w.edges_from(lid):
-            f2 = successor_annotation(g_w, ann, e)
-            dst_id = e.dst.annotated(f2)
-            if dst_id not in locations:
-                continue  # only in full_product mode can a target be pruned
+            dst_id = e.dst.annotated(successor_annotation(g_w, ann, e))
             eid = f"{e.id}@{ann.render()}"
             edges[eid] = Edge(eid, src_id, e.action, e.guard, e.reset, dst_id,
                               provenance=e.id)
@@ -117,20 +105,6 @@ def unfold_reachable(g: Game, start: Annotation,
                 frontier.append(succ)
                 order.append(succ)
     return order
-
-
-def _product_pairs(g_w: Game) -> list[tuple[LocId, Annotation]]:
-    consts = sorted(g_w.constants())
-    pairs = []
-    for lid in sorted(g_w.locations, key=lambda l: l.render()):
-        flow = g_w.locations[lid].flow
-        stopped = [var for var in g_w.vars if flow[var] == 0]
-        running = [var for var in g_w.vars if flow[var] != 0]
-        for combo in product(consts, repeat=len(stopped)):
-            values: dict[str, Optional] = {var: None for var in running}
-            values.update(dict(zip(stopped, combo)))
-            pairs.append((lid, Annotation.of(FROZEN_KIND, values)))
-    return pairs
 
 
 def pinned_values(lid: LocId) -> dict:

@@ -286,3 +286,24 @@ class TestPipelines:
         code, out, err = run("simulate", game, "--strategy", str(target))
         assert code == 1 and out == ""
         assert "$.entries[0]" in err
+
+    @pytest.mark.parametrize("command", ["pull-back", "simulate"])
+    def test_duplicate_entry_rejected(self, run, game_file, tmp_path, command):
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        timed = str(tmp_path / "timed.json")
+        scaled, factor = hg.scale_to_integers(cli.load_game(timed))
+        rg = hg.build_region_graph(scaled, scale=factor)
+        first = doc["entries"][0]
+        node = hg.RegionNode(hg.parse_locid(first["location"]),
+                             cli._parse_region(first["region"], "$", None))
+        chosen = hg.RegionMove(cli._parse_region(first["note"]["succ"], "$", None),
+                               first["edge"])
+        other = next(mv for mv in rg.moves[node] if mv != chosen)
+        doc["entries"].append({"location": first["location"],
+                               "region": first["region"], "edge": other.edge,
+                               "note": {"succ": cli._region_doc(other.region)}})
+        strat.write_text(json.dumps(doc))
+        game = src if command == "pull-back" else timed
+        code, out, err = run(command, game, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert f"$.entries[{len(doc['entries']) - 1}]" in err

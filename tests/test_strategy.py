@@ -70,20 +70,25 @@ def test_pull_back_preserves_traces_against_live_opponents():
     assert report.mismatches == []
 
 
-def test_generic_inclusion_accepts_identical_behavior():
-    report = hg.check_trace_inclusion(
-        G, G, hg.random_strategy(G, 1), hg.random_strategy(G, 1),
-        k=6, trials=10)
-    assert report.passed
-
-
-def test_generic_inclusion_spots_different_behavior():
-    other = small_timed()
-    report = hg.check_trace_inclusion(
-        G, other, hg.random_strategy(G, 1), hg.random_strategy(other, 1),
-        k=6, trials=10)
-    assert not report.passed
-    assert report.mismatches
+def test_inclusion_checks_plays_against_the_timed_strategy():
+    # a timed strategy that never moves, a source strategy that ignores the
+    # solved one, and one that halts at once all leave plays that are not
+    # outcomes of sigma_high
+    _, sigma_t = _solved_timed_strategy()
+    sigma = hg.pull_back_strategy(CH, sigma_t)
+    idle = hg.check_trace_inclusion(
+        G, CH.timed, sigma, lambda run: None, k=10, trials=20, chain=CH)
+    assert [m.reason for m in idle.mismatches] == \
+        ["ply 0 is not the move sigma_high picks"] * 20
+    wild = hg.check_trace_inclusion(
+        G, CH.timed, hg.random_strategy(G, 1), sigma_t, k=10, trials=20,
+        chain=CH)
+    assert wild.mismatches
+    assert all("sigma_high picks" in m.reason for m in wild.mismatches)
+    halt = hg.check_trace_inclusion(
+        G, CH.timed, lambda run: None, sigma_t, k=10, trials=20, chain=CH)
+    assert [m.reason for m in halt.mismatches] == \
+        ["sigma_high moves where the play halts"] * 20
 
 
 def test_positional_strategy_ignores_history_details():

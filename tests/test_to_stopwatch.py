@@ -51,7 +51,9 @@ def test_structure_untouched():
        st.fractions(max_denominator=8))
 def test_rescale_roundtrip(lid, x):
     q = hg.Configuration(lid, (x,))
-    assert hg.unrescale_config(G, hg.rescale_config(G, q)) == q
+    w = hg.stopwatch_witness(G, W)
+    assert w.forward_configs(q) == (hg.rescale_config(G, q),)
+    assert w.backward_config(hg.rescale_config(G, q)) == q
 
 
 @given(st.sampled_from(sorted(G.locations, key=str)),

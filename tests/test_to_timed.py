@@ -62,16 +62,15 @@ def test_timed_stage_validates_and_classifies():
 
 def test_shift_roundtrip_and_nonnegative_clocks():
     q_u = hg.Configuration(hg.parse_locid("l1{f:x=_}"), (F(-3),))
-    timed_loc = hg.parse_locid("l1{f:x=_}{g:x=-3}")
-    q_t = hg.shift_config(U, q_u, timed_loc)
+    (q_t,) = CH.stages[3].forward_configs(q_u)
+    assert q_t.loc == hg.parse_locid("l1{f:x=_}{g:x=-3}")
     assert q_t.val == (F(0),)
-    assert hg.unshift_config(U, q_t) == q_u
+    assert CH.stages[3].backward_config(q_t) == q_u
 
 
 def test_delay_windows_survive_shifting():
     q_u = hg.Configuration(hg.parse_locid("l1{f:x=_}"), (F(-3),))
-    timed_loc = hg.parse_locid("l1{f:x=_}{g:x=-3}")
-    q_t = hg.shift_config(U, q_u, timed_loc)
+    (q_t,) = CH.stages[3].forward_configs(q_u)
     for e_u in U.edges_from(q_u.loc):
         w_u = hg.delay_window(U, q_u, e_u.id)
         twins = [e for e in T.edges_from(q_t.loc) if e.provenance == e_u.id]

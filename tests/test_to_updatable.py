@@ -49,11 +49,6 @@ class TestAnnotation:
         assert hg.validate_game(ANN) == []
         assert hg.classify_flavor(ANN) is hg.Flavor.ANNOTATED_STOPWATCH
 
-    def test_full_product_contains_reachable_part(self):
-        big = hg.annotate_resets(W, full_product=True)
-        assert set(ANN.locations) <= set(big.locations)
-        assert len(big.locations) >= len(ANN.locations)
-
 
 class TestGuardRewrite:
     def test_all_flows_become_unit(self):
