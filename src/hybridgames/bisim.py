@@ -167,37 +167,20 @@ class MoveSampler:
     For every enabled edge the low endpoint, the midpoint and the high
     endpoint are sampled (a probe of lo+1 and lo+2 stands in for the missing
     endpoints of an unbounded ray), plus `extra` random in-window delays with
-    denominators at most `max_den`.
+    denominators at most 8.
     """
 
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     extra: int = 1
-    max_den: int = 8
 
     def delays(self, w: DelayWindow) -> list[Fraction]:
         out = [w.lo]
         if w.hi is None:
-            out.append(w.lo + 1)
-            out.append(w.lo + 2)
-            span = Fraction(2)
-        else:
-            if w.hi != w.lo:
-                out.append((w.lo + w.hi) / 2)
-                out.append(w.hi)
-            span = w.hi - w.lo
-        for _ in range(self.extra):
-            if span == 0:
-                break
-            den = self.rng.randint(1, self.max_den)
-            num = self.rng.randint(0, den)
-            out.append(w.lo + Fraction(num, den) * span)
-        seen = set()
-        uniq = []
-        for t in out:
-            if t not in seen:
-                seen.add(t)
-                uniq.append(t)
-        return uniq
+            out += [w.lo + 1, w.lo + 2]
+        elif w.hi != w.lo:
+            out += [(w.lo + w.hi) / 2, w.hi]
+        out += [w.draw(self.rng, max_den=8, ray=2) for _ in range(self.extra)]
+        return list(dict.fromkeys(out))
 
     def moves(self, g: Game, q: Configuration) -> list[Move]:
         out = []
@@ -329,8 +312,11 @@ class ChainReport:
         return "\n".join(lines)
 
 
-def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0,
-                 max_failures: int = 5) -> ChainReport:
+# Failures kept per stage; once a stage has this many, its later pairs are skipped.
+_MAX_FAILURES = 5
+
+
+def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainReport:
     """Build the whole lowering chain of an ISR game and check every stage
     witness (and the composed end-to-end witness) on sampled reachable pairs.
 
@@ -349,7 +335,7 @@ def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0,
     for lifted in tuples:
         for w, (qa, qb) in zip(witnesses, _stage_pairs(lifted)):
             result = stages[w.name]
-            if len(result.failures) >= max_failures:
+            if len(result.failures) >= _MAX_FAILURES:
                 continue
             verdict = check_local_bisim(w, qa, qb, sampler)
             result.pairs += 1
@@ -374,9 +360,7 @@ def _sample_lifted_tuples(chain, samples: int, depth: int, rng: random.Random):
     from .chain import initial_lifted, lift_step
 
     out = []
-    guard = 0
-    while len(out) < samples and guard < samples * 4:
-        guard += 1
+    while len(out) < samples:
         lifted = initial_lifted(chain)
         out.append(lifted.snapshot())
         for _ in range(depth):
@@ -387,19 +371,7 @@ def _sample_lifted_tuples(chain, samples: int, depth: int, rng: random.Random):
             if not options:
                 break
             e, w = options[rng.randrange(len(options))]
-            t = _random_delay(w, rng)
+            t = w.draw(rng, max_den=6, ray=3)
             lifted = lift_step(chain, lifted, Move(e.id, t))
             out.append(lifted.snapshot())
-    return out[:samples]
-
-
-def _random_delay(w: DelayWindow, rng: random.Random) -> Fraction:
-    if w.hi is None:
-        span = Fraction(3)
-    else:
-        span = w.hi - w.lo
-    if span == 0:
-        return w.lo
-    den = rng.randint(1, 6)
-    num = rng.randint(0, den)
-    return w.lo + Fraction(num, den) * span
+    return out

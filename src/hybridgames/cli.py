@@ -85,6 +85,13 @@ def _string(value, path: str) -> str:
     return value
 
 
+def _locid(value, path: str) -> LocId:
+    try:
+        return parse_locid(_string(value, path))
+    except (ValueError, GameError) as exc:
+        raise ParseError(f"bad location id at {path}: {exc}") from None
+
+
 def parse_game(doc: dict) -> Game:
     """Parse a game document; schema errors raise ParseError, semantic
     problems are left to validate_game."""
@@ -112,12 +119,9 @@ def parse_game(doc: dict) -> Game:
     locations: dict[LocId, Location] = {}
     for lid_text, body in doc["locations"].items():
         path = f"$.locations[{lid_text!r}]"
-        try:
-            lid = parse_locid(lid_text)
-        except (ValueError, GameError) as exc:
-            raise ParseError(f"bad location id at {path}: {exc}") from None
+        lid = _locid(lid_text, path)
         _require_keys(body, path, {"owner", "obs", "flow"})
-        if body["owner"] not in (1, 2):
+        if type(body["owner"]) is not int or body["owner"] not in (1, 2):
             raise ParseError(f"owner must be 1 or 2 at {path}.owner")
         owner = Player(body["owner"])
         lobs = _string(body["obs"], f"{path}.obs")
@@ -140,11 +144,8 @@ def parse_game(doc: dict) -> Game:
         eid = _string(body["id"], f"{path}.id")
         if eid in edges:
             raise ParseError(f"duplicate edge id at {path}.id")
-        try:
-            src = parse_locid(_string(body["src"], f"{path}.src"))
-            dst = parse_locid(_string(body["dst"], f"{path}.dst"))
-        except (ValueError, GameError) as exc:
-            raise ParseError(f"bad location id at {path}: {exc}") from None
+        src = _locid(body["src"], f"{path}.src")
+        dst = _locid(body["dst"], f"{path}.dst")
         action = _string(body["action"], f"{path}.action")
         if not isinstance(body["guard"], dict):
             raise ParseError(f"expected an object at {path}.guard")
@@ -168,10 +169,7 @@ def parse_game(doc: dict) -> Game:
         edges[eid] = Edge(eid, src, action, Guard(conjuncts),
                           Reset(assignments), dst, reset_set=reset_set)
 
-    try:
-        init = parse_locid(_string(doc["init"], "$.init"))
-    except (ValueError, GameError) as exc:
-        raise ParseError(f"bad location id at $.init: {exc}") from None
+    init = _locid(doc["init"], "$.init")
     return Game(flavor, gvars, actions, obs, locations, edges, init)
 
 
@@ -219,15 +217,18 @@ def game_hash(g: Game) -> str:
     return hashlib.sha256(game_to_bytes(g)).hexdigest()
 
 
-def load_game(path: str) -> Game:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {path}: {exc}") from None
-    return parse_game(doc)
+
+
+def load_game(path: str) -> Game:
+    return parse_game(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +265,10 @@ def _parse_region(doc, path: str, nvars: Optional[int]) -> Region:
     ints = doc["ints"]
     fracs = doc["fracs"]
     if not (isinstance(ints, list)
-            and all(v is None or isinstance(v, int) for v in ints)):
+            and all(v is None or type(v) is int for v in ints)):
         raise ParseError(f"bad region at {path}.ints")
     if not (isinstance(fracs, list) and len(fracs) == len(ints)
-            and all(isinstance(v, int) for v in fracs)):
+            and all(type(v) is int for v in fracs)):
         raise ParseError(f"bad region at {path}.fracs")
     if nvars is not None and len(ints) != nvars:
         raise ParseError(f"bad region at {path}.ints")
@@ -290,18 +291,16 @@ def emit_strategy(sf: StrategyFile) -> dict:
             "entries": entries}
 
 
-def parse_strategy(doc: dict, nvars: Optional[int] = None) -> StrategyFile:
-    """Parse a strategy document.
-
-    Region widths must agree across the file; nvars, when given, pins
-    them to a particular game's variable count."""
+def parse_strategy(doc: dict) -> StrategyFile:
+    """Parse a strategy document; region widths must agree across the file."""
     _require_keys(doc, "$", {"game", "kind", "scale", "entries"})
     game = _string(doc["game"], "$.game")
     kind = _string(doc["kind"], "$.kind")
-    if not isinstance(doc["scale"], int) or doc["scale"] < 1:
+    if type(doc["scale"]) is not int or doc["scale"] < 1:
         raise ParseError("expected a positive integer at $.scale")
     if not isinstance(doc["entries"], list):
         raise ParseError("expected an array at $.entries")
+    nvars = None
     entries = []
     for i, body in enumerate(doc["entries"]):
         path = f"$.entries[{i}]"
@@ -327,17 +326,6 @@ def parse_strategy(doc: dict, nvars: Optional[int] = None) -> StrategyFile:
 
 def strategy_to_bytes(sf: StrategyFile) -> bytes:
     return (json.dumps(emit_strategy(sf), indent=2, sort_keys=True) + "\n").encode()
-
-
-def load_strategy(path: str, nvars: Optional[int] = None) -> StrategyFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {path}: {exc}") from None
-    return parse_strategy(doc, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +386,6 @@ def strategy_file_for_source(g: Game, chain: Chain, rg: RegionGame,
     return sf
 
 
-def _entry_location(text: Optional[str], path: str) -> LocId:
-    if text is None:
-        raise ParseError(f"missing timed_location at {path}.note")
-    try:
-        return parse_locid(text)
-    except (ValueError, GameError) as exc:
-        raise ParseError(f"bad location id at {path}: {exc}") from None
-
-
 def _strategy_table(sf: StrategyFile, rg: RegionGame,
                     chain: Optional[Chain]) -> SolveResult:
     """The region strategy a file records, checked against the rebuilt
@@ -418,10 +397,11 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
     for i, ent in enumerate(sf.entries):
         path = f"$.entries[{i}]"
         if chain is None:
-            loc = _entry_location(ent.location, path)
-            edge = ent.edge
+            loc, edge = _locid(ent.location, path), ent.edge
+        elif ent.timed_location is None:
+            raise ParseError(f"missing timed_location at {path}.note")
         else:
-            loc = _entry_location(ent.timed_location, path)
+            loc = _locid(ent.timed_location, path)
             edge = chain.end_to_end.edge_fwd.get((loc, ent.edge))
         node = RegionNode(loc, ent.region)
         mv = RegionMove(ent.succ, edge)
@@ -517,17 +497,6 @@ def cmd_check_bisim(args) -> int:
     return 0 if report.passed else 1
 
 
-def _prepare_solve(g: Game, objective: Objective):
-    """Returns (chain or None, rg, result); non-timed games go through the
-    whole chain and are solved on their timed stage."""
-    if g.flavor is Flavor.TIMED:
-        rg, result = solve_timed_game(g, objective)
-        return None, rg, result
-    chain = build_chain(g)
-    rg, result = solve_timed_game(chain.timed, objective)
-    return chain, rg, result
-
-
 def cmd_solve(args) -> int:
     g = _load_valid_game(args.game)
     if g is None:
@@ -538,7 +507,10 @@ def cmd_solve(args) -> int:
         print("objective names observations the game does not declare: "
               + ",".join(sorted(unknown)), file=sys.stderr)
         return 1
-    chain, rg, result = _prepare_solve(g, objective)
+    # Non-timed games go through the whole chain and are solved on their
+    # timed stage.
+    chain = None if g.flavor is Flavor.TIMED else build_chain(g)
+    rg, result = solve_timed_game(g if chain is None else chain.timed, objective)
     winning = result.wins_from_init(rg)
     if chain is None:
         sf = strategy_file_for_timed(g, rg, result, objective)
@@ -560,7 +532,7 @@ def cmd_pull_back(args) -> int:
               file=sys.stderr)
         return 2
     chain = build_chain(g)
-    sf = load_strategy(args.strategy)
+    sf = parse_strategy(_load_json(args.strategy))
     timed_hash = game_hash(chain.timed)
     if sf.game != timed_hash:
         print("strategy file does not match this game's timed stage "
@@ -586,7 +558,7 @@ def cmd_simulate(args) -> int:
     g = _load_valid_game(args.game)
     if g is None:
         return 1
-    sf = load_strategy(args.strategy)
+    sf = parse_strategy(_load_json(args.strategy))
     if sf.game != game_hash(g):
         print("strategy file was produced for a different game", file=sys.stderr)
         return 1
@@ -619,6 +591,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _count(least: int):
+    """An argparse type for an integer count of at least `least`; other
+    values are usage errors (exit 2)."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}: {text}")
+        return n
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hybridgames",
@@ -648,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("check-bisim",
                        help="sample plays and check every stage witness")
     q.add_argument("game")
-    q.add_argument("--samples", type=int, default=25)
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--samples", type=_count(1), default=25)
+    q.add_argument("--depth", type=_count(0), default=6)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_check_bisim)
 
@@ -673,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("game")
     q.add_argument("--strategy", required=True)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--steps", type=int, default=10)
+    q.add_argument("--steps", type=_count(0), default=10)
     q.set_defaults(fn=cmd_simulate)
     return p
 

@@ -152,9 +152,10 @@ def _grid_denominator(*games: Game) -> int:
     return den
 
 
-def _window_delays(w, den: int, span: int) -> list[Fraction]:
+def _window_delays(w, den: int) -> list[Fraction]:
+    """The grid points of w and its endpoints; a ray is probed to lo + 3."""
     out = [w.lo]
-    hi = w.lo + span if w.hi is None else w.hi
+    hi = w.lo + 3 if w.hi is None else w.hi
     unit = Fraction(1, den)
     # Snap the lower end upward to the grid, then walk it.
     steps = (w.lo.numerator * den + w.lo.denominator - 1) // w.lo.denominator
@@ -177,7 +178,7 @@ class PairMismatch:
     reason: str
 
 
-def granular_witness_check(witness, depth: int, span: int = 3,
+def granular_witness_check(witness, depth: int,
                            max_pairs: int = 20_000) -> Optional[PairMismatch]:
     """Exhaustive paired walk over grid-and-boundary delays: every move on
     one side must have a matching move on the other with related successors.
@@ -209,7 +210,7 @@ def granular_witness_check(witness, depth: int, span: int = 3,
                 w = delay_window(g, q, e.id)
                 if w is None:
                     continue
-                for t in _window_delays(w, den, span):
+                for t in _window_delays(w, den):
                     move = Move(e.id, t)
                     m1, m2 = pair(move)
                     if m1 is None or m2 is None:

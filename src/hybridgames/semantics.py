@@ -8,6 +8,7 @@ reset is applied on the jump.  There are no standalone delay transitions.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -88,6 +89,16 @@ class DelayWindow:
 
     def is_point(self) -> bool:
         return self.hi is not None and self.lo == self.hi
+
+    def draw(self, rng: random.Random, max_den: int, ray: int) -> Fraction:
+        """lo plus a random fraction, of denominator at most max_den, of the
+        window's length (of `ray` when the window is unbounded).  A point
+        window returns lo without touching rng."""
+        span = Fraction(ray) if self.hi is None else self.hi - self.lo
+        if span == 0:
+            return self.lo
+        den = rng.randint(1, max_den)
+        return self.lo + Fraction(rng.randint(0, den), den) * span
 
 
 def initial_config(g: Game) -> Configuration:

@@ -212,7 +212,7 @@ class RegionGame:
             f"no delay from {q.loc.render()} realizes the requested region")
 
 
-def _clock_bounds(g: Game, per_clock: bool) -> tuple[int, ...]:
+def _clock_bounds(g: Game) -> tuple[int, ...]:
     maxima = {var: 0 for var in g.vars}
     for e in g.edges.values():
         for var, iv in e.guard.conjuncts.items():
@@ -221,14 +221,10 @@ def _clock_bounds(g: Game, per_clock: bool) -> tuple[int, ...]:
                     raise InvalidGame("region construction needs integer guard bounds")
                 if b >= 0:
                     maxima[var] = max(maxima[var], int(b))
-    if per_clock:
-        return tuple(maxima[var] for var in g.vars)
-    m = max(maxima.values(), default=0)
-    return tuple(m for _ in g.vars)
+    return tuple(maxima[var] for var in g.vars)
 
 
-def build_region_graph(g: Game, scale: int = 1,
-                       per_clock_bounds: bool = True) -> RegionGame:
+def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     """Reachable region graph of an integer-bounded timed game.
 
     Joint moves are (time-successor region, edge) pairs, the self region
@@ -239,7 +235,7 @@ def build_region_graph(g: Game, scale: int = 1,
     """
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("region construction requires a timed-flavor game")
-    bounds = _clock_bounds(g, per_clock_bounds)
+    bounds = _clock_bounds(g)
     var_idx = {var: i for i, var in enumerate(g.vars)}
 
     guard_index: dict[str, tuple[tuple[int, int, int], ...]] = {}

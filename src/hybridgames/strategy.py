@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .chain import Chain, lift_run
@@ -14,25 +13,19 @@ from .semantics import Move, Run, StrategyFn, enabled_edges, play, trace_of
 from .solver import RegionGame, SolveResult
 
 
-def random_strategy(g: Game, seed: int, max_den: int = 4) -> StrategyFn:
-    """Uniform random enabled edge with a random in-window delay of bounded
-    denominator.  Returns None only when nothing is enabled.  The strategy
-    owns its rng, so replaying the same query sequence reproduces the same
-    moves."""
+def random_strategy(g: Game, seed: int) -> StrategyFn:
+    """Uniform random enabled edge with a random in-window delay of
+    denominator at most 4.  Returns None only when nothing is enabled.  The
+    strategy owns its rng, so replaying the same query sequence reproduces
+    the same moves."""
     rng = random.Random(seed)
 
     def strat(run: Run) -> Optional[Move]:
-        q = run.last()
-        enabled = enabled_edges(g, q)
+        enabled = enabled_edges(g, run.last())
         if not enabled:
             return None
         e, w = rng.choice(enabled)
-        span = Fraction(2) if w.hi is None else w.hi - w.lo
-        if span == 0:
-            return Move(e.id, w.lo)
-        den = rng.randint(1, max_den)
-        num = rng.randint(0, den)
-        return Move(e.id, w.lo + Fraction(num, den) * span)
+        return Move(e.id, w.draw(rng, max_den=4, ray=2))
 
     return strat
 

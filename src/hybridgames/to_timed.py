@@ -10,6 +10,8 @@ clocks in the produced game never go below zero.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import (
     OFFSET_KIND,
     ONE,
@@ -21,11 +23,10 @@ from .core import (
     Guard,
     InvalidGame,
     LocId,
-    Location,
     Reset,
 )
 from .bisim import Affine, BisimWitness, stage_witness
-from .to_updatable import unfold_reachable
+from .to_updatable import unfold
 
 
 def zero_offset(g_u: Game) -> Annotation:
@@ -57,32 +58,18 @@ def to_timed(g_u: Game) -> Game:
     resets all become zero, and each edge records the set of clocks it
     resets and the updatable edge it came from.
     """
-    order = unfold_reachable(g_u, zero_offset(g_u), successor_offset)
+    return unfold(g_u, Flavor.TIMED, zero_offset(g_u), successor_offset, _shift)
 
-    locations = {}
-    for (lid, off) in order:
-        new_id = lid.annotated(off)
-        base = g_u.locations[lid]
-        flow = {var: ONE for var in g_u.vars}
-        locations[new_id] = Location(new_id, base.owner, base.obs, flow)
 
-    edges = {}
-    for (lid, off) in order:
-        src_id = lid.annotated(off)
-        offsets = off.as_dict()
-        for e in g_u.edges_from(lid):
-            dst_id = e.dst.annotated(successor_offset(g_u, off, e))
-            conjuncts = {var: iv.shifted(-offsets[var])
-                         for var, iv in e.guard.conjuncts.items()}
-            reset_set = e.reset.domain()
-            reset = Reset({var: ZERO for var in reset_set})
-            eid = f"{e.id}@{off.render()}"
-            edges[eid] = Edge(eid, src_id, e.action, Guard(conjuncts), reset,
-                              dst_id, reset_set=reset_set, provenance=e.id)
-
-    init = g_u.init.annotated(zero_offset(g_u))
-    return Game(Flavor.TIMED, g_u.vars, g_u.actions, g_u.obs, locations,
-                edges, init)
+def _shift(e: Edge, off: Annotation) -> Edge:
+    """e with its guard shifted down by the source offsets and its resets
+    made zero resets."""
+    offsets = off.as_dict()
+    reset_set = e.reset.domain()
+    return replace(e, guard=Guard({var: iv.shifted(-offsets[var])
+                                   for var, iv in e.guard.conjuncts.items()}),
+                   reset=Reset({var: ZERO for var in reset_set}),
+                   reset_set=reset_set)
 
 
 def _offset_map(g_u: Game, timed_loc: LocId) -> Affine:

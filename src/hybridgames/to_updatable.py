@@ -63,48 +63,45 @@ def successor_annotation(g_w: Game, f1: Annotation, e: Edge) -> Annotation:
 def annotate_resets(g_w: Game) -> Game:
     """Attach reset annotations to a stopwatch game: one location per
     (location, pin map) pair reachable from the annotated initial location."""
-    pairs = unfold_reachable(g_w, initial_annotation(g_w, g_w.init),
-                             successor_annotation)
+    return unfold(g_w, Flavor.ANNOTATED_STOPWATCH,
+                  initial_annotation(g_w, g_w.init), successor_annotation)
 
-    locations = {}
-    for (lid, ann) in pairs:
+
+def unfold(g: Game, flavor: Flavor, start: Annotation,
+           successor: Callable[[Game, Annotation, Edge], Annotation],
+           rewrite: Optional[Callable[[Edge, Annotation], Edge]] = None) -> Game:
+    """The unfolding of g over the (location, annotation) pairs reachable
+    from the initial location annotated `start`, in breadth-first order.
+
+    Taking e from (l, a) leads to (e.dst, successor(g, a, e)).  Each pair is
+    one location l{a} with l's owner, observation and flow; each edge e
+    leaving it becomes e@a, with e as provenance and the guard, reset and
+    reset set of rewrite(e, a), or of e itself when rewrite is omitted.
+    """
+    locations: dict[LocId, Location] = {}
+    edges: dict[str, Edge] = {}
+    frontier: deque[tuple[LocId, Annotation]] = deque()
+
+    def visit(lid: LocId, ann: Annotation) -> LocId:
         new_id = lid.annotated(ann)
-        base = g_w.locations[lid]
-        locations[new_id] = Location(new_id, base.owner, base.obs, dict(base.flow))
+        if new_id not in locations:
+            base = g.locations[lid]
+            locations[new_id] = Location(new_id, base.owner, base.obs,
+                                         dict(base.flow))
+            frontier.append((lid, ann))
+        return new_id
 
-    edges = {}
-    for (lid, ann) in pairs:
-        src_id = lid.annotated(ann)
-        for e in g_w.edges_from(lid):
-            dst_id = e.dst.annotated(successor_annotation(g_w, ann, e))
-            eid = f"{e.id}@{ann.render()}"
-            edges[eid] = Edge(eid, src_id, e.action, e.guard, e.reset, dst_id,
-                              provenance=e.id)
-
-    init = g_w.init.annotated(initial_annotation(g_w, g_w.init))
-    return Game(Flavor.ANNOTATED_STOPWATCH, g_w.vars, g_w.actions, g_w.obs,
-                locations, edges, init)
-
-
-def unfold_reachable(g: Game, start: Annotation,
-                     successor: Callable[[Game, Annotation, Edge], Annotation],
-                     ) -> list[tuple[LocId, Annotation]]:
-    """The (location, annotation) pairs reachable from the initial location
-    annotated `start`, in breadth-first order; taking e from (l, a) leads to
-    (e.dst, successor(g, a, e))."""
-    first = (g.init, start)
-    seen = {first}
-    frontier = deque([first])
-    order = [first]
+    init = visit(g.init, start)
     while frontier:
         lid, ann = frontier.popleft()
+        src_id = lid.annotated(ann)
         for e in g.edges_from(lid):
-            succ = (e.dst, successor(g, ann, e))
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-                order.append(succ)
-    return order
+            dst_id = visit(e.dst, successor(g, ann, e))
+            r = e if rewrite is None else rewrite(e, ann)
+            eid = f"{e.id}@{ann.render()}"
+            edges[eid] = Edge(eid, src_id, e.action, r.guard, r.reset, dst_id,
+                              reset_set=r.reset_set, provenance=e.id)
+    return Game(flavor, g.vars, g.actions, g.obs, locations, edges, init)
 
 
 def pinned_values(lid: LocId) -> dict:

@@ -1,6 +1,8 @@
 """Command line surface: parsing, emission, exit codes, pipelines."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,22 @@ class TestExitCodes:
         assert code == 1
         assert "does not declare" in err
 
+    @pytest.mark.parametrize("command,flag,value,expected", [
+        ("check-bisim", "--samples", "-3", 2), ("check-bisim", "--samples", "0", 2),
+        ("check-bisim", "--depth", "-1", 2), ("simulate", "--steps", "-4", 2),
+        ("check-bisim", "--samples", "1", 0),
+        ("check-bisim", "--depth", "0", 0), ("simulate", "--steps", "0", 0)])
+    def test_counts_out_of_range_are_usage_errors(self, run, game_file, tmp_path,
+                                                  command, flag, value, expected):
+        src = game_file(worked_example())
+        strat = str(tmp_path / "s.json")
+        assert run("solve", src, "--objective", "reach:goal", "--out", strat)[0] == 0
+        extra = ("--strategy", strat) if command == "simulate" else ()
+        code, out, err = run(command, src, *extra, flag, value)
+        assert code == expected
+        if expected == 2:
+            assert out == "" and flag in err
+
 
 class TestPipelines:
     def test_transform_steps_compose(self, run, game_file, tmp_path):
@@ -246,6 +264,34 @@ class TestPipelines:
         code, _, err = run("pull-back", src, "--strategy", str(strat))
         assert code == 1
         assert "$.entries[1]" in err
+
+    @pytest.mark.parametrize("where,value", [
+        ("$.scale", True),
+        ("$.entries[0].region.ints", [False]),
+        ("$.entries[0].region.fracs", [False]),
+        ("$.entries[0].note.succ.ints", [True]),
+        ("$.entries[0].note.succ.fracs", [False]),
+        ("$.locations['l0'].owner", True),
+        ("$.locations['l0'].owner", 1.0),
+        ("$.locations['l0'].owner", 2.0)])
+    def test_integer_fields_reject_booleans_and_floats(self, run, game_file,
+                                                       tmp_path, where, value):
+        # each value equals a valid integer in Python, so only its type is wrong
+        src, strat, _ = self._timed_strategy(run, game_file, tmp_path)
+        target = Path(src) if where.startswith("$.locations") else strat
+        doc = json.loads(target.read_text())
+        *parents, last = [int(k) if k.isdigit() else k
+                          for k in re.findall(r"\w+", where)]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        target.write_text(json.dumps(doc))
+        argv = ("pull-back", src, "--strategy", str(strat)) \
+            if target == strat else ("validate", src)
+        code, out, err = run(*argv)
+        assert code == 1 and out == ""
+        assert where in err
 
     @pytest.mark.parametrize("command", ["pull-back", "simulate"])
     def test_strategy_scale_must_match(self, run, game_file, tmp_path, command):

@@ -1,5 +1,6 @@
 """Concrete play: delay windows, steps, runs, strategy plumbing."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +64,24 @@ class TestDelayWindows:
             evolved = q.val[0] + G.flow(q.loc, "x") * t
             expected = G.edges[eid].guard.conjuncts["x"].contains(evolved)
             assert w.contains(t) == expected
+
+    @given(st.fractions(min_value=0, max_value=10, max_denominator=16),
+           st.one_of(st.none(), st.just(F(0)),
+                     st.fractions(min_value=0, max_value=5, max_denominator=16)),
+           st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32))
+    def test_draw_lies_in_the_window_on_a_bounded_grid(self, lo, length,
+                                                      max_den, ray, seed):
+        # length None stands for a ray [lo, oo), drawn from [lo, lo + ray]
+        w = hg.DelayWindow(lo, None if length is None else lo + length)
+        rng = random.Random(seed)
+        before = rng.getstate()
+        t = w.draw(rng, max_den, ray)
+        hi = lo + ray if w.hi is None else w.hi
+        assert lo <= t <= hi
+        if w.is_point():
+            assert t == lo and rng.getstate() == before
+        else:
+            assert ((t - lo) / (hi - lo)).denominator <= max_den
 
 
 class TestStep:

@@ -246,17 +246,6 @@ class TestAttractors:
         rg = hg.build_region_graph(g)
         assert hg.solve_safety(rg, frozenset({"calm"})).wins_from_init(rg)
 
-    def test_global_and_per_clock_bounds_agree(self):
-        g = small_timed()
-        for target in ({"done"}, {"busy"}):
-            a = hg.solve_reachability(
-                hg.build_region_graph(g), frozenset(target))
-            b = hg.solve_reachability(
-                hg.build_region_graph(g, per_clock_bounds=False),
-                frozenset(target))
-            assert a.wins_from_init(hg.build_region_graph(g)) == \
-                b.wins_from_init(hg.build_region_graph(g, per_clock_bounds=False))
-
     def test_positional_strategy_reaches_done(self):
         g = small_timed()
         rg = hg.build_region_graph(g)
