@@ -51,7 +51,6 @@ from .semantics import (
 from .to_stopwatch import rescale_config, stopwatch_witness, to_stopwatch
 from .to_updatable import (
     annotate_resets,
-    annotation_relates,
     annotation_witness,
     initial_annotation,
     pinned_values,
@@ -65,7 +64,6 @@ from .chain import (
     Chain,
     LiftedRun,
     build_chain,
-    flavor_progression,
     initial_lifted,
     lift_run,
     lift_step,

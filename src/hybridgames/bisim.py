@@ -195,11 +195,17 @@ class Counterexample:
     """A concrete violation of one matching clause, sufficient to replay."""
 
     witness: str
-    direction: str  # "forward" (a g1 move unmatched) or "backward"
+    # "forward" (a g1 move unmatched), "backward", "label" (observations
+    # differ) or "relation" (the pair itself is not related)
+    direction: str
     q1: Configuration
     q2: Configuration
     move: Move
     reason: str
+
+
+# The move a counterexample names when the pair fails before any move is tried.
+_NO_MOVE = Move("-", Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -243,14 +249,16 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
     """
     sampler = sampler or MoveSampler()
     if not w.contains(q1, q2):
-        return Verdict(False, 0, None, "pair not in the relation")
+        cex = Counterexample(w.name, "relation", q1, q2, _NO_MOVE,
+                             "pair not in the relation")
+        return Verdict(False, 0, cex, cex.reason)
     own1 = w.g1.owner(q1.loc)
     own2 = w.g2.owner(q2.loc)
     if own1 is not own2:
         raise OwnershipMismatch(
             f"{q1.loc.render()} owned by {own1.name}, {q2.loc.render()} by {own2.name}")
     if w.g1.locations[q1.loc].obs != w.g2.locations[q2.loc].obs:
-        cex = Counterexample(w.name, "label", q1, q2, Move("-", Fraction(0)),
+        cex = Counterexample(w.name, "label", q1, q2, _NO_MOVE,
                              "observations differ")
         return Verdict(False, 0, cex, "observations differ")
 
@@ -270,8 +278,10 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
 
 def replay_counterexample(w: BisimWitness, cex: Counterexample) -> bool:
     """Re-execute a counterexample from scratch; True when it still violates
-    a matching clause (label mismatch, missing or unenabled counterpart, or
-    unrelated successors)."""
+    a matching clause (unrelated pair, label mismatch, missing or unenabled
+    counterpart, or unrelated successors)."""
+    if cex.direction == "relation":
+        return not w.contains(cex.q1, cex.q2)
     if cex.direction == "label":
         return w.g1.locations[cex.q1.loc].obs != w.g2.locations[cex.q2.loc].obs
     return _match(w, cex.q1, cex.q2, cex.move, cex.direction == "forward") is not None
@@ -330,48 +340,43 @@ def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainR
     rng = random.Random(seed)
     sampler = MoveSampler(rng=random.Random(seed + 1))
 
-    stages = {w.name: StageResult(w.name) for w in witnesses}
-    tuples = _sample_lifted_tuples(chain, samples, depth, rng)
-    for lifted in tuples:
-        for w, (qa, qb) in zip(witnesses, _stage_pairs(lifted)):
-            result = stages[w.name]
+    stages = [StageResult(w.name) for w, _, _ in witnesses]
+    sampled = _sample_lifted_configs(chain, samples, depth, rng)
+    for configs in sampled:
+        for (w, i, j), result in zip(witnesses, stages):
             if len(result.failures) >= _MAX_FAILURES:
                 continue
-            verdict = check_local_bisim(w, qa, qb, sampler)
+            verdict = check_local_bisim(w, configs[i], configs[j], sampler)
             result.pairs += 1
             result.moves_checked += verdict.checked
-            if not verdict.passed and verdict.counterexample is not None:
+            if not verdict.passed:
                 result.failures.append(verdict.counterexample)
 
     warnings = []
-    if not tuples:
+    if not sampled:
         warnings.append("no reachable configurations sampled; result is vacuous")
-    return ChainReport(list(stages.values()), warnings, len(tuples))
+    return ChainReport(stages, warnings, len(sampled))
 
 
-def _stage_pairs(lifted) -> list[tuple[Configuration, Configuration]]:
-    qs, qw, qa, qu, qt = lifted
-    return [(qs, qw), (qw, qa), (qa, qu), (qw, qu), (qu, qt), (qs, qt)]
-
-
-def _sample_lifted_tuples(chain, samples: int, depth: int, rng: random.Random):
-    """Collect up to `samples` reachable lifted configuration tuples by
-    random play of the source game (each play at most `depth` moves)."""
+def _sample_lifted_configs(chain, samples: int, depth: int, rng: random.Random
+                           ) -> list[tuple[Configuration, ...]]:
+    """Up to `samples` reachable lifted configurations, one per game of the
+    chain in `Chain.games()` order, by random play of the source game (each
+    play at most `depth` moves)."""
     from .chain import initial_lifted, lift_step
 
     out = []
     while len(out) < samples:
         lifted = initial_lifted(chain)
-        out.append(lifted.snapshot())
+        out.append(tuple(run.last() for run in lifted))
         for _ in range(depth):
             if len(out) >= samples:
                 break
-            q = lifted.source_config()
-            options = enabled_edges(chain.isr, q)
+            options = enabled_edges(chain.isr, lifted.source.last())
             if not options:
                 break
             e, w = options[rng.randrange(len(options))]
             t = w.draw(rng, max_den=6, ray=3)
             lifted = lift_step(chain, lifted, Move(e.id, t))
-            out.append(lifted.snapshot())
+            out.append(tuple(run.last() for run in lifted))
     return out

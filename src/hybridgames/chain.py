@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 from .bisim import BisimWitness, compose
 from .core import Flavor, Game, InvalidGame, InvalidHistory, MoveNotEnabled, validate_game
-from .semantics import Configuration, Move, Run, initial_config, step
+from .semantics import Move, Run, initial_config, step
 from .to_stopwatch import stopwatch_witness, to_stopwatch
 from .to_timed import offset_witness, to_timed
 from .to_updatable import annotation_witness, annotate_resets, rewrite_witness, to_updatable
@@ -59,16 +60,20 @@ def build_chain(g_isr: Game) -> Chain:
     return Chain(*games, tuple(stages), reduce(compose, stages))
 
 
-def stage_witnesses(chain: Chain) -> list[BisimWitness]:
+def stage_witnesses(chain: Chain) -> list[tuple[BisimWitness, int, int]]:
     """Every stage witness, the composed annotation witness and the composed
-    end-to-end witness, in the order matching lifted snapshots."""
+    end-to-end witness, each with the indices in `Chain.games()` (and so in
+    a LiftedRun) of the two games it relates."""
     w_slope, w_ann, w_rw, w_off = chain.stages
-    return [w_slope, w_ann, w_rw, compose(w_ann, w_rw), w_off, chain.end_to_end]
+    ids = [id(g) for g in chain.games()]
+    return [(w, ids.index(id(w.g1)), ids.index(id(w.g2)))
+            for w in (w_slope, w_ann, w_rw, compose(w_ann, w_rw), w_off,
+                      chain.end_to_end)]
 
 
-@dataclass(frozen=True)
-class LiftedRun:
-    """One run per stage, all driven by the same source moves and delays."""
+class LiftedRun(NamedTuple):
+    """One run per game of the chain, in `Chain.games()` order, all driven
+    by the same source moves and delays."""
 
     source: Run
     stopwatch: Run
@@ -76,25 +81,9 @@ class LiftedRun:
     updatable: Run
     timed: Run
 
-    def snapshot(self) -> tuple[Configuration, ...]:
-        return (self.source.last(), self.stopwatch.last(), self.annotated.last(),
-                self.updatable.last(), self.timed.last())
-
-    def source_config(self) -> Configuration:
-        return self.source.last()
-
-    def __len__(self) -> int:
-        return len(self.source)
-
 
 def initial_lifted(chain: Chain) -> LiftedRun:
-    return LiftedRun(
-        source=Run(initial_config(chain.isr)),
-        stopwatch=Run(initial_config(chain.stopwatch)),
-        annotated=Run(initial_config(chain.annotated)),
-        updatable=Run(initial_config(chain.updatable)),
-        timed=Run(initial_config(chain.timed)),
-    )
+    return LiftedRun(*(Run(initial_config(g)) for g in chain.games()))
 
 
 def lift_step(chain: Chain, lifted: LiftedRun, move: Move) -> LiftedRun:
@@ -104,8 +93,7 @@ def lift_step(chain: Chain, lifted: LiftedRun, move: Move) -> LiftedRun:
     except MoveNotEnabled as exc:
         raise InvalidHistory(f"source move not enabled: {exc}") from exc
     runs = [lifted.source.extended(move, q)]
-    for w, run in zip(chain.stages, (lifted.stopwatch, lifted.annotated,
-                                     lifted.updatable, lifted.timed)):
+    for w, run in zip(chain.stages, lifted[1:]):
         q = run.last()
         counterpart = w.move_forward(q, move)
         if counterpart is None:
@@ -126,15 +114,3 @@ def lift_run(chain: Chain, run: Run) -> LiftedRun:
         if lifted.source.last() != s.config:
             raise InvalidHistory("history configurations do not replay")
     return lifted
-
-
-def flavor_progression(chain: Chain) -> dict[str, Flavor]:
-    """The classified flavor of each constructed stage."""
-    from .core import classify_flavor
-
-    return {
-        "stopwatch": classify_flavor(chain.stopwatch),
-        "annotated": classify_flavor(chain.annotated),
-        "updatable": classify_flavor(chain.updatable),
-        "timed": classify_flavor(chain.timed),
-    }

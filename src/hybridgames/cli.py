@@ -392,7 +392,8 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
     region graph of the timed stage: every entry must name a node and one of
     that node's moves, and no node may have two entries.  `chain` is given
     for files pulled back to its source game, whose entries name a source
-    edge and their timed location."""
+    location and edge and their timed location, which must stand for that
+    source location."""
     strategy = {}
     for i, ent in enumerate(sf.entries):
         path = f"$.entries[{i}]"
@@ -407,6 +408,10 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
         mv = RegionMove(ent.succ, edge)
         if mv not in rg.moves.get(node, ()):
             raise ParseError(f"no such region move in the game at {path}")
+        if chain is not None and \
+                ent.location != chain.end_to_end.loc_back[loc].render():
+            raise ParseError("timed_location stands for another location at "
+                             f"{path}.location")
         if node in strategy:
             raise ParseError(f"second entry for one region node at {path}")
         strategy[node] = mv
@@ -468,23 +473,15 @@ def cmd_transform(args) -> int:
     g = _load_valid_game(args.game)
     if g is None:
         return 1
-    try:
-        target = Flavor(args.to)
-    except ValueError:
-        print(f"unknown target flavor: {args.to}", file=sys.stderr)
-        return 2
     src_idx = _CHAIN_ORDER.index(g.flavor)
-    dst_idx = _CHAIN_ORDER.index(target)
+    dst_idx = _CHAIN_ORDER.index(Flavor(args.to))
     if dst_idx < src_idx:
-        print(f"cannot transform {g.flavor.value} back to {target.value}",
+        print(f"cannot transform {g.flavor.value} back to {args.to}",
               file=sys.stderr)
         return 2
     cur = g
-    for flavor, construct, _ in LOWERINGS[src_idx:dst_idx]:
-        if flavor is Flavor.UPDATABLE:
-            cur = construct(cur, rewrite_guards=not args.no_rewrite)
-        else:
-            cur = construct(cur)
+    for _, construct, _ in LOWERINGS[src_idx:dst_idx]:
+        cur = construct(cur)
     _write_out(game_to_bytes(cur), args.out)
     return 0
 
@@ -541,15 +538,12 @@ def cmd_pull_back(args) -> int:
     if sf.pulled_back:
         print("strategy file is already pulled back", file=sys.stderr)
         return 1
+    objective = parse_objective(sf.kind)
     rg = _region_graph_for(chain.timed, sf)
     if rg is None:
         return 1
-    w = chain.end_to_end
-    out = StrategyFile(game_hash(g), sf.kind, sf.scale)
-    for node, mv in _strategy_table(sf, rg, None).strategy.items():
-        out.entries.append(StrategyEntry(
-            w.loc_back[node.loc].render(), node.region, w.edge_back[mv.edge],
-            mv.region, timed_location=node.loc.render()))
+    out = strategy_file_for_source(g, chain, rg, _strategy_table(sf, rg, None),
+                                   objective)
     _write_out(strategy_to_bytes(out), args.out)
     return 0
 
@@ -623,9 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--to", required=True,
                    choices=[f.value for f in _CHAIN_ORDER])
     q.add_argument("--out", default=None)
-    q.add_argument("--no-rewrite", action="store_true",
-                   help="keep statically decided guard conjuncts instead of "
-                        "rewriting them away")
     q.set_defaults(fn=cmd_transform)
 
     q = sub.add_parser("check-bisim",

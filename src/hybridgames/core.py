@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 Rational = Fraction
 
@@ -161,9 +161,6 @@ class Guard:
 
     def interval_for(self, var: str) -> Optional[Interval]:
         return self.conjuncts.get(var)
-
-    def vars(self) -> Iterable[str]:
-        return self.conjuncts.keys()
 
 
 @dataclass(frozen=True)
@@ -352,9 +349,6 @@ class Game:
 
     def var_index(self, var: str) -> int:
         return self._var_index[var]
-
-    def location(self, lid: LocId) -> Location:
-        return self.locations[lid]
 
     def owner(self, lid: LocId) -> Player:
         return self.locations[lid].owner

@@ -87,9 +87,6 @@ class DelayWindow:
             return False
         return self.hi is None or t <= self.hi
 
-    def is_point(self) -> bool:
-        return self.hi is not None and self.lo == self.hi
-
     def draw(self, rng: random.Random, max_den: int, ray: int) -> Fraction:
         """lo plus a random fraction, of denominator at most max_den, of the
         window's length (of `ray` when the window is unbounded).  A point

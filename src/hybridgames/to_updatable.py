@@ -11,9 +11,7 @@ when it matters.
 Guards over variables pinned at the source cannot be kept verbatim (the
 drifting clock would be tested instead of the pinned value), so they are
 evaluated statically at the source annotation: a satisfied conjunct is
-dropped, an unsatisfiable one removes the edge.  `rewrite_guards=False`
-keeps the literal guards, which is useful only to demonstrate that the
-rewrite is necessary.
+dropped, an unsatisfiable one removes the edge.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .core import (
     Reset,
 )
 from .bisim import BisimWitness, stage_witness
-from .semantics import Configuration
 
 
 def initial_annotation(g_w: Game, lid: LocId) -> Annotation:
@@ -112,14 +109,13 @@ def pinned_values(lid: LocId) -> dict:
     return ann.as_dict()
 
 
-def to_updatable(g_ann: Game, rewrite_guards: bool = True) -> Game:
+def to_updatable(g_ann: Game) -> Game:
     """Set every slope to 1 and compensate with constant resets.
 
     The reset of each edge assigns, per variable, the pin at the target if
-    there is one, else the original reset value if any.  With rewrite_guards
-    (the default and the correct construction) conjuncts over source-pinned
-    variables are evaluated statically and removed, and edges whose pinned
-    value falls outside the conjunct are dropped.
+    there is one, else the original reset value if any.  Conjuncts over
+    source-pinned variables are evaluated statically and removed, and edges
+    whose pinned value falls outside the conjunct are dropped.
     """
     locations = {}
     for lid, loc in g_ann.locations.items():
@@ -132,18 +128,11 @@ def to_updatable(g_ann: Game, rewrite_guards: bool = True) -> Game:
         f1 = pinned_values(e.src)
         f2 = pinned_values(e.dst)
 
-        conjuncts = {}
-        dead = False
-        for var, iv in e.guard.conjuncts.items():
-            pin = f1.get(var)
-            if rewrite_guards and pin is not None:
-                if iv.contains(pin):
-                    continue
-                dead = True
-                break
-            conjuncts[var] = iv
-        if dead:
+        if any(f1.get(var) is not None and not iv.contains(f1[var])
+               for var, iv in e.guard.conjuncts.items()):
             continue
+        conjuncts = {var: iv for var, iv in e.guard.conjuncts.items()
+                     if f1.get(var) is None}
 
         assignments = {}
         for var in g_ann.vars:
@@ -160,14 +149,6 @@ def to_updatable(g_ann: Game, rewrite_guards: bool = True) -> Game:
 
     return Game(Flavor.UPDATABLE, g_ann.vars, g_ann.actions, g_ann.obs,
                 locations, edges, g_ann.init)
-
-
-def annotation_relates(q_w: Configuration, q_u: Configuration) -> bool:
-    """Membership test of the composed annotation relation: the updatable
-    location is the stopwatch location plus a pin map, values are equal."""
-    if not q_u.loc.anns or q_u.loc.last_annotation().kind != FROZEN_KIND:
-        return False
-    return q_u.loc.parent() == q_w.loc and q_u.val == q_w.val
 
 
 def annotation_witness(g_w: Game, g_ann: Game) -> BisimWitness:

@@ -158,10 +158,16 @@ def gen_isr_game(seed: int, max_locs: int = 5, max_vars: int = 3,
 
 
 def gen_timed_game(seed: int, max_locs: int = 4, max_clocks: int = 2,
-                   max_bound: int = 3) -> Game:
-    """A random valid timed game with integer guard bounds."""
+                   max_bound: int = 3, profile: str = "general") -> Game:
+    """A random valid timed game with integer guard bounds.
+
+    The branching profile gives every location its own observation and
+    every player-two location edges to at least two different targets, so
+    player two's choice decides what is observed next.
+    """
     rng = random.Random(0x7F4A7C15 ^ (seed * 2246822519 % 2**31))
-    n_locs = rng.randint(2, max_locs)
+    branching = profile == "branching"
+    n_locs = rng.randint(3 if branching else 2, max_locs)
     n_clocks = rng.randint(1, max_clocks)
     gvars = ("x", "y")[:n_clocks]
     lids = [LocId(f"l{i}") for i in range(n_locs)]
@@ -169,13 +175,15 @@ def gen_timed_game(seed: int, max_locs: int = 4, max_clocks: int = 2,
     locations = {}
     for i, lid in enumerate(lids):
         owner = Player.ONE if i == 0 else rng.choice((Player.ONE, Player.TWO))
-        locations[lid] = Location(lid, owner, rng.choice(OBS_POOL),
+        obs = OBS_POOL[i] if branching else rng.choice(OBS_POOL)
+        locations[lid] = Location(lid, owner, obs,
                                   {var: Fraction(1) for var in gvars})
 
     edges = {}
     counter = 0
-    for lid in lids:
-        for _ in range(rng.randint(1, 3)):
+    for i, lid in enumerate(lids):
+        spread = branching and locations[lid].owner is Player.TWO
+        for k in range(rng.randint(2 if spread else 1, 3)):
             conjuncts = {}
             for var in gvars:
                 if rng.random() < 0.7:
@@ -188,7 +196,8 @@ def gen_timed_game(seed: int, max_locs: int = 4, max_clocks: int = 2,
             edges[eid] = Edge(eid, lid, rng.choice(ACTION_POOL),
                               Guard(conjuncts),
                               Reset({v: Fraction(0) for v in reset_vars}),
-                              rng.choice(lids), reset_set=reset_vars)
+                              lids[(i + 1 + k) % n_locs] if spread
+                              else rng.choice(lids), reset_set=reset_vars)
 
     g = Game(
         flavor=Flavor.TIMED,
@@ -216,6 +225,18 @@ def oracle_pool():
         target = frozenset({rng.choice(obs_list)})
         safe = frozenset(obs_list) - {rng.choice(obs_list)}
         yield 500 + i, g, target, safe
+
+
+def branching_pool(count: int = 40):
+    """(game, reach targets, safe observations) for timed games of the
+    branching profile: one target observation, and all but one observation
+    safe."""
+    for i in range(count):
+        g = gen_timed_game(700 + i, profile="branching")
+        rng = random.Random(i)
+        obs_list = sorted({l.obs for l in g.locations.values()})
+        yield (g, frozenset({rng.choice(obs_list)}),
+               frozenset(obs_list) - {rng.choice(obs_list)})
 
 
 def probe_runs(g: Game, seed: int, count: int = 4, depth: int = 6) -> list[Run]:

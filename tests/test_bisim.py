@@ -1,12 +1,14 @@
 """Witness checking: sampled local bisimulation and the chain report."""
 
 import dataclasses
+import importlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import hybridgames as hg
+from hybridgames.bisim import Affine
 from hybridgames.samples import worked_example
 
 from gamegen import gen_isr_game
@@ -37,6 +39,24 @@ def test_witness_rejects_unrelated_pair():
     v = hg.check_local_bisim(w, q1, q2)
     assert not v.passed
     assert "not in the relation" in v.reason
+    assert v.counterexample.direction == "relation"
+    assert hg.replay_counterexample(w, v.counterexample)
+    assert not hg.replay_counterexample(
+        w, dataclasses.replace(v.counterexample, q2=q1))
+
+
+def off_by_one_offsets(monkeypatch):
+    """Make the offset stage's valuation map subtract one too many, so its
+    relation excludes every lifted pair."""
+    # the package exports the function to_timed under the module's name
+    to_timed = importlib.import_module("hybridgames.to_timed")
+    real = to_timed._offset_map
+
+    def shifted(g_u, lid):
+        a = real(g_u, lid)
+        return Affine(a.scale, tuple(b - 1 for b in a.shift))
+
+    monkeypatch.setattr(to_timed, "_offset_map", shifted)
 
 
 def test_ownership_mismatch_raises():
@@ -109,10 +129,13 @@ def test_compose_matches_two_hop_checks():
 def test_stage_witnesses_cover_the_chain():
     ch = hg.build_chain(G)
     ws = hg.stage_witnesses(ch)
-    assert len(ws) == 6
-    assert ws[0].g1 is ch.isr and ws[0].g2 is ch.stopwatch
-    assert ws[-1].g1 is ch.isr and ws[-1].g2 is ch.timed
-    names = [w.name for w in ws]
+    assert [(i, j) for _, i, j in ws] == \
+        [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (0, 4)]
+    games = ch.games()
+    for w, i, j in ws:
+        assert w.g1 is games[i] and w.g2 is games[j]
+    assert ws[-1][0] is ch.end_to_end
+    names = [w.name for w, _, _ in ws]
     assert len(set(names)) == 6
 
 
@@ -128,6 +151,19 @@ class TestVerifyChain:
             assert stage.moves_checked > 0
             assert stage.failures == []
         assert "pass" in rep.render()
+
+    def test_stage_excluding_its_pairs_fails(self, monkeypatch):
+        off_by_one_offsets(monkeypatch)
+        rep = hg.verify_chain(G, samples=8, depth=5)
+        assert not rep.passed
+        failed = {s.name: s for s in rep.stages if not s.passed}
+        offset = failed["offset-shift"]
+        assert offset.pairs > 0 and offset.moves_checked == 0
+        w = hg.build_chain(G).stages[-1]
+        for cex in offset.failures:
+            assert cex.direction == "relation"
+            assert hg.replay_counterexample(w, cex)
+        assert "offset-shift: FAIL" in rep.render()
 
     def test_zero_samples_is_vacuous_with_warning(self):
         rep = hg.verify_chain(G, samples=0, depth=4)

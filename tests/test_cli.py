@@ -11,6 +11,9 @@ from hybridgames import cli
 from hybridgames.samples import broken_initialization, small_timed, worked_example
 
 from fixtures import valid_fixtures
+from test_bisim import off_by_one_offsets
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_games"
 
 
 @pytest.fixture
@@ -196,6 +199,14 @@ class TestPipelines:
         assert code == 0
         assert out.count("pass") == 6
 
+    def test_check_bisim_fails_a_stage_excluding_its_pairs(self, run,
+                                                             monkeypatch):
+        off_by_one_offsets(monkeypatch)
+        code, out, _ = run("check-bisim", str(SAMPLES / "patrol.json"))
+        assert code == 1
+        assert "offset-shift: FAIL" in out
+        assert "relation pair not in the relation" in out
+
     def test_solve_pull_back_simulate(self, run, game_file, tmp_path):
         src = game_file(worked_example())
         timed = str(tmp_path / "timed.json")
@@ -332,6 +343,37 @@ class TestPipelines:
         code, out, err = run("simulate", game, "--strategy", str(target))
         assert code == 1 and out == ""
         assert "$.entries[0]" in err
+
+    def test_pull_back_rejects_kind_that_is_not_an_objective(
+            self, run, game_file, tmp_path):
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        doc["kind"] = "reach"
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("pull-back", src, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert "objective must look like" in err
+
+    @pytest.mark.parametrize("field,value,where", [
+        ("location", "l3", "$.entries[0].location"),
+        ("timed_location", "zz", "$.entries[0]")])
+    def test_simulate_checks_pulled_back_locations(self, run, tmp_path,
+                                                   field, value, where):
+        # an entry's location must be the one its timed_location stands for
+        src = str(SAMPLES / "patrol.json")
+        strat = tmp_path / "strat.json"
+        assert run("solve", src, "--objective", "reach:goal",
+                   "--out", str(strat))[0] == 0
+        doc = json.loads(strat.read_text())
+        entry = doc["entries"][0]
+        assert entry["location"] == "l0"
+        if field == "location":
+            entry["location"] = value
+        else:
+            entry["note"]["timed_location"] = value
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("simulate", src, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert where in err
 
     @pytest.mark.parametrize("command", ["pull-back", "simulate"])
     def test_duplicate_entry_rejected(self, run, game_file, tmp_path, command):

@@ -175,4 +175,4 @@ def test_game_indexes_agree_with_tables():
             assert g.flow(lid, var) == loc.flow[var]
         for e in g.edges_from(lid):
             assert e.src == lid
-    assert g.location(g.init).owner is hg.Player.ONE
+    assert g.locations[g.init].owner is hg.Player.ONE

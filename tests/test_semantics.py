@@ -37,7 +37,7 @@ class TestDelayWindows:
 
     def test_point_window(self):
         w = hg.delay_window(G, cfg("l2", 0), "e3")
-        assert w.is_point() and w.lo == F(2)
+        assert w == hg.DelayWindow(F(2), F(2))
 
     def test_stopped_variable_inside_guard_gives_ray(self):
         w = hg.delay_window(G, cfg("l3", 1), "e4")
@@ -78,7 +78,7 @@ class TestDelayWindows:
         t = w.draw(rng, max_den, ray)
         hi = lo + ray if w.hi is None else w.hi
         assert lo <= t <= hi
-        if w.is_point():
+        if w.hi == lo:
             assert t == lo and rng.getstate() == before
         else:
             assert ((t - lo) / (hi - lo)).denominator <= max_den

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hybridgames as hg
 from hybridgames.samples import small_timed, worked_example
 
-from gamegen import oracle_pool
+from gamegen import branching_pool, oracle_pool
 
 
 def R(ints, fracs):
@@ -280,6 +280,51 @@ def _spoiled_graph(rg, result, stop):
     return graph
 
 
+def _check_spoilers(games):
+    """Every spoiler move is player two's, off the winning set and a move of
+    its node; every losing verdict's spoiler keeps plays out of the target
+    or forces an unsafe observation.  Both objectives must lose somewhere."""
+    losses = {"reach": 0, "safe": 0}
+    for g, target, safe in games:
+        rg = hg.build_region_graph(g)
+        reach = hg.solve_reachability(rg, target)
+        safety = hg.solve_safety(rg, safe)
+        for result in (reach, safety):
+            for node, mv in result.spoiler.items():
+                assert rg.owner(node) is hg.Player.TWO
+                assert node not in result.winning
+                assert mv in rg.moves[node]
+
+        if not reach.wins_from_init(rg):
+            losses["reach"] += 1
+            found = _spoiled_graph(rg, reach, lambda n: False)
+            assert not any(rg.obs(n) in target for n in found)
+
+        if not safety.wins_from_init(rg):
+            losses["safe"] += 1
+            graph = _spoiled_graph(rg, safety, lambda n: rg.obs(n) not in safe)
+            assert all(graph[n] for n in graph if rg.obs(n) in safe), \
+                "a play halts safely"
+            # Kahn's order covers every node only when the graph is
+            # acyclic; with no safe deadlock, every play then turns
+            # unsafe within len(rg.nodes) moves
+            pending = {n: len(succs) for n, succs in graph.items()}
+            preds = {n: [] for n in graph}
+            for n, succs in graph.items():
+                for s in succs:
+                    preds[s].append(n)
+            ready = [n for n, k in pending.items() if k == 0]
+            ordered = 0
+            while ready:
+                ordered += 1
+                for p in preds[ready.pop()]:
+                    pending[p] -= 1
+                    if pending[p] == 0:
+                        ready.append(p)
+            assert ordered == len(graph), "a play stays safe forever"
+    assert losses["reach"] and losses["safe"], losses
+
+
 class TestSpoiler:
     def test_losing_verdicts_carry_a_spoiler(self):
         # on the check-6 pool player two rarely has a choice that matters;
@@ -288,42 +333,9 @@ class TestSpoiler:
         games = [(g, target, safe) for _, g, target, safe in oracle_pool()]
         games.append((_ladder_game(True), frozenset({"goal"}),
                       frozenset({"low", "mid"})))
-        losses = {"reach": 0, "safe": 0}
-        for g, target, safe in games:
-            rg = hg.build_region_graph(g)
-            reach = hg.solve_reachability(rg, target)
-            safety = hg.solve_safety(rg, safe)
-            for result in (reach, safety):
-                for node, mv in result.spoiler.items():
-                    assert rg.owner(node) is hg.Player.TWO
-                    assert node not in result.winning
-                    assert mv in rg.moves[node]
+        _check_spoilers(games)
 
-            if not reach.wins_from_init(rg):
-                losses["reach"] += 1
-                found = _spoiled_graph(rg, reach, lambda n: False)
-                assert not any(rg.obs(n) in target for n in found)
-
-            if not safety.wins_from_init(rg):
-                losses["safe"] += 1
-                graph = _spoiled_graph(rg, safety, lambda n: rg.obs(n) not in safe)
-                assert all(graph[n] for n in graph if rg.obs(n) in safe), \
-                    "a play halts safely"
-                # Kahn's order covers every node only when the graph is
-                # acyclic; with no safe deadlock, every play then turns
-                # unsafe within len(rg.nodes) moves
-                pending = {n: len(succs) for n, succs in graph.items()}
-                preds = {n: [] for n in graph}
-                for n, succs in graph.items():
-                    for s in succs:
-                        preds[s].append(n)
-                ready = [n for n, k in pending.items() if k == 0]
-                ordered = 0
-                while ready:
-                    ordered += 1
-                    for p in preds[ready.pop()]:
-                        pending[p] -= 1
-                        if pending[p] == 0:
-                            ready.append(p)
-                assert ordered == len(graph), "a play stays safe forever"
-        assert losses["reach"] and losses["safe"], losses
+    def test_spoilers_where_player_two_choices_matter(self):
+        # every player-two location of this pool branches to different
+        # observations, so a spoiler that picks the wrong branch shows
+        _check_spoilers(branching_pool())

@@ -92,22 +92,18 @@ def test_offset_witness_accepts_sampled_pairs():
 
 
 def test_chain_flavor_progression():
-    assert hg.flavor_progression(CH) == {
-        "stopwatch": hg.Flavor.STOPWATCH,
-        "annotated": hg.Flavor.ANNOTATED_STOPWATCH,
-        "updatable": hg.Flavor.UPDATABLE,
-        "timed": hg.Flavor.TIMED,
-    }
+    # each constructed stage classifies as the flavor its lowering produces
+    assert [hg.classify_flavor(g) for g in CH.games()[1:]] == [
+        hg.Flavor.STOPWATCH, hg.Flavor.ANNOTATED_STOPWATCH,
+        hg.Flavor.UPDATABLE, hg.Flavor.TIMED]
 
 
 def test_lifted_run_keeps_moves_aligned():
     run = hg.play(CH.isr, hg.first_move_strategy(CH.isr),
                   hg.first_move_strategy(CH.isr), 4)
     lifted = hg.lift_run(CH, run)
-    stages = [lifted.source, lifted.stopwatch, lifted.annotated,
-              lifted.updatable, lifted.timed]
-    games = [CH.isr, CH.stopwatch, CH.annotated, CH.updatable, CH.timed]
-    for stage_run, game in zip(stages, games):
+    assert lifted.source is lifted[0] and lifted.timed is lifted[-1]
+    for stage_run, game in zip(lifted, CH.games()):
         assert len(stage_run.steps) == len(run.steps)
         # same delays at every station, only edge names change
         for s, s0 in zip(stage_run.steps, run.steps):
