@@ -196,7 +196,8 @@ class Counterexample:
 
     witness: str
     # "forward" (a g1 move unmatched), "backward", "label" (observations
-    # differ) or "relation" (the pair itself is not related)
+    # differ), "owner" (owners differ) or "relation" (the pair itself is not
+    # related)
     direction: str
     q1: Configuration
     q2: Configuration
@@ -278,12 +279,14 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
 
 def replay_counterexample(w: BisimWitness, cex: Counterexample) -> bool:
     """Re-execute a counterexample from scratch; True when it still violates
-    a matching clause (unrelated pair, label mismatch, missing or unenabled
-    counterpart, or unrelated successors)."""
+    a matching clause (unrelated pair, label or owner mismatch, missing or
+    unenabled counterpart, or unrelated successors)."""
     if cex.direction == "relation":
         return not w.contains(cex.q1, cex.q2)
     if cex.direction == "label":
         return w.g1.locations[cex.q1.loc].obs != w.g2.locations[cex.q2.loc].obs
+    if cex.direction == "owner":
+        return w.g1.owner(cex.q1.loc) is not w.g2.owner(cex.q2.loc)
     return _match(w, cex.q1, cex.q2, cex.move, cex.direction == "forward") is not None
 
 
@@ -329,6 +332,7 @@ _MAX_FAILURES = 5
 def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainReport:
     """Build the whole lowering chain of an ISR game and check every stage
     witness (and the composed end-to-end witness) on sampled reachable pairs.
+    A pair whose owners differ fails its stage with an "owner" counterexample.
 
     Reachable pairs come from random plays of the source game, lifted through
     the chain so each stage sees genuinely related configurations.
@@ -346,7 +350,12 @@ def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainR
         for (w, i, j), result in zip(witnesses, stages):
             if len(result.failures) >= _MAX_FAILURES:
                 continue
-            verdict = check_local_bisim(w, configs[i], configs[j], sampler)
+            try:
+                verdict = check_local_bisim(w, configs[i], configs[j], sampler)
+            except OwnershipMismatch as exc:
+                cex = Counterexample(w.name, "owner", configs[i], configs[j],
+                                     _NO_MOVE, str(exc))
+                verdict = Verdict(False, 0, cex, cex.reason)
             result.pairs += 1
             result.moves_checked += verdict.checked
             if not verdict.passed:

@@ -217,10 +217,20 @@ def game_hash(g: Game) -> str:
     return hashlib.sha256(game_to_bytes(g)).hexdigest()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a key given twice rather than keeping the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"duplicate key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping, Optional
 
@@ -159,9 +160,6 @@ class Guard:
 
     conjuncts: Mapping[str, Interval]
 
-    def interval_for(self, var: str) -> Optional[Interval]:
-        return self.conjuncts.get(var)
-
 
 @dataclass(frozen=True)
 class Reset:
@@ -171,12 +169,6 @@ class Reset:
     """
 
     assignments: Mapping[str, Fraction]
-
-    def value_for(self, var: str) -> Optional[Fraction]:
-        return self.assignments.get(var)
-
-    def assigns(self, var: str) -> bool:
-        return var in self.assignments
 
     def domain(self) -> frozenset:
         return frozenset(self.assignments)
@@ -353,12 +345,32 @@ class Game:
     def owner(self, lid: LocId) -> Player:
         return self.locations[lid].owner
 
-    def flow(self, lid: LocId, var: str) -> Fraction:
-        return self.locations[lid].flow[var]
-
     def edges_from(self, lid: LocId) -> tuple[Edge, ...]:
         """Outgoing edges of a location, ordered by edge id."""
         return self._by_src.get(lid, ())
+
+    # Index forms, built on first use so that a game naming undeclared
+    # variables can still be built and reported by validate_game.
+    # cached_property writes __dict__ directly, past the frozen __setattr__.
+    @cached_property
+    def guards(self) -> Mapping[str, tuple[tuple[int, Fraction, Fraction], ...]]:
+        """Edge id -> its guard as (variable index, lo, hi) triples, sorted."""
+        return {eid: tuple(sorted((self._var_index[var], iv.lo, iv.hi)
+                                  for var, iv in e.guard.conjuncts.items()))
+                for eid, e in self.edges.items()}
+
+    @cached_property
+    def resets(self) -> Mapping[str, tuple[tuple[int, Fraction], ...]]:
+        """Edge id -> its reset as (variable index, value) pairs, sorted."""
+        return {eid: tuple(sorted((self._var_index[var], val)
+                                  for var, val in e.reset.assignments.items()))
+                for eid, e in self.edges.items()}
+
+    @cached_property
+    def slopes(self) -> Mapping[LocId, tuple[Fraction, ...]]:
+        """Location id -> its flow as one slope per variable, in order."""
+        return {lid: tuple(loc.flow[var] for var in self.vars)
+                for lid, loc in self.locations.items()}
 
 
 class ViolationKind(Enum):
@@ -493,7 +505,7 @@ def validate_game(g: Game) -> list[Violation]:
                                      "reset mentions an undeclared variable"))
         if g.flavor is Flavor.ISR:
             for var in g.vars:
-                if e.guard.interval_for(var) is None:
+                if var not in e.guard.conjuncts:
                     out.append(Violation(ViolationKind.GUARD_NOT_TOTAL, eid, var))
         if src_ok and dst_ok:
             src_flow = g.locations[e.src].flow
@@ -501,7 +513,7 @@ def validate_game(g: Game) -> list[Violation]:
             for var in g.vars:
                 if var not in src_flow or var not in dst_flow:
                     continue
-                if src_flow[var] != dst_flow[var] and not e.reset.assigns(var):
+                if src_flow[var] != dst_flow[var] and var not in e.reset.assignments:
                     out.append(Violation(
                         ViolationKind.INITIALIZATION_BROKEN, eid, var,
                         f"slope changes {format_rational(src_flow[var])} -> "

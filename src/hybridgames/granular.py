@@ -144,9 +144,8 @@ def _grid_denominator(*games: Game) -> int:
                 den = lcm(den, iv.lo.denominator, iv.hi.denominator)
             for v in e.reset.assignments.values():
                 den = lcm(den, v.denominator)
-        for lid in g.locations:
-            for var in g.vars:
-                s = g.flow(lid, var)
+        for slopes in g.slopes.values():
+            for s in slopes:
                 if s != 0:
                     den = lcm(den, abs(s.numerator), s.denominator)
     return den

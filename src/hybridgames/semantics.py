@@ -112,19 +112,19 @@ def delay_window(g: Game, q: Configuration, edge_id: str) -> Optional[DelayWindo
     e = g.edges[edge_id]
     if e.src != q.loc:
         raise GameError(f"edge {edge_id} does not leave {q.loc.render()}")
-    flow = g.locations[q.loc].flow
+    slopes = g.slopes[q.loc]
     lo = ZERO
     hi: Optional[Fraction] = None
-    for var, iv in e.guard.conjuncts.items():
-        v = q.val[g.var_index(var)]
-        slope = flow[var]
+    for i, glo, ghi in g.guards[edge_id]:
+        v = q.val[i]
+        slope = slopes[i]
         if slope == 0:
-            if not iv.contains(v):
+            if not glo <= v <= ghi:
                 return None
             continue
-        # v + t*slope in [iv.lo, iv.hi]; a negative slope swaps the endpoints.
-        a = (iv.lo - v) / slope
-        b = (iv.hi - v) / slope
+        # v + t*slope in [glo, ghi]; a negative slope swaps the endpoints.
+        a = (glo - v) / slope
+        b = (ghi - v) / slope
         if slope < 0:
             a, b = b, a
         if a > lo:
@@ -153,18 +153,12 @@ def step(g: Game, q: Configuration, move: Move) -> Configuration:
         raise MoveNotEnabled(f"edge {move.edge} is not available at {q.loc.render()}")
     if move.delay < 0:
         raise MoveNotEnabled("negative delay")
-    w = delay_window(g, q, move.edge)
-    if w is None or not w.contains(move.delay):
-        raise MoveNotEnabled(
-            f"delay {move.delay} outside the window of edge {move.edge}")
-    flow = g.locations[q.loc].flow
-    new = []
-    for i, var in enumerate(g.vars):
-        assigned = e.reset.value_for(var)
-        if assigned is not None:
-            new.append(assigned)
-        else:
-            new.append(q.val[i] + move.delay * flow[var])
+    new = [v + move.delay * slope for v, slope in zip(q.val, g.slopes[q.loc])]
+    for i, lo, hi in g.guards[e.id]:
+        if not lo <= new[i] <= hi:
+            raise MoveNotEnabled(f"delay {move.delay} outside the window of edge {move.edge}")
+    for i, value in g.resets[e.id]:
+        new[i] = value
     return Configuration(e.dst, tuple(new))
 
 

@@ -213,15 +213,15 @@ class RegionGame:
 
 
 def _clock_bounds(g: Game) -> tuple[int, ...]:
-    maxima = {var: 0 for var in g.vars}
-    for e in g.edges.values():
-        for var, iv in e.guard.conjuncts.items():
-            for b in (iv.lo, iv.hi):
+    maxima = [0] * len(g.vars)
+    for triples in g.guards.values():
+        for i, lo, hi in triples:
+            for b in (lo, hi):
                 if b.denominator != 1:
                     raise InvalidGame("region construction needs integer guard bounds")
                 if b >= 0:
-                    maxima[var] = max(maxima[var], int(b))
-    return tuple(maxima[var] for var in g.vars)
+                    maxima[i] = max(maxima[i], int(b))
+    return tuple(maxima)
 
 
 def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
@@ -236,16 +236,9 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("region construction requires a timed-flavor game")
     bounds = _clock_bounds(g)
-    var_idx = {var: i for i, var in enumerate(g.vars)}
-
-    guard_index: dict[str, tuple[tuple[int, int, int], ...]] = {}
-    reset_index: dict[str, tuple[int, ...]] = {}
-    for eid, e in g.edges.items():
-        guard_index[eid] = tuple(
-            (var_idx[var], int(iv.lo), int(iv.hi))
-            for var, iv in sorted(e.guard.conjuncts.items()))
-        rset = e.reset_set if e.reset_set is not None else e.reset.domain()
-        reset_index[eid] = tuple(sorted(var_idx[var] for var in rset))
+    guards = {eid: tuple((i, int(lo), int(hi)) for i, lo, hi in triples)
+              for eid, triples in g.guards.items()}
+    resets = {eid: tuple(i for i, _ in pairs) for eid, pairs in g.resets.items()}
 
     init = RegionNode(g.init, region_of((ZERO,) * len(g.vars), bounds))
     nodes: list[RegionNode] = [init]
@@ -258,11 +251,11 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
         node_moves: list[RegionMove] = []
         for r in time_closure(node.region, bounds):
             for e in g.edges_from(node.loc):
-                if not region_satisfies(r, guard_index[e.id]):
+                if not region_satisfies(r, guards[e.id]):
                     continue
                 mv = RegionMove(r, e.id)
                 node_moves.append(mv)
-                succ = RegionNode(e.dst, apply_reset(r, reset_index[e.id]))
+                succ = RegionNode(e.dst, apply_reset(r, resets[e.id]))
                 successor[(node, mv)] = succ
                 if succ not in seen:
                     seen.add(succ)

@@ -38,7 +38,7 @@ def successor_offset(g_u: Game, g1: Annotation, e: Edge) -> Annotation:
     to, the rest keep the offset they entered with."""
     values = {}
     for var in g_u.vars:
-        assigned = e.reset.value_for(var)
+        assigned = e.reset.assignments.get(var)
         values[var] = assigned if assigned is not None else g1.value(var)
     return Annotation.of(OFFSET_KIND, values)
 

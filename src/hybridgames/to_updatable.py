@@ -52,7 +52,7 @@ def successor_annotation(g_w: Game, f1: Annotation, e: Edge) -> Annotation:
         if dst_flow[var] == ONE:
             values[var] = None
         else:
-            assigned = e.reset.value_for(var)
+            assigned = e.reset.assignments.get(var)
             values[var] = assigned if assigned is not None else f1.value(var)
     return Annotation.of(FROZEN_KIND, values)
 
@@ -140,7 +140,7 @@ def to_updatable(g_ann: Game) -> Game:
             if pin is not None:
                 assignments[var] = pin
             else:
-                original = e.reset.value_for(var)
+                original = e.reset.assignments.get(var)
                 if original is not None:
                     assignments[var] = original
 

@@ -71,6 +71,39 @@ def test_ownership_mismatch_raises():
         hg.check_local_bisim(w, q, q)
 
 
+def rewrite_hands_l1_to_player_one(monkeypatch):
+    """Make the guard-rewrite construction give l1 (player two's) to player
+    one, so its relation pairs configurations of different owners."""
+    chain = importlib.import_module("hybridgames.chain")
+    to_updatable = importlib.import_module("hybridgames.to_updatable").to_updatable
+
+    def flipped(g_ann):
+        g_u = to_updatable(g_ann)
+        locations = {lid: dataclasses.replace(loc, owner=hg.Player.ONE)
+                     if lid.base == "l1" else loc
+                     for lid, loc in g_u.locations.items()}
+        return dataclasses.replace(g_u, locations=locations)
+
+    monkeypatch.setattr(chain, "LOWERINGS", tuple(
+        (flavor, flipped if construct is to_updatable else construct, witness)
+        for flavor, construct, witness in chain.LOWERINGS))
+
+
+def test_ownership_mismatch_fails_only_its_stages(monkeypatch):
+    rewrite_hands_l1_to_player_one(monkeypatch)
+    report = hg.verify_chain(G, samples=20, depth=6)
+    witnesses = hg.stage_witnesses(hg.build_chain(G))
+    assert [s.passed for s in report.stages] == [
+        True, True, False, False, True, False]
+    for (w, _, _), stage in zip(witnesses, report.stages):
+        assert stage.pairs > 0
+        for cex in stage.failures:
+            assert cex.direction == "owner" and cex.q1.loc.base == "l1"
+            assert hg.replay_counterexample(w, cex)
+            with pytest.raises(hg.OwnershipMismatch):
+                hg.check_local_bisim(w, cex.q1, cex.q2)
+
+
 def test_tampered_guard_is_caught_and_replayable():
     w_stage = hg.to_stopwatch(G)
     edges = dict(w_stage.edges)

@@ -11,7 +11,7 @@ from hybridgames import cli
 from hybridgames.samples import broken_initialization, small_timed, worked_example
 
 from fixtures import valid_fixtures
-from test_bisim import off_by_one_offsets
+from test_bisim import off_by_one_offsets, rewrite_hands_l1_to_player_one
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_games"
 
@@ -207,6 +207,16 @@ class TestPipelines:
         assert "offset-shift: FAIL" in out
         assert "relation pair not in the relation" in out
 
+    def test_check_bisim_reports_an_owner_mismatch_as_a_stage_fail(
+            self, run, monkeypatch):
+        rewrite_hands_l1_to_player_one(monkeypatch)
+        code, out, _ = run("check-bisim", str(SAMPLES / "patrol.json"))
+        assert code == 1
+        statuses = [line.split(": ")[1].split()[0] for line in out.splitlines()
+                    if not line.startswith(" ")]
+        assert statuses == ["pass", "pass", "FAIL", "FAIL", "pass", "FAIL"]
+        assert "  owner l1{f:x=_} owned by TWO" in out
+
     def test_solve_pull_back_simulate(self, run, game_file, tmp_path):
         src = game_file(worked_example())
         timed = str(tmp_path / "timed.json")
@@ -395,3 +405,25 @@ class TestPipelines:
         code, out, err = run(command, game, "--strategy", str(strat))
         assert code == 1 and out == ""
         assert f"$.entries[{len(doc['entries']) - 1}]" in err
+
+    @pytest.mark.parametrize("command,key", [
+        ("validate", "l0"), ("solve", "l0"), ("validate", "x"),
+        ("pull-back", "scale")])
+    def test_duplicate_json_keys_rejected(self, run, game_file, tmp_path,
+                                          command, key):
+        # the first copy is valid too and the last one equals the original,
+        # so only the repetition is wrong
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        game = json.loads(Path(src).read_text())
+        opener, extra = {
+            "l0": ('"locations": {', f'"l0": {json.dumps(game["locations"]["l0"])}, '),
+            "x": ('"guard": {', '"x": ["0", "9"], '),
+            "scale": ("{", f'"scale": {doc["scale"]}, ')}[key]
+        target = strat if key == "scale" else Path(src)
+        text = json.dumps(doc if key == "scale" else game)
+        target.write_text(text.replace(opener, opener + extra, 1))
+        extra_args = {"validate": (), "solve": ("--objective", "reach:goal"),
+                      "pull-back": ("--strategy", str(strat))}[command]
+        code, out, err = run(command, src, *extra_args)
+        assert code == 1 and out == ""
+        assert f"duplicate key {key!r}" in err

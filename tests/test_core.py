@@ -168,11 +168,18 @@ def test_scale_to_integers_requires_timed():
 
 
 def test_game_indexes_agree_with_tables():
-    g = worked_example()
-    for lid, loc in g.locations.items():
-        assert g.owner(lid) is loc.owner
-        for var in g.vars:
-            assert g.flow(lid, var) == loc.flow[var]
-        for e in g.edges_from(lid):
-            assert e.src == lid
-    assert g.locations[g.init].owner is hg.Player.ONE
+    for g in hg.build_chain(worked_example()).games():
+        for lid, loc in g.locations.items():
+            assert g.owner(lid) is loc.owner
+            assert g.slopes[lid] == tuple(loc.flow[var] for var in g.vars)
+            for e in g.edges_from(lid):
+                assert e.src == lid
+        for eid, e in g.edges.items():
+            guard, reset = g.guards[eid], g.resets[eid]
+            # one entry per variable, in variable order
+            assert [i for i, _, _ in guard] == sorted({i for i, _, _ in guard})
+            assert [i for i, _ in reset] == sorted({i for i, _ in reset})
+            assert {g.vars[i]: hg.Interval(lo, hi)
+                    for i, lo, hi in guard} == e.guard.conjuncts
+            assert {g.vars[i]: val for i, val in reset} == e.reset.assignments
+        assert g.locations[g.init].owner is hg.Player.ONE

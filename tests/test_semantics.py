@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import hybridgames as hg
 from hybridgames.samples import worked_example
 
+from gamegen import gen_isr_game, gen_timed_game, probe_runs
+
 G = worked_example()
 
 
@@ -61,7 +63,7 @@ class TestDelayWindows:
         q = cfg("l1", 3)
         for eid in ("e1", "e2"):
             w = hg.delay_window(G, q, eid)
-            evolved = q.val[0] + G.flow(q.loc, "x") * t
+            evolved = q.val[0] + G.slopes[q.loc][0] * t
             expected = G.edges[eid].guard.conjuncts["x"].contains(evolved)
             assert w.contains(t) == expected
 
@@ -110,6 +112,35 @@ class TestStep:
             ("e1", hg.DelayWindow(F(1), F(3))),
             ("e2", hg.DelayWindow(F(2), F(3))),
         ]
+
+    @pytest.mark.parametrize("pool", ["general", "pipeline", "thirds", "timed"])
+    def test_step_agrees_with_delay_window(self, pool):
+        # step tests the guard on the advanced valuation and delay_window
+        # solves for the delays: two codings of one legality condition
+        seventh = F(1, 7)
+        for seed in range(8):
+            g = (gen_timed_game(seed) if pool == "timed"
+                 else gen_isr_game(seed, profile=pool))
+            for q in {q for run in probe_runs(g, seed) for q in run.configs()}:
+                flow = g.locations[q.loc].flow
+                for e in g.edges_from(q.loc):
+                    w = hg.delay_window(g, q, e.id)
+                    delays = {F(0)}
+                    if w is not None:
+                        ends = [w.lo] if w.hi is None else [w.lo, w.hi]
+                        delays.update(ends + [d + s for d in ends for s in (-seventh, seventh)])
+                        if w.hi is not None:
+                            delays.add((w.lo + w.hi) / 2)
+                    for t in delays:
+                        move = hg.Move(e.id, t)
+                        if w is None or not w.contains(t):
+                            with pytest.raises(hg.MoveNotEnabled):
+                                hg.step(g, q, move)
+                            continue
+                        expected = tuple(
+                            e.reset.assignments.get(var, v + t * flow[var])
+                            for var, v in zip(g.vars, q.val))
+                        assert hg.step(g, q, move) == hg.Configuration(e.dst, expected)
 
 
 class TestPlay:

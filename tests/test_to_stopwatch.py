@@ -13,7 +13,7 @@ W = hg.to_stopwatch(G)
 
 
 def test_slopes_become_unit_or_zero():
-    assert {str(l): W.flow(l, "x") for l in W.locations} == {
+    assert {str(l): W.slopes[l][0] for l in W.locations} == {
         "l0": F(1), "l1": F(1), "l2": F(1), "l3": F(0)}
 
 

@@ -54,7 +54,7 @@ class TestAnnotation:
 class TestGuardRewrite:
     def test_all_flows_become_unit(self):
         for lid in U.locations:
-            assert U.flow(lid, "x") == F(1)
+            assert U.slopes[lid] == (F(1),)
 
     def test_satisfied_conjunct_on_pinned_var_dropped(self):
         assert U.edges["e4@{f:x=1}"].guard.conjuncts == {}
@@ -104,7 +104,7 @@ def _literal(ann):
     edges = {}
     for eid, e in ann.edges.items():
         pins = hg.pinned_values(e.dst)
-        reset = {var: e.reset.value_for(var) if pins[var] is None else pins[var]
+        reset = {var: e.reset.assignments.get(var) if pins[var] is None else pins[var]
                  for var in ann.vars}
         edges[eid] = hg.Edge(eid, e.src, e.action, e.guard,
                              hg.Reset({var: val for var, val in reset.items()
