@@ -8,13 +8,20 @@ valuations of the same region apart, time successors walk a finite chain of
 regions, and resets to zero stay inside the abstraction, so the turn-based
 reachability and safety games are solved exactly by one finite attractor
 with the players swapped.  Losing verdicts carry player two's spoiler.
+
+The solver works on node ids, the nodes' indices in discovery order: the
+region graph stores each move's successor id and lists each node's
+predecessors once, and the attractor is one worklist over join times,
+linear in moves up to a heap (Liu & Smolka, "Simple linear-time algorithms
+for minimal fixed points", ICALP 1998).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -105,18 +112,28 @@ def time_successor(r: Region, bounds: tuple[int, ...]) -> Region:
     return r
 
 
-def time_closure(r: Region, bounds: tuple[int, ...]) -> list[Region]:
-    """All regions reachable by letting time pass, the region itself first."""
-    out = [r]
-    seen = {r}
-    cur = r
-    while True:
-        nxt = time_successor(cur, bounds)
-        if nxt == cur or nxt in seen:
-            return out
-        out.append(nxt)
-        seen.add(nxt)
-        cur = nxt
+def time_closure(r: Region, bounds: tuple[int, ...],
+                 known: Optional[dict[Region, list[Region]]] = None) -> list[Region]:
+    """All regions reachable by letting time pass, the region itself first.
+
+    Time successors only move forward and end at the fully-above region, so
+    the closure of a region is the region followed by its time successor's
+    closure.  `known` maps regions to their closures; the walk stops at the
+    first region it holds, and records the closure of every region walked.
+    """
+    known = {} if known is None else known
+    walk = []
+    while r not in known:
+        nxt = time_successor(r, bounds)
+        if nxt == r:
+            known[r] = [r]
+        else:
+            walk.append(r)
+            r = nxt
+    closure = known[r]
+    for w in reversed(walk):
+        closure = known[w] = [w, *closure]
+    return closure
 
 
 def apply_reset(r: Region, reset_idxs: tuple[int, ...]) -> Region:
@@ -161,6 +178,9 @@ class RegionMove:
 
 @dataclass
 class RegionGame:
+    """`succ_ids[k]` holds the id, the index in `nodes`, of the successor of
+    each move of `nodes[k]`, aligned with `moves[nodes[k]]`."""
+
     game: Game
     scale: int
     bounds: tuple[int, ...]
@@ -168,6 +188,17 @@ class RegionGame:
     moves: dict[RegionNode, tuple[RegionMove, ...]]
     successor: dict[tuple[RegionNode, RegionMove], RegionNode]
     init: RegionNode
+    succ_ids: list[tuple[int, ...]]
+
+    @cached_property
+    def pred_ids(self) -> list[list[int]]:
+        """Per node id, the id of the source of every move into it, one
+        entry per move; built once and shared by both objectives."""
+        preds: list[list[int]] = [[] for _ in self.nodes]
+        for k, succs in enumerate(self.succ_ids):
+            for s in succs:
+                preds[s].append(k)
+        return preds
 
     def owner(self, node: RegionNode) -> Player:
         return self.game.owner(node.loc)
@@ -229,9 +260,11 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
 
     Joint moves are (time-successor region, edge) pairs, the self region
     included; the successor node applies the edge's reset set.  Node and move
-    orders are deterministic (discovery order; closure order then edge id).
-    `scale` records the factor the clocks were multiplied by to reach integer
-    bounds, so concretized delays can be divided back down.
+    orders are deterministic (breadth-first discovery order; closure order
+    then edge id).  Time closures are computed once per region, and guard and
+    reset once per (region, edge).  `scale` records the factor the clocks
+    were multiplied by to reach integer bounds, so concretized delays can be
+    divided back down.
     """
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("region construction requires a timed-flavor game")
@@ -242,27 +275,41 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
 
     init = RegionNode(g.init, region_of((ZERO,) * len(g.vars), bounds))
     nodes: list[RegionNode] = [init]
-    seen = {init}
+    ids = {init: 0}
     moves: dict[RegionNode, tuple[RegionMove, ...]] = {}
     successor: dict[tuple[RegionNode, RegionMove], RegionNode] = {}
-    frontier = deque([init])
-    while frontier:
-        node = frontier.popleft()
+    succ_ids: list[tuple[int, ...]] = []
+    closures: dict[Region, list[Region]] = {}
+    # (region, edge id) -> None where the guard fails, else the move, the
+    # node after the reset and its id; the edge fixes both nodes' location
+    fired: dict[tuple[Region, str], Optional[tuple[RegionMove, RegionNode, int]]] = {}
+    # `nodes` grows while it is walked, which visits nodes breadth-first
+    for node in nodes:
         node_moves: list[RegionMove] = []
-        for r in time_closure(node.region, bounds):
-            for e in g.edges_from(node.loc):
-                if not region_satisfies(r, guards[e.id]):
+        node_succs: list[int] = []
+        edges = g.edges_from(node.loc)
+        for r in time_closure(node.region, bounds, closures):
+            for e in edges:
+                key = (r, e.id)
+                if key in fired:
+                    hit = fired[key]
+                elif region_satisfies(r, guards[e.id]):
+                    succ = RegionNode(e.dst, apply_reset(r, resets[e.id]))
+                    k = ids.setdefault(succ, len(nodes))
+                    if k == len(nodes):
+                        nodes.append(succ)
+                    hit = fired[key] = (RegionMove(r, e.id), succ, k)
+                else:
+                    hit = fired[key] = None
+                if hit is None:
                     continue
-                mv = RegionMove(r, e.id)
+                mv, succ, k = hit
                 node_moves.append(mv)
-                succ = RegionNode(e.dst, apply_reset(r, resets[e.id]))
+                node_succs.append(k)
                 successor[(node, mv)] = succ
-                if succ not in seen:
-                    seen.add(succ)
-                    nodes.append(succ)
-                    frontier.append(succ)
         moves[node] = tuple(node_moves)
-    return RegionGame(g, scale, bounds, nodes, moves, successor, init)
+        succ_ids.append(tuple(node_succs))
+    return RegionGame(g, scale, bounds, nodes, moves, successor, init, succ_ids)
 
 
 @dataclass
@@ -279,74 +326,92 @@ class SolveResult:
         return rg.init in self.winning
 
 
-def _attractor(rg: RegionGame, player: Player, seed: set
-               ) -> tuple[set, dict[RegionNode, RegionMove]]:
-    """The nodes from which `player` forces a visit to `seed`, and each
-    attracted `player` node's first move into the set when it joined.
+JoinTime = tuple[int, int]
 
-    Passes over `rg.nodes` grow the set in place until one adds nothing.
-    Opponent nodes join once they have a move and all moves lead in, so
-    deadlocks never join.  Every recorded move, and every move of an
-    attracted opponent node, leads to a node that joined earlier.
+
+def _attractor(rg: RegionGame, player: Player, seed: list[int]
+               ) -> tuple[list[Optional[JoinTime]], dict[RegionNode, RegionMove]]:
+    """The join time of every node from which `player` forces a visit to the
+    nodes with ids `seed` (None for the others), and each attracted `player`
+    node's move into the set when it joined.
+
+    A join time is the (pass, index) at which a sweep that visits `rg.nodes`
+    in order, pass after pass until one adds nothing, would add the node;
+    seed nodes join at (1, -1).  A successor that joined at (p, i) offers
+    node j the time (p, j) if i < j, else (p + 1, j).  A `player` node joins
+    at its first offer, an opponent node at the offer that leaves none of
+    its moves outside, so deadlocks never join.  A heap finalises nodes in
+    join-time order, each move is relaxed once, and the recorded move is the
+    node's first move whose successor joined earlier; moves are recorded in
+    join-time order.  Every move of an attracted opponent node also leads to
+    a node that joined earlier.
     """
-    attr = set(seed)
+    nodes, succ_ids, preds = rg.nodes, rg.succ_ids, rg.pred_ids
+    mine = [rg.owner(n) is player for n in nodes]
+    # per opponent node, its moves not yet attracted
+    outside = [len(succs) for succs in succ_ids]
+    queued = [False] * len(nodes)
+    joined: list[Optional[JoinTime]] = [None] * len(nodes)
     moves: dict[RegionNode, RegionMove] = {}
-    changed = True
-    while changed:
-        changed = False
-        for node in rg.nodes:
-            if node in attr:
+    # (pass, index, id): a seed's index is -1, any other node's is its id
+    heap = [(1, -1, k) for k in seed]
+    for k in seed:
+        queued[k] = True
+    while heap:
+        p, i, k = heapq.heappop(heap)
+        if i >= 0 and mine[k]:
+            node = nodes[k]
+            m = next(m for m, s in enumerate(succ_ids[k]) if joined[s] is not None)
+            moves[node] = rg.moves[node][m]
+        joined[k] = (p, i)
+        for j in preds[k]:
+            if queued[j]:
                 continue
-            node_moves = rg.moves[node]
-            if rg.owner(node) is player:
-                for mv in node_moves:
-                    if rg.successor[(node, mv)] in attr:
-                        moves[node] = mv
-                        break
-                else:
+            if not mine[j]:
+                outside[j] -= 1
+                if outside[j]:
                     continue
-            elif not (node_moves and all(rg.successor[(node, mv)] in attr
-                                         for mv in node_moves)):
-                continue
-            attr.add(node)
-            changed = True
-    return attr, moves
+            queued[j] = True
+            heapq.heappush(heap, (p if i < j else p + 1, j, j))
+    return joined, moves
 
 
-def _stay_out(rg: RegionGame, player: Player, attr: set
+def _stay_out(rg: RegionGame, player: Player, joined: list[Optional[JoinTime]]
               ) -> dict[RegionNode, RegionMove]:
-    """For each `player` node outside the opponent's attractor `attr`, its
-    first move that stays outside; only deadlocked nodes have none."""
+    """For each `player` node that never joined the opponent's attractor,
+    its first move that stays outside; only deadlocked nodes have none."""
     out: dict[RegionNode, RegionMove] = {}
-    for node in rg.nodes:
-        if node in attr or rg.owner(node) is not player:
+    for k, node in enumerate(rg.nodes):
+        if joined[k] is not None or rg.owner(node) is not player:
             continue
-        for mv in rg.moves[node]:
-            if rg.successor[(node, mv)] not in attr:
-                out[node] = mv
+        for m, s in enumerate(rg.succ_ids[k]):
+            if joined[s] is None:
+                out[node] = rg.moves[node][m]
                 break
     return out
 
 
 def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
     """Player one's attractor to the target observations.  A halted play
-    reaches nothing, so deadlocked nodes outside the target lose; the
-    strategy reaches the target within one pass over the node set and the
-    spoiler keeps plays outside the attractor."""
-    win, strategy = _attractor(
-        rg, Player.ONE, {n for n in rg.nodes if rg.obs(n) in target_obs})
+    reaches nothing, so deadlocked nodes outside the target lose; each
+    strategy move leads to a node that joined the attractor earlier, so the
+    target is reached, and the spoiler keeps plays outside the attractor."""
+    joined, strategy = _attractor(
+        rg, Player.ONE, [k for k, n in enumerate(rg.nodes) if rg.obs(n) in target_obs])
+    winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is not None)
     target_text = ",".join(sorted(target_obs))
-    return SolveResult(f"reach:{target_text}", frozenset(win), strategy,
-                       _stay_out(rg, Player.TWO, win))
+    return SolveResult(f"reach:{target_text}", winning, strategy,
+                       _stay_out(rg, Player.TWO, joined))
 
 
 def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
     """Complement of player two's attractor to the unsafe observations.
-    Halting is safe; the strategy keeps plays outside the attractor and the
-    spoiler forces an unsafe observation within one pass over the nodes."""
-    bad, spoiler = _attractor(
-        rg, Player.TWO, {n for n in rg.nodes if rg.obs(n) not in safe_obs})
-    winning = frozenset(n for n in rg.nodes if n not in bad)
+    Halting is safe; the strategy keeps plays outside the attractor and each
+    spoiler move leads to a node that joined the attractor earlier, so an
+    unsafe observation is forced."""
+    joined, spoiler = _attractor(
+        rg, Player.TWO, [k for k, n in enumerate(rg.nodes) if rg.obs(n) not in safe_obs])
+    winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is None)
     safe_text = ",".join(sorted(safe_obs))
     return SolveResult(f"safe:{safe_text}", winning,
-                       _stay_out(rg, Player.ONE, bad), spoiler)
+                       _stay_out(rg, Player.ONE, joined), spoiler)

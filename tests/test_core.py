@@ -1,6 +1,10 @@
 """Core model types: rationals, intervals, location ids, validation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -87,6 +91,26 @@ class TestLocIds:
         assert lid.root() == hg.LocId("l3")
         assert lid.parent().render() == "l3{f:x=1,y=_}"
         assert lid.last_annotation().kind == "g"
+
+    def test_pickled_id_finds_its_twin_in_another_process(self):
+        # String hashes, and on some versions hash(None), differ between
+        # processes, so a loaded id must rebuild its cached hash.
+        src = str(Path(hg.__file__).resolve().parent.parent)
+        lid = ('LocId("l3").annotated(Annotation.of("f", {"x": Fraction(1), "y": None}))'
+               '.annotated(Annotation.of("g", {"x": Fraction(-3, 2)}))')
+        prelude = ("import pickle, sys; from fractions import Fraction; "
+                   "from hybridgames import Annotation, LocId; ")
+
+        def run(seed, code, data=b""):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            return subprocess.run([sys.executable, "-c", prelude + code], input=data,
+                                  env=env, capture_output=True, check=True,
+                                  timeout=60).stdout
+
+        dumped = run("1", f"sys.stdout.buffer.write(pickle.dumps({lid}))")
+        found = run("2", f"print({{{lid}: 'twin'}}.get(pickle.loads(sys.stdin.buffer.read())))",
+                    dumped)
+        assert found.strip() == b"twin"
 
     @pytest.mark.parametrize("text", ["", "a b", "l0{", "l0{f:x=4/2}"])
     def test_bad_locid_rejected(self, text):

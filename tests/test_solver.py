@@ -1,15 +1,21 @@
 """Region abstraction and attractor solving on the timed fragment."""
 
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridgames as hg
+from hybridgames.cli import parse_objective
 from hybridgames.samples import small_timed, worked_example
 
 from gamegen import branching_pool, oracle_pool
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (the benchmark's game families, imported read-only)
 
 
 def R(ints, fracs):
@@ -339,3 +345,80 @@ class TestSpoiler:
         # every player-two location of this pool branches to different
         # observations, so a spoiler that picks the wrong branch shows
         _check_spoilers(branching_pool())
+
+
+def _sweep_attractor(rg, player, seed):
+    """Reference attractor: passes over `rg.nodes` grow the set in place
+    until one adds nothing, recording each attracted `player` node's first
+    move into the set when it joins."""
+    attr = set(seed)
+    moves = {}
+    changed = True
+    while changed:
+        changed = False
+        for node in rg.nodes:
+            if node in attr:
+                continue
+            node_moves = rg.moves[node]
+            if rg.owner(node) is player:
+                for mv in node_moves:
+                    if rg.successor[(node, mv)] in attr:
+                        moves[node] = mv
+                        break
+                else:
+                    continue
+            elif not (node_moves and all(rg.successor[(node, mv)] in attr
+                                         for mv in node_moves)):
+                continue
+            attr.add(node)
+            changed = True
+    return attr, moves
+
+
+def _sweep_stay_out(rg, player, attr):
+    out = {}
+    for node in rg.nodes:
+        if node in attr or rg.owner(node) is not player:
+            continue
+        for mv in rg.moves[node]:
+            if rg.successor[(node, mv)] not in attr:
+                out[node] = mv
+                break
+    return out
+
+
+def _sweep_solve(rg, kind, obs):
+    """(winning, strategy, spoiler) as the pass sweep computes them."""
+    if kind == "reach":
+        win, strategy = _sweep_attractor(
+            rg, hg.Player.ONE, {n for n in rg.nodes if rg.obs(n) in obs})
+        return win, strategy, _sweep_stay_out(rg, hg.Player.TWO, win)
+    bad, spoiler = _sweep_attractor(
+        rg, hg.Player.TWO, {n for n in rg.nodes if rg.obs(n) not in obs})
+    return set(rg.nodes) - bad, _sweep_stay_out(rg, hg.Player.ONE, bad), spoiler
+
+
+def _kernel_cases():
+    for _, g, target, safe in oracle_pool():
+        yield g, [("reach", target), ("safe", safe)]
+    for g, target, safe in branching_pool():
+        yield g, [("reach", target), ("safe", safe)]
+    for i in range(8):
+        g, *texts = gen.ladder_case(i)
+        yield g, [(o.kind, o.obs) for o in map(parse_objective, texts)]
+
+
+class TestKernel:
+    def test_join_times_reproduce_the_pass_sweep(self):
+        solve = {"reach": hg.solve_reachability, "safe": hg.solve_safety}
+        for g, objectives in _kernel_cases():
+            rg = hg.build_region_graph(g)
+            for k, node in enumerate(rg.nodes):
+                assert [rg.nodes[s] for s in rg.succ_ids[k]] == \
+                    [rg.successor[(node, mv)] for mv in rg.moves[node]]
+            for kind, obs in objectives:
+                got = solve[kind](rg, obs)
+                winning, strategy, spoiler = _sweep_solve(rg, kind, obs)
+                assert got.winning == winning
+                assert list(got.strategy.items()) == list(strategy.items())
+                assert list(got.spoiler.items()) == list(spoiler.items())
