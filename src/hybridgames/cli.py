@@ -261,10 +261,6 @@ class StrategyFile:
     scale: int
     entries: list[StrategyEntry] = field(default_factory=list)
 
-    @property
-    def pulled_back(self) -> bool:
-        return any(e.timed_location is not None for e in self.entries)
-
 
 def _region_doc(r: Region) -> dict:
     return {"ints": [i for i in r.ints], "fracs": list(r.fracs)}
@@ -353,11 +349,12 @@ class Objective:
 
 
 def parse_objective(text: str) -> Objective:
-    kind, sep, rest = text.partition(":")
-    if kind not in ("reach", "safe") or not sep or not rest:
+    kind, _, rest = text.partition(":")
+    names = rest.split(",")
+    if kind not in ("reach", "safe") or "" in names:
         raise ParseError(
             f"objective must look like reach:OBS or safe:OBS,OBS: got {text!r}")
-    return Objective(kind, frozenset(rest.split(",")))
+    return Objective(kind, frozenset(names))
 
 
 def solve_timed_game(g: Game, objective: Objective) -> tuple[RegionGame, SolveResult]:
@@ -401,13 +398,15 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
     """The region strategy a file records, checked against the rebuilt
     region graph of the timed stage: every entry must name a node and one of
     that node's moves, and no node may have two entries.  `chain` is given
-    for files pulled back to its source game, whose entries name a source
-    location and edge and their timed location, which must stand for that
-    source location."""
+    for files of its source game, whose entries name a source location and
+    edge and, in the note, their timed location, which must stand for that
+    source location; a timed-stage file's notes carry none."""
     strategy = {}
     for i, ent in enumerate(sf.entries):
         path = f"$.entries[{i}]"
         if chain is None:
+            if ent.timed_location is not None:
+                raise ParseError(f"unexpected timed_location at {path}.note")
             loc, edge = _locid(ent.location, path), ent.edge
         elif ent.timed_location is None:
             raise ParseError(f"missing timed_location at {path}.note")
@@ -425,7 +424,7 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
         if node in strategy:
             raise ParseError(f"second entry for one region node at {path}")
         strategy[node] = mv
-    return SolveResult(sf.kind, frozenset(strategy), strategy)
+    return SolveResult(frozenset(strategy), strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +544,6 @@ def cmd_pull_back(args) -> int:
         print("strategy file does not match this game's timed stage "
               f"(expected {timed_hash}, file says {sf.game})", file=sys.stderr)
         return 1
-    if sf.pulled_back:
-        print("strategy file is already pulled back", file=sys.stderr)
-        return 1
     objective = parse_objective(sf.kind)
     rg = _region_graph_for(chain.timed, sf)
     if rg is None:
@@ -566,11 +562,8 @@ def cmd_simulate(args) -> int:
     if sf.game != game_hash(g):
         print("strategy file was produced for a different game", file=sys.stderr)
         return 1
-    if not sf.pulled_back and g.flavor is not Flavor.TIMED:
-        print("strategy file is not pulled back; solve the source game "
-              "or pull the file back first", file=sys.stderr)
-        return 1
-    chain = build_chain(g) if sf.pulled_back else None
+    # the hash ties the file to `g`, so the file's stage is g's stage
+    chain = None if g.flavor is Flavor.TIMED else build_chain(g)
     rg = _region_graph_for(g if chain is None else chain.timed, sf)
     if rg is None:
         return 1

@@ -84,16 +84,15 @@ def _half_grid_graph(g: Game, max_configs: int
     return configs, succ_map
 
 
-def _attracts_init(g: Game, player: Player, in_seed, depth: Optional[int],
-                   max_configs: int) -> bool:
+def _attracts_init(g: Game, player: Player, in_seed, max_configs: int) -> bool:
     """Whether `player` forces the initial configuration to one whose
     observation satisfies `in_seed`: its attractor on the clamped half-grid,
-    by at most `depth` sweeps over the configurations (to the fixpoint when
-    None)."""
+    swept over the configurations until a sweep adds nothing; the clamped
+    space is finite, so the sweeps reach the fixpoint."""
     configs, succ_map = _half_grid_graph(g, max_configs)
     attr = {q for q in configs if in_seed(g.locations[q.loc].obs)}
-    rounds = len(configs) if depth is None else depth
-    for _ in range(rounds):
+    changed = True
+    while changed:
         changed = False
         for q in configs:
             if q in attr:
@@ -106,34 +105,25 @@ def _attracts_init(g: Game, player: Player, in_seed, depth: Optional[int],
             if joins:
                 attr.add(q)
                 changed = True
-        if not changed:
-            break
     return configs[0] in attr
 
 
 def granular_reach_winner(g: Game, target_obs: frozenset,
-                          depth: Optional[int] = None,
                           max_configs: int = 200_000) -> bool:
     """Whether player one wins reachability from the initial configuration:
-    player one's attractor to the target on the clamped half-grid.
-
-    `depth` bounds the number of sweeps over the configurations; each sweep
-    grows the set in place, so one may attract configurations several moves
-    from the target.  By default the sweeps run to the fixpoint, which
-    exists because the clamped space is finite.
-    """
+    player one's attractor to the target on the clamped half-grid.  More
+    than `max_configs` configurations raise GameError."""
     return _attracts_init(g, Player.ONE, lambda obs: obs in target_obs,
-                          depth, max_configs)
+                          max_configs)
 
 
 def granular_safe_winner(g: Game, safe_obs: frozenset,
-                         depth: Optional[int] = None,
                          max_configs: int = 200_000) -> bool:
     """Whether player one wins safety from the initial configuration: it
-    avoids player two's attractor to the unsafe observations.  `depth` and
-    `max_configs` are as in granular_reach_winner."""
+    avoids player two's attractor to the unsafe observations.  `max_configs`
+    is as in granular_reach_winner."""
     return not _attracts_init(g, Player.TWO, lambda obs: obs not in safe_obs,
-                              depth, max_configs)
+                              max_configs)
 
 
 def _grid_denominator(*games: Game) -> int:

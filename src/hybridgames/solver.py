@@ -186,9 +186,16 @@ class RegionGame:
     bounds: tuple[int, ...]
     nodes: list[RegionNode]
     moves: dict[RegionNode, tuple[RegionMove, ...]]
-    successor: dict[tuple[RegionNode, RegionMove], RegionNode]
     init: RegionNode
     succ_ids: list[tuple[int, ...]]
+
+    @cached_property
+    def successor(self) -> dict[tuple[RegionNode, RegionMove], RegionNode]:
+        """The node each move leads to, keyed by (node, move): a view of
+        `succ_ids` built on first read."""
+        return {(node, mv): self.nodes[s]
+                for node, succs in zip(self.nodes, self.succ_ids)
+                for mv, s in zip(self.moves[node], succs)}
 
     @cached_property
     def pred_ids(self) -> list[list[int]]:
@@ -277,12 +284,11 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     nodes: list[RegionNode] = [init]
     ids = {init: 0}
     moves: dict[RegionNode, tuple[RegionMove, ...]] = {}
-    successor: dict[tuple[RegionNode, RegionMove], RegionNode] = {}
     succ_ids: list[tuple[int, ...]] = []
     closures: dict[Region, list[Region]] = {}
-    # (region, edge id) -> None where the guard fails, else the move, the
-    # node after the reset and its id; the edge fixes both nodes' location
-    fired: dict[tuple[Region, str], Optional[tuple[RegionMove, RegionNode, int]]] = {}
+    # (region, edge id) -> None where the guard fails, else the move and the
+    # id of the node after the reset; the edge fixes both nodes' location
+    fired: dict[tuple[Region, str], Optional[tuple[RegionMove, int]]] = {}
     # `nodes` grows while it is walked, which visits nodes breadth-first
     for node in nodes:
         node_moves: list[RegionMove] = []
@@ -298,18 +304,17 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
                     k = ids.setdefault(succ, len(nodes))
                     if k == len(nodes):
                         nodes.append(succ)
-                    hit = fired[key] = (RegionMove(r, e.id), succ, k)
+                    hit = fired[key] = (RegionMove(r, e.id), k)
                 else:
                     hit = fired[key] = None
                 if hit is None:
                     continue
-                mv, succ, k = hit
+                mv, k = hit
                 node_moves.append(mv)
                 node_succs.append(k)
-                successor[(node, mv)] = succ
         moves[node] = tuple(node_moves)
         succ_ids.append(tuple(node_succs))
-    return RegionGame(g, scale, bounds, nodes, moves, successor, init, succ_ids)
+    return RegionGame(g, scale, bounds, nodes, moves, init, succ_ids)
 
 
 @dataclass
@@ -317,7 +322,6 @@ class SolveResult:
     """`strategy` holds player one's moves on winning nodes; `spoiler` holds
     player two's moves on the other nodes, the certificate of a loss."""
 
-    objective: str
     winning: frozenset
     strategy: dict[RegionNode, RegionMove]
     spoiler: dict[RegionNode, RegionMove] = field(default_factory=dict)
@@ -399,9 +403,7 @@ def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
     joined, strategy = _attractor(
         rg, Player.ONE, [k for k, n in enumerate(rg.nodes) if rg.obs(n) in target_obs])
     winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is not None)
-    target_text = ",".join(sorted(target_obs))
-    return SolveResult(f"reach:{target_text}", winning, strategy,
-                       _stay_out(rg, Player.TWO, joined))
+    return SolveResult(winning, strategy, _stay_out(rg, Player.TWO, joined))
 
 
 def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
@@ -412,6 +414,4 @@ def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
     joined, spoiler = _attractor(
         rg, Player.TWO, [k for k, n in enumerate(rg.nodes) if rg.obs(n) not in safe_obs])
     winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is None)
-    safe_text = ",".join(sorted(safe_obs))
-    return SolveResult(f"safe:{safe_text}", winning,
-                       _stay_out(rg, Player.ONE, joined), spoiler)
+    return SolveResult(winning, _stay_out(rg, Player.ONE, joined), spoiler)

@@ -120,6 +120,16 @@ class TestStrategyDocuments:
             with pytest.raises(cli.ParseError):
                 cli.parse_objective(bad)
 
+    @pytest.mark.parametrize("text", ["reach:goal,", "reach:,", "safe:,start",
+                                      "safe:a,,b"])
+    def test_objective_rejects_empty_observation_name(self, run, text):
+        with pytest.raises(cli.ParseError, match="objective must look like"):
+            cli.parse_objective(text)
+        code, out, err = run("solve", str(SAMPLES / "patrol.json"),
+                             "--objective", text)
+        assert code == 1 and out == ""
+        assert "objective must look like" in err
+
 
 class TestExitCodes:
     def test_validate_accepts(self, run, game_file):
@@ -258,12 +268,59 @@ class TestPipelines:
     def test_pull_back_rejects_wrong_stage_hash(self, run, game_file, tmp_path):
         src = game_file(worked_example())
         strat = str(tmp_path / "s.json")
-        # a strategy solved against the source is already pulled back
+        # a strategy solved against the source carries the source's hash
         assert run("solve", src, "--objective", "reach:goal",
                    "--out", strat)[0] == 0
         code, _, err = run("pull-back", src, "--strategy", strat)
         assert code == 1
-        assert "pulled back" in err or "does not match" in err
+        assert "does not match" in err
+
+    def test_losing_source_file_simulates_with_player_one_halting(
+            self, run, tmp_path):
+        # a losing objective leaves the file empty; its stage is the game's
+        src = str(SAMPLES / "patrol.json")
+        strat = tmp_path / "strat.json"
+        assert run("solve", src, "--objective", "safe:start",
+                   "--out", str(strat))[0] == 1
+        assert json.loads(strat.read_text())["entries"] == []
+        code, out, err = run("simulate", src, "--strategy", str(strat))
+        assert code == 0 and err == ""
+        assert [json.loads(l)["step"] for l in out.splitlines()] == [0]
+
+    def test_empty_timed_file_pulls_back_and_simulates(self, run, tmp_path):
+        src = str(SAMPLES / "patrol.json")
+        timed = str(tmp_path / "timed.json")
+        assert run("transform", src, "--to", "timed", "--out", timed)[0] == 0
+        strat = str(tmp_path / "timed-strat.json")
+        assert run("solve", timed, "--objective", "safe:start",
+                   "--out", strat)[0] == 1
+        pulled = str(tmp_path / "pulled.json")
+        assert run("pull-back", src, "--strategy", strat,
+                   "--out", pulled)[0] == 0
+        code, out, _ = run("simulate", src, "--strategy", pulled)
+        assert code == 0 and len(out.splitlines()) == 1
+
+    def test_pull_back_rejects_timed_location_in_timed_file(
+            self, run, game_file, tmp_path):
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        doc["entries"][0]["note"]["timed_location"] = doc["entries"][0]["location"]
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("pull-back", src, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert "unexpected timed_location at $.entries[0].note" in err
+
+    def test_simulate_rejects_source_file_missing_timed_location(
+            self, run, tmp_path):
+        src = str(SAMPLES / "patrol.json")
+        strat = tmp_path / "strat.json"
+        assert run("solve", src, "--objective", "reach:goal",
+                   "--out", str(strat))[0] == 0
+        doc = json.loads(strat.read_text())
+        del doc["entries"][0]["note"]["timed_location"]
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("simulate", src, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert "missing timed_location at $.entries[0].note" in err
 
     def _timed_strategy(self, run, game_file, tmp_path):
         src = game_file(worked_example())

@@ -51,11 +51,6 @@ class TestGranularWinners:
         g = _line_game(2)
         assert not hg.granular_reach_winner(g, frozenset({"nowhere"}))
 
-    def test_depth_bound_cuts_long_wins(self):
-        g = _line_game(3)
-        assert not hg.granular_reach_winner(g, frozenset({"end"}), depth=2)
-        assert hg.granular_reach_winner(g, frozenset({"end"}), depth=3)
-
     def test_deadlock_is_safe(self):
         g = _line_game(1)
         # from n1 there are no moves at all: halting keeps "end" forever

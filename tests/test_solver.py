@@ -222,7 +222,6 @@ class TestAttractors:
         rg = hg.build_region_graph(small_timed())
         res = hg.solve_reachability(rg, frozenset({"done"}))
         assert res.wins_from_init(rg)
-        assert res.objective == "reach:done"
         # strategy defined exactly on winning player-one nodes off target
         for node in res.strategy:
             assert node in res.winning
@@ -235,7 +234,6 @@ class TestAttractors:
         rg = hg.build_region_graph(small_timed())
         res = hg.solve_safety(rg, frozenset({"idle", "busy"}))
         assert not res.wins_from_init(rg)
-        assert res.objective == "safe:busy,idle"
 
     def test_forced_step_into_bad_is_losing(self):
         rg = hg.build_region_graph(_ladder_game(False))
