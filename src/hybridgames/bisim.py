@@ -20,11 +20,12 @@ counterexample that replays).
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .core import Game, LocId, MoveNotEnabled, OwnershipMismatch, Player
+from .core import Edge, Game, LocId, MoveNotEnabled, OwnershipMismatch, Player
 from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
 
 
@@ -183,11 +184,11 @@ class MoveSampler:
         return list(dict.fromkeys(out))
 
     def moves(self, g: Game, q: Configuration) -> list[Move]:
-        out = []
-        for e, w in enabled_edges(g, q):
-            for t in self.delays(w):
-                out.append(Move(e.id, t))
-        return out
+        return self.moves_in(enabled_edges(g, q))
+
+    def moves_in(self, windows: list[tuple[Edge, DelayWindow]]) -> list[Move]:
+        """The sampled moves of already computed enabled edges."""
+        return [Move(e.id, t) for e, w in windows for t in self.delays(w)]
 
 
 @dataclass(frozen=True)
@@ -218,10 +219,10 @@ class Verdict:
 
 
 def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
-           forward: bool) -> Optional[str]:
+           forward: bool, step: Callable = step) -> Optional[str]:
     """The matching clause for one sampled move: a g1 move from q1 matched
     by its g2 counterpart from q2 when `forward`, else a g2 move from q2 by
-    its g1 counterpart.  The mover's side steps first."""
+    its g1 counterpart.  The mover's side steps first, through `step`."""
     other = w.move_forward(q2, move) if forward else w.move_backward(q1, move)
     if other is None:
         return "no counterpart move"
@@ -239,14 +240,62 @@ def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
     return None
 
 
+# Marks a clause outcome not yet computed (None is the outcome of a match).
+_UNSEEN = object()
+
+
+class _Memo:
+    """What one verify_chain call has computed, each table a pure function
+    of its key: the enabled edges of a (game, configuration), the successor
+    of a (game, configuration, move) or the text of its MoveNotEnabled, and
+    per witness each matching clause's outcome.  Games and witnesses are
+    keyed by id, so a memo must not outlive the call that holds them."""
+
+    def __init__(self) -> None:
+        self.windows: dict = {}
+        self.steps: dict = {}
+        self.clauses: defaultdict[int, dict] = defaultdict(dict)
+
+    def enabled(self, g: Game, q: Configuration) -> list[tuple[Edge, DelayWindow]]:
+        key = (id(g), q)
+        out = self.windows.get(key)
+        if out is None:
+            out = self.windows[key] = enabled_edges(g, q)
+        return out
+
+    def step(self, g: Game, q: Configuration, move: Move) -> Configuration:
+        key = (id(g), q, move)
+        out = self.steps.get(key)
+        if out is None:
+            try:
+                out = step(g, q, move)
+            except MoveNotEnabled as exc:
+                out = str(exc)
+            self.steps[key] = out
+        if isinstance(out, str):
+            raise MoveNotEnabled(out)
+        return out
+
+    def match(self, w: BisimWitness, q1: Configuration, q2: Configuration,
+              move: Move, forward: bool) -> Optional[str]:
+        table = self.clauses[id(w)]
+        key = (q1, q2, move, forward)
+        out = table.get(key, _UNSEEN)
+        if out is _UNSEEN:
+            out = table[key] = _match(w, q1, q2, move, forward, self.step)
+        return out
+
+
 def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
-                      sampler: Optional[MoveSampler] = None) -> Verdict:
+                      sampler: Optional[MoveSampler] = None,
+                      memo: Optional[_Memo] = None) -> Verdict:
     """Check the matching clauses at one related pair on sampled moves.
 
     The owner's moves are matched first (g1 moves forward for player one,
     g2 moves backward for player two), then the other side's, so a Pass
     certifies sampled bisimulation rather than one-way simulation.  The
-    first unmatched move ends the check.
+    first unmatched move ends the check.  A `memo` (verify_chain's) only
+    saves recomputing; the sampler draws the same delays either way.
     """
     sampler = sampler or MoveSampler()
     if not w.contains(q1, q2):
@@ -263,13 +312,15 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
                              "observations differ")
         return Verdict(False, 0, cex, "observations differ")
 
+    enabled, match = ((enabled_edges, _match) if memo is None
+                      else (memo.enabled, memo.match))
     checked = 0
     owner_forward = own1 is Player.ONE
     for forward in (owner_forward, not owner_forward):
         g, q = (w.g1, q1) if forward else (w.g2, q2)
-        for move in sampler.moves(g, q):
+        for move in sampler.moves_in(enabled(g, q)):
             checked += 1
-            problem = _match(w, q1, q2, move, forward)
+            problem = match(w, q1, q2, move, forward)
             if problem:
                 cex = Counterexample(w.name, "forward" if forward else "backward",
                                      q1, q2, move, problem)
@@ -343,15 +394,16 @@ def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainR
     witnesses = stage_witnesses(chain)
     rng = random.Random(seed)
     sampler = MoveSampler(rng=random.Random(seed + 1))
+    memo = _Memo()
 
     stages = [StageResult(w.name) for w, _, _ in witnesses]
-    sampled = _sample_lifted_configs(chain, samples, depth, rng)
+    sampled = _sample_lifted_configs(chain, samples, depth, rng, memo)
     for configs in sampled:
         for (w, i, j), result in zip(witnesses, stages):
             if len(result.failures) >= _MAX_FAILURES:
                 continue
             try:
-                verdict = check_local_bisim(w, configs[i], configs[j], sampler)
+                verdict = check_local_bisim(w, configs[i], configs[j], sampler, memo)
             except OwnershipMismatch as exc:
                 cex = Counterexample(w.name, "owner", configs[i], configs[j],
                                      _NO_MOVE, str(exc))
@@ -367,8 +419,8 @@ def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainR
     return ChainReport(stages, warnings, len(sampled))
 
 
-def _sample_lifted_configs(chain, samples: int, depth: int, rng: random.Random
-                           ) -> list[tuple[Configuration, ...]]:
+def _sample_lifted_configs(chain, samples: int, depth: int, rng: random.Random,
+                           memo: _Memo) -> list[tuple[Configuration, ...]]:
     """Up to `samples` reachable lifted configurations, one per game of the
     chain in `Chain.games()` order, by random play of the source game (each
     play at most `depth` moves)."""
@@ -381,7 +433,7 @@ def _sample_lifted_configs(chain, samples: int, depth: int, rng: random.Random
         for _ in range(depth):
             if len(out) >= samples:
                 break
-            options = enabled_edges(chain.isr, lifted.source.last())
+            options = memo.enabled(chain.isr, lifted.source.last())
             if not options:
                 break
             e, w = options[rng.randrange(len(options))]

@@ -9,7 +9,7 @@ reset is applied on the jump.  There are no standalone delay transitions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -31,6 +31,19 @@ class Configuration:
 
     loc: LocId
     val: tuple[Fraction, ...]
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        # Configurations key the witness checker's memo tables, where hashing
+        # the exact values anew on every lookup would be a large share of a
+        # hit, so the hash is computed once, on first use.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.loc, self.val)))
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never copy, _hash.
+        return (Configuration, (self.loc, self.val))
 
     def value(self, g: Game, var: str) -> Fraction:
         return self.val[g.var_index(var)]

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import hybridgames as hg
-from hybridgames.bisim import Affine
+from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine
 from hybridgames.samples import worked_example
 
 from gamegen import gen_isr_game
@@ -71,10 +71,17 @@ def test_ownership_mismatch_raises():
         hg.check_local_bisim(w, q, q)
 
 
+def replace_lowering(monkeypatch, real, fake):
+    """Build the chain with `fake` where `chain.LOWERINGS` has `real`."""
+    chain = importlib.import_module("hybridgames.chain")
+    monkeypatch.setattr(chain, "LOWERINGS", tuple(
+        (flavor, fake if construct is real else construct, witness)
+        for flavor, construct, witness in chain.LOWERINGS))
+
+
 def rewrite_hands_l1_to_player_one(monkeypatch):
     """Make the guard-rewrite construction give l1 (player two's) to player
     one, so its relation pairs configurations of different owners."""
-    chain = importlib.import_module("hybridgames.chain")
     to_updatable = importlib.import_module("hybridgames.to_updatable").to_updatable
 
     def flipped(g_ann):
@@ -84,9 +91,24 @@ def rewrite_hands_l1_to_player_one(monkeypatch):
                      for lid, loc in g_u.locations.items()}
         return dataclasses.replace(g_u, locations=locations)
 
-    monkeypatch.setattr(chain, "LOWERINGS", tuple(
-        (flavor, flipped if construct is to_updatable else construct, witness)
-        for flavor, construct, witness in chain.LOWERINGS))
+    replace_lowering(monkeypatch, to_updatable, flipped)
+
+
+def widen_stopwatch_guards(monkeypatch):
+    """Make the slope-normalization construction widen every guard by one on
+    both sides, so its game has moves whose source counterparts are not
+    enabled."""
+    to_stopwatch = importlib.import_module("hybridgames.to_stopwatch").to_stopwatch
+
+    def widened(g):
+        g_s = to_stopwatch(g)
+        edges = {eid: dataclasses.replace(e, guard=hg.Guard(
+                     {x: hg.Interval(i.lo - 1, i.hi + 1)
+                      for x, i in e.guard.conjuncts.items()}))
+                 for eid, e in g_s.edges.items()}
+        return dataclasses.replace(g_s, edges=edges)
+
+    replace_lowering(monkeypatch, to_stopwatch, widened)
 
 
 def test_ownership_mismatch_fails_only_its_stages(monkeypatch):
@@ -203,11 +225,90 @@ class TestVerifyChain:
         assert rep.passed
         assert any("vacuous" in w for w in rep.warnings)
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic_for_fixed_seed(self, monkeypatch):
         a = hg.verify_chain(G, samples=8, depth=5, seed=11)
+        with monkeypatch.context() as m:
+            widen_stopwatch_guards(m)
+            assert not hg.verify_chain(G, samples=8, depth=5, seed=11).passed
         b = hg.verify_chain(G, samples=8, depth=5, seed=11)
-        assert [s.moves_checked for s in a.stages] == \
-            [s.moves_checked for s in b.stages]
+        assert a == b  # every stage's pairs, moves checked and failures
+        assert a.render() == b.render()
+
+
+def unmemoised_verify_chain(g, samples, depth, seed=0):
+    """verify_chain as it was before its memo, kept as the oracle: the same
+    sampled plays and the same seeded sampler, every pair checked by
+    check_local_bisim without a memo."""
+    chain = hg.build_chain(g)
+    witnesses = hg.stage_witnesses(chain)
+    rng = random.Random(seed)
+    sampler = hg.MoveSampler(rng=random.Random(seed + 1))
+    sampled = []
+    while len(sampled) < samples:
+        lifted = hg.initial_lifted(chain)
+        sampled.append(tuple(run.last() for run in lifted))
+        for _ in range(depth):
+            if len(sampled) >= samples:
+                break
+            options = hg.enabled_edges(chain.isr, lifted.source.last())
+            if not options:
+                break
+            e, w = options[rng.randrange(len(options))]
+            move = hg.Move(e.id, w.draw(rng, max_den=6, ray=3))
+            lifted = hg.lift_step(chain, lifted, move)
+            sampled.append(tuple(run.last() for run in lifted))
+
+    stages = [hg.StageResult(w.name) for w, _, _ in witnesses]
+    for configs in sampled:
+        for (w, i, j), result in zip(witnesses, stages):
+            if len(result.failures) >= _MAX_FAILURES:
+                continue
+            try:
+                verdict = hg.check_local_bisim(w, configs[i], configs[j], sampler)
+            except hg.OwnershipMismatch as exc:
+                cex = hg.Counterexample(w.name, "owner", configs[i], configs[j],
+                                        _NO_MOVE, str(exc))
+                verdict = hg.Verdict(False, 0, cex, cex.reason)
+            result.pairs += 1
+            result.moves_checked += verdict.checked
+            if not verdict.passed:
+                result.failures.append(verdict.counterexample)
+    warnings = [] if sampled else [
+        "no reachable configurations sampled; result is vacuous"]
+    return hg.ChainReport(stages, warnings, len(sampled))
+
+
+def assert_same_report(g, samples=25, depth=6, seed=0):
+    got = hg.verify_chain(g, samples=samples, depth=depth, seed=seed)
+    want = unmemoised_verify_chain(g, samples, depth, seed)
+    assert got == want  # every stage's pairs, moves checked and failures
+    assert got.render() == want.render()
+    return got
+
+
+class TestMemoAgainstOracle:
+    """verify_chain's memo changes no report, on passing and failing chains."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_thirds_games(self, seed):
+        assert assert_same_report(gen_isr_game(seed, profile="thirds")).passed
+
+    @pytest.mark.parametrize("g", [G, gen_isr_game(0, profile="thirds"),
+                                   gen_isr_game(1, profile="thirds")],
+                             ids=["worked", "thirds0", "thirds1"])
+    def test_widened_guards(self, monkeypatch, g):
+        widen_stopwatch_guards(monkeypatch)
+        rep = assert_same_report(g)
+        reasons = [c.reason for s in rep.stages for c in s.failures]
+        assert any(r.startswith("counterpart not enabled (delay ") for r in reasons)
+
+    def test_owner_flip(self, monkeypatch):
+        rewrite_hands_l1_to_player_one(monkeypatch)
+        assert not assert_same_report(G).passed
+
+    def test_off_by_one_offsets(self, monkeypatch):
+        off_by_one_offsets(monkeypatch)
+        assert not assert_same_report(G).passed
 
 
 class TestMoveSampler:

@@ -72,6 +72,32 @@ class TestInterval:
         assert hg.Interval(F(2), F(2)).is_compact()
 
 
+# An id whose hash covers strings, None and exact rationals.
+ANNOTATED_ID = ('LocId("l3").annotated(Annotation.of("f", {"x": Fraction(1), "y": None}))'
+                '.annotated(Annotation.of("g", {"x": Fraction(-3, 2)}))')
+
+
+def found_in_another_process(expr: str) -> bool:
+    """Pickle the value of `expr`, hashed first, under one PYTHONHASHSEED and
+    look it up in a dict keyed by `expr` under another.  String hashes, and
+    on some versions hash(None), differ between processes, so a loaded value
+    must rebuild any hash it caches."""
+    src = str(Path(hg.__file__).resolve().parent.parent)
+    prelude = ("import pickle, sys; from fractions import Fraction; "
+               "from hybridgames import Annotation, Configuration, LocId; ")
+
+    def run(seed, code, data=b""):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-c", prelude + code], input=data,
+                              env=env, capture_output=True, check=True,
+                              timeout=60).stdout
+
+    dumped = run("1", f"x = {expr}; hash(x); sys.stdout.buffer.write(pickle.dumps(x))")
+    found = run("2", f"print({{{expr}: 'twin'}}.get(pickle.loads(sys.stdin.buffer.read())))",
+                dumped)
+    return found.strip() == b"twin"
+
+
 class TestLocIds:
     @given(st.dictionaries(st.sampled_from("xyzw"),
                            st.one_of(st.none(), rationals),
@@ -93,29 +119,17 @@ class TestLocIds:
         assert lid.last_annotation().kind == "g"
 
     def test_pickled_id_finds_its_twin_in_another_process(self):
-        # String hashes, and on some versions hash(None), differ between
-        # processes, so a loaded id must rebuild its cached hash.
-        src = str(Path(hg.__file__).resolve().parent.parent)
-        lid = ('LocId("l3").annotated(Annotation.of("f", {"x": Fraction(1), "y": None}))'
-               '.annotated(Annotation.of("g", {"x": Fraction(-3, 2)}))')
-        prelude = ("import pickle, sys; from fractions import Fraction; "
-                   "from hybridgames import Annotation, LocId; ")
-
-        def run(seed, code, data=b""):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-            return subprocess.run([sys.executable, "-c", prelude + code], input=data,
-                                  env=env, capture_output=True, check=True,
-                                  timeout=60).stdout
-
-        dumped = run("1", f"sys.stdout.buffer.write(pickle.dumps({lid}))")
-        found = run("2", f"print({{{lid}: 'twin'}}.get(pickle.loads(sys.stdin.buffer.read())))",
-                    dumped)
-        assert found.strip() == b"twin"
+        assert found_in_another_process(ANNOTATED_ID)
 
     @pytest.mark.parametrize("text", ["", "a b", "l0{", "l0{f:x=4/2}"])
     def test_bad_locid_rejected(self, text):
         with pytest.raises(ValueError):
             hg.parse_locid(text)
+
+
+def test_pickled_configuration_finds_its_twin_in_another_process():
+    assert found_in_another_process(
+        f"Configuration({ANNOTATED_ID}, (Fraction(1, 3), Fraction(-2)))")
 
 
 class TestValidation:
