@@ -407,11 +407,11 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
         if chain is None:
             if ent.timed_location is not None:
                 raise ParseError(f"unexpected timed_location at {path}.note")
-            loc, edge = _locid(ent.location, path), ent.edge
+            loc, edge = _locid(ent.location, f"{path}.location"), ent.edge
         elif ent.timed_location is None:
             raise ParseError(f"missing timed_location at {path}.note")
         else:
-            loc = _locid(ent.timed_location, path)
+            loc = _locid(ent.timed_location, f"{path}.note.timed_location")
             edge = chain.end_to_end.edge_fwd.get((loc, ent.edge))
         node = RegionNode(loc, ent.region)
         mv = RegionMove(ent.succ, edge)

@@ -1,12 +1,24 @@
-"""Brute-force value iteration on a half-unit delay grid.
+"""Brute-force value iteration on a clamped delay grid, for every flavor.
 
-With closed integer guard bounds, any winning delay can be nudged to a
-multiple of one half without changing which guards it satisfies along the
-way, and clock values beyond every bound plus one behave identically.  That
-makes the clamped half-grid game finite and its attractor an independent
-oracle for the region solver on small inputs.  One explorer and one sweep
-serve both objectives with the players swapped; nothing here comes from
-the solver it checks.
+An initialized game keeps each variable on one slope s from its last reset
+to r (from 0 at the start) until its next reset, so it reads r + s*tau, tau
+the time since: a guard bound c on it is the clock bound tau = c/s - r/s.
+Let D be the lcm of the denominators of every c/s and r/s (a zero slope
+counts as 1; such a variable ignores the delay).  Stretching time by D gives
+a timed game with updatable resets and closed integer constants (Henzinger,
+Kopke, Puri & Varaiya, JCSS 1998), where any winning delay can be nudged to
+a multiple of one half without changing which guards it satisfies along the
+way.  So delays on the grid 1/(2D) decide the game, and every window
+endpoint lies on that grid.
+
+Let B_i be the largest |c| over variable i's guard bounds and reset values.
+A variable with slope > 0 and value above B_i is clamped to B_i + 1, and one
+with slope < 0 and value below -B_i to -B_i - 1: its slope cannot change
+before its next reset, so until then it only moves away from every guard,
+which it therefore fails at either value.  That makes the clamped grid game
+finite and its attractor an independent oracle for the region solver on
+small inputs.  One explorer and one sweep serve both objectives with the
+players swapped; nothing here comes from the solver it checks.
 """
 
 from __future__ import annotations
@@ -17,87 +29,75 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .core import Flavor, Game, GameError, InvalidGame, Player
-from .semantics import Configuration, Move, delay_window, initial_config, step
+from .core import ZERO, Game, GameError, MoveNotEnabled, Player
+from .semantics import Configuration, Move, delay_window, enabled_edges, initial_config, step
 
 
-def _integer_cap(g: Game) -> int:
-    cap = 0
+def _grid_constants(g: Game) -> tuple[int, list[Fraction]]:
+    """D and the per-variable bounds B_i, from one scan of the constants."""
+    den, bound = 1, [ZERO] * len(g.vars)
     for e in g.edges.values():
-        for iv in e.guard.conjuncts.values():
-            for b in (iv.lo, iv.hi):
-                if b.denominator != 1:
-                    raise InvalidGame("half-grid oracle needs integer guard bounds")
-                if b >= 0:
-                    cap = max(cap, int(b))
-    return cap + 1
+        for i, lo, hi in g.guards[e.id]:
+            s = g.slopes[e.src][i] or 1
+            den = lcm(den, (lo / s).denominator, (hi / s).denominator)
+            bound[i] = max(bound[i], abs(lo), abs(hi))
+        for i, v in g.resets[e.id]:
+            den = lcm(den, (v / (g.slopes[e.dst][i] or 1)).denominator)
+            bound[i] = max(bound[i], abs(v))
+    return den, bound
 
 
-def _grid_moves(g: Game, q: Configuration, delays: list[Fraction],
-                cap: Fraction) -> list[Configuration]:
-    """Deduplicated successor configurations over the fixed delay grid, with
-    clock values clamped at the cap."""
-    succs = []
-    seen = set()
-    for e in g.edges_from(q.loc):
-        w = delay_window(g, q, e.id)
-        if w is None:
-            continue
-        for t in delays:
-            if not w.contains(t):
-                continue
-            nxt = step(g, q, Move(e.id, t))
-            clamped = Configuration(
-                nxt.loc, tuple(min(v, cap) for v in nxt.val))
-            if clamped not in seen:
-                seen.add(clamped)
-                succs.append(clamped)
-    return succs
+def _grid_graph(g: Game, max_configs: int
+                ) -> dict[Configuration, list[Configuration]]:
+    """Each clamped grid configuration reachable from the initial one, in
+    discovery order (the initial one first), to its successors."""
+    den, bound = _grid_constants(g)
+    unit = Fraction(1, 2 * den)
 
-
-def _half_grid_graph(g: Game, max_configs: int
-                     ) -> tuple[list[Configuration], dict]:
-    """The clamped half-grid configurations reachable from the initial one,
-    in discovery order (the initial one first), and their successors."""
-    if g.flavor is not Flavor.TIMED:
-        raise InvalidGame("half-grid oracle requires a timed-flavor game")
-    cap_int = _integer_cap(g)
-    cap = Fraction(cap_int)
-    delays = [Fraction(j, 2) for j in range(2 * cap_int + 1)]
+    def clamped(q: Configuration) -> Configuration:
+        return Configuration(q.loc, tuple(
+            b + 1 if s > 0 and v > b else -b - 1 if s < 0 and v < -b else v
+            for v, s, b in zip(q.val, g.slopes[q.loc], bound)))
 
     init = initial_config(g)
-    configs = [init]
     seen = {init}
     succ_map: dict[Configuration, list[Configuration]] = {}
     frontier = deque([init])
     while frontier:
         q = frontier.popleft()
-        succs = _grid_moves(g, q, delays, cap)
-        succ_map[q] = succs
+        succs: dict[Configuration, None] = {}
+        for e, w in enabled_edges(g, q):
+            t, last = w.lo, None
+            # Once two grid points give one successor, every moving variable
+            # the edge keeps is clamped, and stays so at every later point:
+            # that ends the walk, along a ray too.
+            while (w.hi is None or t <= w.hi) and \
+                    (s := clamped(step(g, q, Move(e.id, t)))) != last:
+                succs[s] = None
+                last, t = s, t + unit
+        succ_map[q] = list(succs)
         for s in succs:
             if s not in seen:
                 seen.add(s)
-                configs.append(s)
                 frontier.append(s)
-        if len(configs) > max_configs:
-            raise GameError("half-grid state space exceeded the size budget")
-    return configs, succ_map
+        if len(seen) > max_configs:
+            raise GameError("grid state space exceeded the size budget")
+    return succ_map
 
 
 def _attracts_init(g: Game, player: Player, in_seed, max_configs: int) -> bool:
     """Whether `player` forces the initial configuration to one whose
-    observation satisfies `in_seed`: its attractor on the clamped half-grid,
+    observation satisfies `in_seed`: its attractor on the clamped grid,
     swept over the configurations until a sweep adds nothing; the clamped
     space is finite, so the sweeps reach the fixpoint."""
-    configs, succ_map = _half_grid_graph(g, max_configs)
-    attr = {q for q in configs if in_seed(g.locations[q.loc].obs)}
+    succ_map = _grid_graph(g, max_configs)
+    attr = {q for q in succ_map if in_seed(g.locations[q.loc].obs)}
     changed = True
     while changed:
         changed = False
-        for q in configs:
+        for q, succs in succ_map.items():
             if q in attr:
                 continue
-            succs = succ_map[q]
             if g.owner(q.loc) is player:
                 joins = any(s in attr for s in succs)
             else:
@@ -105,13 +105,13 @@ def _attracts_init(g: Game, player: Player, in_seed, max_configs: int) -> bool:
             if joins:
                 attr.add(q)
                 changed = True
-    return configs[0] in attr
+    return initial_config(g) in attr
 
 
 def granular_reach_winner(g: Game, target_obs: frozenset,
                           max_configs: int = 200_000) -> bool:
     """Whether player one wins reachability from the initial configuration:
-    player one's attractor to the target on the clamped half-grid.  More
+    player one's attractor to the target on the clamped grid.  More
     than `max_configs` configurations raise GameError."""
     return _attracts_init(g, Player.ONE, lambda obs: obs in target_obs,
                           max_configs)
@@ -208,7 +208,7 @@ def granular_witness_check(witness, depth: int,
                     try:
                         n1 = step(g1, q1, m1)
                         n2 = step(g2, q2, m2)
-                    except Exception as exc:
+                    except MoveNotEnabled as exc:
                         return PairMismatch(q1, q2, direction, move, str(exc))
                     if not witness.contains(n1, n2):
                         return PairMismatch(q1, q2, direction, move,

@@ -216,7 +216,7 @@ def gen_timed_game(seed: int, max_locs: int = 4, max_clocks: int = 2,
 
 def oracle_pool():
     """(seed, game, reach targets, safe observations) for the 50 timed games
-    acceptance check 6 solves against the half-grid oracle, with the
+    acceptance check 6 solves against the grid oracle, with the
     objectives drawn as that check draws them."""
     for i in range(50):
         g = gen_timed_game(500 + i)

@@ -442,6 +442,28 @@ class TestPipelines:
         assert code == 1 and out == ""
         assert where in err
 
+    @pytest.mark.parametrize("source,field,where", [
+        (False, "location", "$.entries[0].location"),
+        (True, "timed_location", "$.entries[0].note.timed_location")],
+        ids=["timed-file", "source-file"])
+    def test_bad_location_id_names_its_field(self, run, tmp_path, source,
+                                             field, where):
+        src = str(SAMPLES / "patrol.json")
+        game = src
+        if not source:
+            game = str(tmp_path / "timed.json")
+            assert run("transform", src, "--to", "timed", "--out", game)[0] == 0
+        strat = tmp_path / "strat.json"
+        assert run("solve", game, "--objective", "reach:goal",
+                   "--out", str(strat))[0] == 0
+        doc = json.loads(strat.read_text())
+        entry = doc["entries"][0]
+        (entry["note"] if source else entry)[field] = "???"
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("simulate", game, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert f"bad location id at {where}:" in err
+
     @pytest.mark.parametrize("command", ["pull-back", "simulate"])
     def test_duplicate_entry_rejected(self, run, game_file, tmp_path, command):
         src, strat, doc = self._timed_strategy(run, game_file, tmp_path)

@@ -1,6 +1,8 @@
-"""Half-grid oracle: slow, exhaustive answers used to cross-check the solver."""
+"""Grid oracle: slow, exhaustive answers used to cross-check the solver."""
 
+import ast
 import dataclasses
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +11,8 @@ import hybridgames as hg
 from hybridgames.samples import small_timed, worked_example
 
 
-def _line_game(hops, p2_escape=False):
-    """A chain of locations n0 -> n1 -> ... with unit-guard edges."""
+def _line_game(hops, p2_escape=False, at=F(1)):
+    """A chain of locations n0 -> n1 -> ... whose edges fire when x == at."""
     ids = [hg.LocId(f"n{i}") for i in range(hops + 1)]
     locations = {}
     for i, lid in enumerate(ids):
@@ -21,7 +23,7 @@ def _line_game(hops, p2_escape=False):
     for i in range(hops):
         edges[f"h{i}"] = hg.Edge(
             f"h{i}", ids[i], "step",
-            hg.Guard({"x": hg.Interval(F(1), F(1))}),
+            hg.Guard({"x": hg.Interval(at, at)}),
             hg.Reset({"x": F(0)}), ids[i + 1],
             reset_set=frozenset({"x"}))
     if p2_escape:
@@ -68,6 +70,26 @@ class TestGranularWinners:
         assert hg.granular_safe_winner(g, frozenset({"idle", "busy"})) == \
             hg.solve_safety(rg, frozenset({"idle", "busy"})).wins_from_init(rg)
 
+    @pytest.mark.parametrize("g", [
+        worked_example(), _line_game(2, at=F(1, 3)),
+        _line_game(3, p2_escape=True, at=F(2, 3))],
+        ids=["worked-example", "third-bound", "third-bound-escape"])
+    def test_any_flavor_and_rational_bounds_match_region_solver(self, g):
+        timed = g if g.flavor is hg.Flavor.TIMED else hg.build_chain(g).timed
+        scaled, factor = hg.scale_to_integers(timed)
+        rg = hg.build_region_graph(scaled, scale=factor)
+        for obs in sorted(g.obs):
+            safe = frozenset(g.obs) - {obs}
+            assert hg.granular_reach_winner(g, frozenset({obs})) == \
+                hg.solve_reachability(rg, frozenset({obs})).wins_from_init(rg)
+            assert hg.granular_safe_winner(g, safe) == \
+                hg.solve_safety(rg, safe).wins_from_init(rg)
+
+    def test_third_bound_is_on_the_grid(self):
+        # no delay on a half-unit grid reaches x == 1/3
+        assert hg.granular_reach_winner(_line_game(2, at=F(1, 3)),
+                                        frozenset({"end"}))
+
     def test_size_budget_is_enforced(self):
         with pytest.raises(hg.GameError):
             hg.granular_reach_winner(small_timed(), frozenset({"done"}),
@@ -94,8 +116,33 @@ class TestGranularWitnessCheck:
         assert got.direction in ("forward", "backward")
         assert got.move.edge == "e1"
 
+    def test_package_bug_in_step_propagates(self, monkeypatch):
+        # only MoveNotEnabled is a mismatch; any other error is a bug
+        def broken_step(g, q, move):
+            raise TypeError("broken step")
+        monkeypatch.setattr(hg.granular, "step", broken_step)
+        g = worked_example()
+        w = hg.stopwatch_witness(g, hg.to_stopwatch(g))
+        with pytest.raises(TypeError, match="broken step"):
+            hg.granular_witness_check(w, depth=5)
+
     def test_pair_budget_is_enforced(self):
         g = worked_example()
         w = hg.stopwatch_witness(g, hg.to_stopwatch(g))
         with pytest.raises(hg.GameError):
             hg.granular_witness_check(w, depth=5, max_pairs=2)
+
+
+def test_oracle_imports_only_core_and_semantics():
+    # the oracle shares no code with the chain, the witnesses or the solver
+    # it cross-checks
+    package_imports = set()
+    for node in ast.walk(ast.parse(inspect.getsource(hg.granular))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package_imports.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module])
+            package_imports.update(n for n in names
+                                   if n.split(".")[0] == "hybridgames")
+    assert package_imports == {"core", "semantics"}

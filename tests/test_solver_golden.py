@@ -1,6 +1,6 @@
 """Golden digests of the region solver's verdicts and strategy files.
 
-The pool is the one acceptance check 6 compares against the half-grid
+The pool is the one acceptance check 6 compares against the grid
 oracle: `gen_timed_game(500 + i)` for i < 50, with one reach and one safety
 objective drawn the same way.  For each objective the digest file pins the
 winner from the initial node and the sha256 of the timed-stage strategy
