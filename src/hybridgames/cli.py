@@ -103,16 +103,18 @@ def parse_game(doc: dict) -> Game:
     except ValueError:
         raise ParseError(f"unknown flavor at $.flavor: {flavor_text!r}") from None
 
+    names: dict[str, dict[str, None]] = {}
     for key in ("vars", "actions", "obs"):
         if not isinstance(doc[key], list):
             raise ParseError(f"expected an array at $.{key}")
-    gvars = tuple(_string(v, f"$.vars[{i}]") for i, v in enumerate(doc["vars"]))
-    if len(set(gvars)) != len(gvars):
-        raise ParseError("duplicate variable at $.vars")
-    actions = frozenset(_string(a, f"$.actions[{i}]")
-                        for i, a in enumerate(doc["actions"]))
-    obs = frozenset(_string(o, f"$.obs[{i}]")
-                    for i, o in enumerate(doc["obs"]))
+        names[key] = {}
+        for i, value in enumerate(doc[key]):
+            name = _string(value, f"$.{key}[{i}]")
+            if name in names[key]:
+                raise ParseError(f"duplicate name {name!r} at $.{key}[{i}]")
+            names[key][name] = None
+    gvars = tuple(names["vars"])
+    actions, obs = frozenset(names["actions"]), frozenset(names["obs"])
 
     if not isinstance(doc["locations"], dict):
         raise ParseError("expected an object at $.locations")

@@ -19,6 +19,18 @@ which it therefore fails at either value.  That makes the clamped grid game
 finite and its attractor an independent oracle for the region solver on
 small inputs.  One explorer and one sweep serve both objectives with the
 players swapped; nothing here comes from the solver it checks.
+
+The paired walk that checks a stage witness uses the same grid for both
+games, the step 1/(2 lcm(D_1, D_2)), each game with its own bounds B_i.  A
+game's horizon at a configuration is the least delay after which each of
+its moving variables is past B_i + 1 (or -B_i - 1); a pair's is the larger
+of its games'.  Past it no guard of either game tells two delays apart, and
+whether the successors are related is affine in the delay, so a ray is
+walked to its second grid point at or past the horizon.  The explorer's rule
+for rays (stop once two grid points give one successor) is sound for one
+game but not for a pair: an edge resetting every moving variable gives one
+successor at every delay, while the counterpart's guard tests the values
+before the reset and can still fail later.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from math import lcm
 from typing import Optional
 
 from .core import ZERO, Game, GameError, MoveNotEnabled, Player
-from .semantics import Configuration, Move, delay_window, enabled_edges, initial_config, step
+from .semantics import Configuration, Move, enabled_edges, initial_config, step
 
 
 def _grid_constants(g: Game) -> tuple[int, list[Fraction]]:
@@ -126,38 +138,6 @@ def granular_safe_winner(g: Game, safe_obs: frozenset,
                               max_configs)
 
 
-def _grid_denominator(*games: Game) -> int:
-    den = 2
-    for g in games:
-        for e in g.edges.values():
-            for iv in e.guard.conjuncts.values():
-                den = lcm(den, iv.lo.denominator, iv.hi.denominator)
-            for v in e.reset.assignments.values():
-                den = lcm(den, v.denominator)
-        for slopes in g.slopes.values():
-            for s in slopes:
-                if s != 0:
-                    den = lcm(den, abs(s.numerator), s.denominator)
-    return den
-
-
-def _window_delays(w, den: int) -> list[Fraction]:
-    """The grid points of w and its endpoints; a ray is probed to lo + 3."""
-    out = [w.lo]
-    hi = w.lo + 3 if w.hi is None else w.hi
-    unit = Fraction(1, den)
-    # Snap the lower end upward to the grid, then walk it.
-    steps = (w.lo.numerator * den + w.lo.denominator - 1) // w.lo.denominator
-    t = Fraction(steps, den)
-    while t <= hi:
-        if w.contains(t) and t not in out:
-            out.append(t)
-        t += unit
-    if w.hi is not None and w.hi not in out:
-        out.append(w.hi)
-    return sorted(out)
-
-
 @dataclass
 class PairMismatch:
     q1: Configuration
@@ -167,10 +147,18 @@ class PairMismatch:
     reason: str
 
 
+def _horizon(g: Game, bound: list[Fraction], q: Configuration) -> Fraction:
+    """The least delay after which every variable moving at q is above
+    B_i + 1 (below -B_i - 1 on a negative slope); 0 when none moves."""
+    return max([ZERO] + [(b + 1 - v) / s if s > 0 else (-b - 1 - v) / s
+                         for v, s, b in zip(q.val, g.slopes[q.loc], bound) if s])
+
+
 def granular_witness_check(witness, depth: int,
                            max_pairs: int = 20_000) -> Optional[PairMismatch]:
-    """Exhaustive paired walk over grid-and-boundary delays: every move on
-    one side must have a matching move on the other with related successors.
+    """Exhaustive paired walk over grid delays: at every pair the owners and
+    observations must agree, and every move on one side must have a matching
+    move on the other with related successors.
 
     Returns None when no mismatch is found to the given depth, else the first
     mismatch.  This is the justification tool for mutants the sampling
@@ -178,7 +166,8 @@ def granular_witness_check(witness, depth: int,
     equivalent at the grid's granularity.
     """
     g1, g2 = witness.g1, witness.g2
-    den = _grid_denominator(g1, g2)
+    (den1, bound1), (den2, bound2) = _grid_constants(g1), _grid_constants(g2)
+    unit = Fraction(1, 2 * lcm(den1, den2))
     start = (initial_config(g1), initial_config(g2))
     if not witness.contains(*start):
         return PairMismatch(start[0], start[1], "contains", None,
@@ -188,18 +177,20 @@ def granular_witness_check(witness, depth: int,
         [(start[0], start[1], 0)])
     while frontier:
         q1, q2, d = frontier.popleft()
+        if g1.owner(q1.loc) is not g2.owner(q2.loc):
+            return PairMismatch(q1, q2, "owner", None, "owners differ")
         if g1.locations[q1.loc].obs != g2.locations[q2.loc].obs:
             return PairMismatch(q1, q2, "label", None, "observations differ")
         if d >= depth:
             continue
+        horizon = max(_horizon(g1, bound1, q1), _horizon(g2, bound2, q2))
         sides = (("forward", g1, q1, lambda m: (m, witness.move_forward(q2, m))),
                  ("backward", g2, q2, lambda m: (witness.move_backward(q1, m), m)))
         for direction, g, q, pair in sides:
-            for e in g.edges_from(q.loc):
-                w = delay_window(g, q, e.id)
-                if w is None:
-                    continue
-                for t in _window_delays(w, den):
+            for e, w in enabled_edges(g, q):
+                t, past = w.lo, 0
+                # A ray ends at its second grid point at or past the horizon.
+                while (past < 2) if w.hi is None else (t <= w.hi):
                     move = Move(e.id, t)
                     m1, m2 = pair(move)
                     if m1 is None or m2 is None:
@@ -218,4 +209,6 @@ def granular_witness_check(witness, depth: int,
                         frontier.append((n1, n2, d + 1))
                         if len(visited) > max_pairs:
                             raise GameError("paired walk exceeded the size budget")
+                    past += t >= horizon
+                    t += unit
     return None

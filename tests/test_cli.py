@@ -175,6 +175,16 @@ class TestExitCodes:
         assert code == 1
         assert "does not declare" in err
 
+    @pytest.mark.parametrize("field", ["vars", "actions", "obs"])
+    def test_name_listed_twice_rejected(self, run, tmp_path, field):
+        doc = json.loads((SAMPLES / "patrol.json").read_text())
+        doc[field].append(doc[field][0])
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run("validate", str(path))
+        assert code == 1 and out == ""
+        assert f"$.{field}[{len(doc[field]) - 1}]" in err
+
     @pytest.mark.parametrize("command,flag,value,expected", [
         ("check-bisim", "--samples", "-3", 2), ("check-bisim", "--samples", "0", 2),
         ("check-bisim", "--depth", "-1", 2), ("simulate", "--steps", "-4", 2),

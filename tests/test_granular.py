@@ -10,6 +10,8 @@ import pytest
 import hybridgames as hg
 from hybridgames.samples import small_timed, worked_example
 
+from gamegen import gen_isr_game
+
 
 def _line_game(hops, p2_escape=False, at=F(1)):
     """A chain of locations n0 -> n1 -> ... whose edges fire when x == at."""
@@ -35,6 +37,29 @@ def _line_game(hops, p2_escape=False, at=F(1)):
     return hg.Game(
         flavor=hg.Flavor.TIMED, vars=("x",), actions=("step", "flee"),
         obs=("way", "end"), locations=locations, edges=edges, init=ids[0])
+
+
+def _ray_game(bound):
+    """n0 -(e0: x in [0, bound], x := 0)-> n1 -(e1: no guard, x := 0)-> n2,
+    so e1's window is a ray from every configuration at n1."""
+    ids = [hg.LocId(f"n{i}") for i in range(3)]
+    locations = {lid: hg.Location(lid, owner, obs, {"x": F(1)})
+                 for lid, owner, obs in zip(ids, (hg.Player.ONE, hg.Player.TWO,
+                                                  hg.Player.ONE), "abc")}
+    edges = {
+        f"e{i}": hg.Edge(f"e{i}", ids[i], "go", hg.Guard(guard),
+                         hg.Reset({"x": F(0)}), ids[i + 1],
+                         reset_set=frozenset({"x"}))
+        for i, guard in enumerate(({"x": hg.Interval(F(0), bound)}, {}))}
+    return hg.Game(
+        flavor=hg.Flavor.TIMED, vars=("x",), actions=("go",),
+        obs=("a", "b", "c"), locations=locations, edges=edges, init=ids[0])
+
+
+def _with_edge_guard(g, eid, guard):
+    edges = dict(g.edges)
+    edges[eid] = dataclasses.replace(edges[eid], guard=guard)
+    return dataclasses.replace(g, edges=edges)
 
 
 class TestGranularWinners:
@@ -104,17 +129,58 @@ class TestGranularWitnessCheck:
 
     def test_tampered_guard_is_found(self):
         g = worked_example()
-        stage = hg.to_stopwatch(g)
-        edges = dict(stage.edges)
-        edges["e1"] = dataclasses.replace(
-            edges["e1"],
-            guard=hg.Guard({"x": hg.Interval(F(-2), F(1, 2))}))
-        tampered = dataclasses.replace(stage, edges=edges)
+        tampered = _with_edge_guard(
+            hg.to_stopwatch(g), "e1",
+            hg.Guard({"x": hg.Interval(F(-2), F(1, 2))}))
         got = hg.granular_witness_check(hg.stopwatch_witness(g, tampered),
                                         depth=5)
         assert got is not None
         assert got.direction in ("forward", "backward")
         assert got.move.edge == "e1"
+
+    def test_ray_is_walked_past_every_constant(self):
+        # e1 resets x whatever the delay, so two grid points give one
+        # successor in g1; only the narrowed counterpart guard tells 11/2
+        # (past the bound 5) from the delays before it
+        g = _ray_game(F(1))
+        narrowed = _with_edge_guard(hg.to_stopwatch(g), "e1",
+                                    hg.Guard({"x": hg.Interval(F(0), F(5))}))
+        got = hg.granular_witness_check(hg.stopwatch_witness(g, narrowed),
+                                        depth=5)
+        assert got is not None
+        assert (got.direction, got.move) == ("forward", hg.Move("e1", F(11, 2)))
+
+    def test_owner_flip_is_found(self):
+        g = worked_example()
+        stage = hg.to_stopwatch(g)
+        l1 = hg.LocId("l1")
+        locations = dict(stage.locations)
+        locations[l1] = dataclasses.replace(locations[l1], owner=hg.Player.ONE)
+        flipped = dataclasses.replace(stage, locations=locations)
+        got = hg.granular_witness_check(hg.stopwatch_witness(g, flipped),
+                                        depth=5)
+        assert got is not None
+        assert (got.direction, got.q1.loc, got.move) == ("owner", l1, None)
+
+    def test_delays_step_by_half_the_bound_grid(self, monkeypatch):
+        # a guard bound 1/2 gives D = 2, so the grid step is 1/4
+        tried = set()
+
+        def recording_step(g, q, move):
+            tried.add(move.delay)
+            return hg.step(g, q, move)
+        monkeypatch.setattr(hg.granular, "step", recording_step)
+        g = _ray_game(F(1, 2))
+        w = hg.stopwatch_witness(g, hg.to_stopwatch(g))
+        assert hg.granular_witness_check(w, depth=5) is None
+        assert F(1, 4) in tried
+
+    def test_clean_pipeline_stages_have_no_mismatch(self):
+        # acceptance check 5's games, unmutated, at its depth
+        for seed in range(900, 950):
+            g = gen_isr_game(seed, profile="pipeline")
+            w = hg.stopwatch_witness(g, hg.to_stopwatch(g))
+            assert hg.granular_witness_check(w, depth=8) is None, seed
 
     def test_package_bug_in_step_propagates(self, monkeypatch):
         # only MoveNotEnabled is a mismatch; any other error is a bug
