@@ -226,8 +226,6 @@ def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
     other = w.move_forward(q2, move) if forward else w.move_backward(q1, move)
     if other is None:
         return "no counterpart move"
-    if other.delay != move.delay:
-        return "counterpart changes the delay"
     try:
         if forward:
             q1n, q2n = step(w.g1, q1, move), step(w.g2, q2, other)

@@ -13,7 +13,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from .bisim import BisimWitness, compose
-from .core import Flavor, Game, InvalidGame, InvalidHistory, MoveNotEnabled, validate_game
+from .core import Flavor, Game, InvalidHistory, MoveNotEnabled, require_valid
 from .semantics import Move, Run, initial_config, step
 from .to_stopwatch import stopwatch_witness, to_stopwatch
 from .to_timed import offset_witness, to_timed
@@ -49,10 +49,7 @@ LOWERINGS = (
 
 def build_chain(g_isr: Game) -> Chain:
     """Validate the source game and run all lowering stages."""
-    problems = validate_game(g_isr)
-    if problems:
-        raise InvalidGame("; ".join(v.render() for v in problems[:5]))
-    games = [g_isr]
+    games = [require_valid(g_isr)]
     stages = []
     for _, construct, witness in LOWERINGS:
         games.append(construct(games[-1]))

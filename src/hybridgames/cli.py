@@ -3,7 +3,9 @@ strategies, plus the validate / classify / transform / check-bisim / solve /
 pull-back / simulate subcommands.
 
 Exit codes: 0 success, 1 data problem (invalid game, failed check, losing
-objective), 2 usage error, 3 internal error.
+objective), 2 usage error, 3 internal error.  A command refuses its input by
+raising; `main` alone reports the refusal as one `error:` line on stderr and
+picks the exit code from the exception's class.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from .core import (
     Location,
     Player,
     Reset,
+    _NAME_RE,
     classify_flavor,
     format_rational,
     parse_locid,
     parse_rational,
+    require_valid,
     scale_to_integers,
     validate_game,
 )
@@ -53,6 +57,11 @@ from .strategy import positional_strategy, pull_back_strategy, random_strategy
 class ParseError(GameError):
     """A JSON document does not follow the expected schema; the message
     carries a JSONPath-style locator."""
+
+
+class UsageError(GameError):
+    """A well-formed request the command cannot serve (exit 2): lowering a
+    game to an earlier stage, or pulling back to a timed game."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +121,8 @@ def parse_game(doc: dict) -> Game:
             name = _string(value, f"$.{key}[{i}]")
             if name in names[key]:
                 raise ParseError(f"duplicate name {name!r} at $.{key}[{i}]")
+            if key == "vars" and not _NAME_RE.match(name):
+                raise ParseError(f"bad variable name {name!r} at $.vars[{i}]")
             names[key][name] = None
     gvars = tuple(names["vars"])
     actions, obs = frozenset(names["actions"]), frozenset(names["obs"])
@@ -230,12 +241,19 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _load_json(path: str):
+    """The JSON document at `path`; text that is not UTF-8, nests past the
+    recursion limit or escapes a lone surrogate is not valid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        json.dumps(doc, ensure_ascii=False).encode()
+        return doc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeEncodeError:
+        raise ParseError(f"not valid JSON: {path}: a string escapes a lone "
+                         "surrogate") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {path}: {exc}") from None
 
 
@@ -395,14 +413,19 @@ def strategy_file_for_source(g: Game, chain: Chain, rg: RegionGame,
     return sf
 
 
-def _strategy_table(sf: StrategyFile, rg: RegionGame,
-                    chain: Optional[Chain]) -> SolveResult:
-    """The region strategy a file records, checked against the rebuilt
-    region graph of the timed stage: every entry must name a node and one of
-    that node's moves, and no node may have two entries.  `chain` is given
-    for files of its source game, whose entries name a source location and
-    edge and, in the note, their timed location, which must stand for that
-    source location; a timed-stage file's notes carry none."""
+def _strategy_table(sf: StrategyFile, timed: Game,
+                    chain: Optional[Chain]) -> tuple[RegionGame, SolveResult]:
+    """The region graph of the timed stage `timed`, rebuilt at the file's
+    scale, and the region strategy the file records, checked against it:
+    every entry must name a node and one of that node's moves, and no node
+    may have two entries.  `chain` is given for files of its source game,
+    whose entries name a source location and edge and, in the note, their
+    timed location, which must stand for that source location; a timed-stage
+    file's notes carry none."""
+    scaled, factor = scale_to_integers(timed)
+    if factor != sf.scale:
+        raise GameError("strategy file scale does not match the game")
+    rg = build_region_graph(scaled, scale=factor)
     strategy = {}
     for i, ent in enumerate(sf.entries):
         path = f"$.entries[{i}]"
@@ -426,38 +449,27 @@ def _strategy_table(sf: StrategyFile, rg: RegionGame,
         if node in strategy:
             raise ParseError(f"second entry for one region node at {path}")
         strategy[node] = mv
-    return SolveResult(frozenset(strategy), strategy)
+    return rg, SolveResult(frozenset(strategy), strategy)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _load_valid_game(path: str) -> Optional[Game]:
-    """The game at `path`, or None after printing its violations to stderr."""
-    g = load_game(path)
-    violations = validate_game(g)
-    for v in violations:
-        print(v.render(), file=sys.stderr)
-    return None if violations else g
-
-
-def _region_graph_for(timed: Game, sf: StrategyFile) -> Optional[RegionGame]:
-    """The region graph a strategy file's entries refer to, or None after a
-    message when the file was solved at another scale."""
-    scaled, factor = scale_to_integers(timed)
-    if factor != sf.scale:
-        print("strategy file scale does not match the game", file=sys.stderr)
-        return None
-    return build_region_graph(scaled, scale=factor)
+def _load_valid_game(path: str) -> Game:
+    """The game at `path`; InvalidGame lists its violations otherwise."""
+    return require_valid(load_game(path))
 
 
 def _write_out(data: bytes, out: Optional[str]):
     if out is None:
         sys.stdout.write(data.decode())
-    else:
+        return
+    try:
         with open(out, "wb") as fh:
             fh.write(data)
+    except OSError as exc:
+        raise GameError(f"cannot write {out}: {exc}") from None
 
 
 def cmd_validate(args) -> int:
@@ -472,8 +484,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = load_game(args.game)
-    print(classify_flavor(g).value)
+    print(classify_flavor(_load_valid_game(args.game)).value)
     return 0
 
 
@@ -482,14 +493,10 @@ _CHAIN_ORDER = [Flavor.ISR] + [flavor for flavor, _, _ in LOWERINGS]
 
 def cmd_transform(args) -> int:
     g = _load_valid_game(args.game)
-    if g is None:
-        return 1
     src_idx = _CHAIN_ORDER.index(g.flavor)
     dst_idx = _CHAIN_ORDER.index(Flavor(args.to))
     if dst_idx < src_idx:
-        print(f"cannot transform {g.flavor.value} back to {args.to}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot transform {g.flavor.value} back to {args.to}")
     cur = g
     for _, construct, _ in LOWERINGS[src_idx:dst_idx]:
         cur = construct(cur)
@@ -498,23 +505,19 @@ def cmd_transform(args) -> int:
 
 
 def cmd_check_bisim(args) -> int:
-    g = load_game(args.game)
-    report = verify_chain(g, samples=args.samples, depth=args.depth,
-                          seed=args.seed)
+    report = verify_chain(_load_valid_game(args.game), samples=args.samples,
+                          depth=args.depth, seed=args.seed)
     print(report.render())
     return 0 if report.passed else 1
 
 
 def cmd_solve(args) -> int:
     g = _load_valid_game(args.game)
-    if g is None:
-        return 1
     objective = parse_objective(args.objective)
     unknown = objective.obs - set(g.obs)
     if unknown:
-        print("objective names observations the game does not declare: "
-              + ",".join(sorted(unknown)), file=sys.stderr)
-        return 1
+        raise GameError("objective names observations the game does not "
+                        "declare: " + ",".join(sorted(unknown)))
     # Non-timed games go through the whole chain and are solved on their
     # timed stage.
     chain = None if g.flavor is Flavor.TIMED else build_chain(g)
@@ -533,43 +536,31 @@ def cmd_solve(args) -> int:
 
 def cmd_pull_back(args) -> int:
     g = _load_valid_game(args.game)
-    if g is None:
-        return 1
     if g.flavor is Flavor.TIMED:
-        print("pull-back needs a game with something above the timed stage",
-              file=sys.stderr)
-        return 2
+        raise UsageError("pull-back needs a game with something above the "
+                         "timed stage")
     chain = build_chain(g)
     sf = parse_strategy(_load_json(args.strategy))
     timed_hash = game_hash(chain.timed)
     if sf.game != timed_hash:
-        print("strategy file does not match this game's timed stage "
-              f"(expected {timed_hash}, file says {sf.game})", file=sys.stderr)
-        return 1
+        raise GameError("strategy file does not match this game's timed stage "
+                        f"(expected {timed_hash}, file says {sf.game})")
     objective = parse_objective(sf.kind)
-    rg = _region_graph_for(chain.timed, sf)
-    if rg is None:
-        return 1
-    out = strategy_file_for_source(g, chain, rg, _strategy_table(sf, rg, None),
-                                   objective)
+    rg, table = _strategy_table(sf, chain.timed, None)
+    out = strategy_file_for_source(g, chain, rg, table, objective)
     _write_out(strategy_to_bytes(out), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     g = _load_valid_game(args.game)
-    if g is None:
-        return 1
     sf = parse_strategy(_load_json(args.strategy))
     if sf.game != game_hash(g):
-        print("strategy file was produced for a different game", file=sys.stderr)
-        return 1
+        raise GameError("strategy file was produced for a different game")
     # the hash ties the file to `g`, so the file's stage is g's stage
     chain = None if g.flavor is Flavor.TIMED else build_chain(g)
-    rg = _region_graph_for(g if chain is None else chain.timed, sf)
-    if rg is None:
-        return 1
-    sigma = positional_strategy(rg, _strategy_table(sf, rg, chain))
+    rg, table = _strategy_table(sf, g if chain is None else chain.timed, chain)
+    sigma = positional_strategy(rg, table)
     if chain is not None:
         sigma = pull_back_strategy(chain, sigma)
     opponent = random_strategy(g, args.seed)
@@ -662,9 +653,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, GameError) as exc:
+    except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

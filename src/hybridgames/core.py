@@ -18,8 +18,6 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Optional
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -174,7 +172,6 @@ class Reset:
         return frozenset(self.assignments)
 
 
-EMPTY_GUARD = Guard({})
 EMPTY_RESET = Reset({})
 
 FROZEN_KIND = "f"
@@ -523,6 +520,15 @@ def validate_game(g: Game) -> list[Violation]:
     return out
 
 
+def require_valid(g: Game) -> Game:
+    """`g` itself, or InvalidGame listing every violation on its own line."""
+    problems = validate_game(g)
+    if problems:
+        raise InvalidGame("invalid game:" + "".join(f"\n  {v.render()}"
+                                                    for v in problems))
+    return g
+
+
 def classify_flavor(g: Game) -> Flavor:
     """Return the most specific flavor whose structural invariants hold.
 
@@ -531,9 +537,7 @@ def classify_flavor(g: Game) -> Flavor:
     slopes and reset values do, except that a stopwatch-slope game whose every
     location carries a frozen-value annotation classifies as annotated.
     """
-    problems = validate_game(g)
-    if problems:
-        raise InvalidGame("; ".join(v.render() for v in problems[:5]))
+    require_valid(g)
     slopes = {slope for loc in g.locations.values() for slope in loc.flow.values()}
     if slopes <= {ONE}:
         reset_values = {val for e in g.edges.values() for val in e.reset.assignments.values()}

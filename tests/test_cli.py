@@ -154,6 +154,16 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", ["transform --to timed",
+                                      "solve --objective reach:goal"])
+    def test_unwritable_out_is_data_error(self, run, tmp_path, argv):
+        command, *extra = argv.split()
+        out = tmp_path / "no-such-dir" / "out.json"
+        code, _, err = run(command, str(SAMPLES / "patrol.json"), *extra,
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith(f"error: cannot write {out}: ")
+
     def test_backward_transform_refused(self, run, game_file, tmp_path):
         src = game_file(worked_example())
         out = str(tmp_path / "timed.json")
@@ -184,6 +194,66 @@ class TestExitCodes:
         code, out, err = run("validate", str(path))
         assert code == 1 and out == ""
         assert f"$.{field}[{len(doc[field]) - 1}]" in err
+
+    def test_bad_variable_name_rejected(self, run, tmp_path):
+        # the name would reach annotated location ids, which refuse it
+        doc = json.loads((SAMPLES / "patrol.json").read_text())
+        doc["vars"] = ["x y"]
+        for loc in doc["locations"].values():
+            loc["flow"] = {"x y": loc["flow"]["x"]}
+        for edge in doc["edges"]:
+            for key in ("guard", "reset"):
+                edge[key] = {"x y" if k == "x" else k: v
+                             for k, v in edge[key].items()}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)],
+                     ["transform", str(path), "--to", "annotated-stopwatch"]):
+            code, out, err = run(*argv)
+            assert code == 1 and out == ""
+            assert err == "error: bad variable name 'x y' at $.vars[0]\n"
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("name", ["not-utf8", "too-deep", "lone-surrogate"])
+    def test_text_that_is_not_json_is_a_data_error(self, run, tmp_path,
+                                                   command, name):
+        patrol = (SAMPLES / "patrol.json").read_bytes()
+        path = tmp_path / f"{name}.json"
+        path.write_bytes({
+            "not-utf8": b"\xff\xfe" + patrol,
+            "too-deep": b"[" * 100_000 + b"]" * 100_000,
+            # a valid game once read, its goal observation renamed throughout
+            "lone-surrogate": patrol.replace(b'"goal"', b'"\\ud800"')}[name])
+        extra = ("--objective", "reach:start") if command == "solve" else ()
+        code, out, err = run(command, str(path), *extra)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: not valid JSON: {path}: ")
+
+    @pytest.mark.parametrize("argv", [
+        "classify", "transform --to timed", "check-bisim",
+        "solve --objective reach:goal", "pull-back --strategy strat.json",
+        "simulate --strategy strat.json"])
+    def test_invalid_game_lists_every_violation(self, run, tmp_path, argv):
+        command, *extra = argv.split()
+        doc = json.loads((SAMPLES / "patrol.json").read_text())
+        doc["actions"], doc["obs"] = [], []
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        violations = hg.validate_game(cli.parse_game(doc))
+        assert len(violations) == 9
+        code, out, err = run(command, str(path), *extra)
+        assert code == 1 and out == ""
+        assert err == "error: invalid game:\n" + "".join(
+            f"  {v.render()}\n" for v in violations)
+
+    def test_pull_back_on_a_timed_game_is_a_usage_error(self, run, tmp_path):
+        timed = str(tmp_path / "timed.json")
+        assert run("transform", str(SAMPLES / "patrol.json"), "--to", "timed",
+                   "--out", timed)[0] == 0
+        code, out, err = run("pull-back", timed, "--strategy", "strat.json")
+        assert code == 2 and out == ""
+        assert err == ("error: pull-back needs a game with something above "
+                       "the timed stage\n")
 
     @pytest.mark.parametrize("command,flag,value,expected", [
         ("check-bisim", "--samples", "-3", 2), ("check-bisim", "--samples", "0", 2),

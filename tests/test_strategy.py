@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 import hybridgames as hg
 from hybridgames.samples import small_timed, worked_example
 
@@ -107,3 +109,31 @@ def test_positional_strategy_ignores_history_details():
     assert sigma(other) == m_base
     # the detour ends at an opponent location, not this player's turn
     assert sigma(detour) is None
+
+
+def _bad_history(kind):
+    start = hg.initial_config(G)
+    if kind == "start":
+        return hg.Run(hg.Configuration(start.loc, (F(1),)))
+    move = hg.Move("e0", F(1)) if kind == "replay" else hg.Move("e0", F(5))
+    # l1 with x = 3 follows e0 at delay 1; x = 2 does not
+    return hg.Run(start).extended(move, hg.Configuration(hg.LocId("l1"), (F(2),)))
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("start", "does not start at the initial configuration"),
+    ("replay", "configurations do not replay"),
+    ("disabled", "source move not enabled")])
+def test_lift_run_refuses_a_history_the_source_cannot_play(kind, reason):
+    run = _bad_history(kind)
+    with pytest.raises(hg.InvalidHistory, match=reason):
+        hg.lift_run(CH, run)
+    _, sigma_t = _solved_timed_strategy()
+    with pytest.raises(hg.InvalidHistory, match=reason):
+        hg.pull_back_strategy(CH, sigma_t)(run)
+
+
+def test_pull_back_refuses_a_timed_edge_with_no_source_counterpart():
+    sigma = hg.pull_back_strategy(CH, lambda run: hg.Move("nope", F(0)))
+    with pytest.raises(hg.InvalidHistory, match="unknown timed edge 'nope'"):
+        sigma(hg.Run(hg.initial_config(G)))
