@@ -52,10 +52,8 @@ from .to_stopwatch import rescale_config, stopwatch_witness, to_stopwatch
 from .to_updatable import (
     annotate_resets,
     annotation_witness,
-    initial_annotation,
     pinned_values,
     rewrite_witness,
-    successor_annotation,
     to_updatable,
 )
 from .to_timed import offset_values, offset_witness, to_timed

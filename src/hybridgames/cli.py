@@ -3,16 +3,18 @@ strategies, plus the validate / classify / transform / check-bisim / solve /
 pull-back / simulate subcommands.
 
 Exit codes: 0 success, 1 data problem (invalid game, failed check, losing
-objective), 2 usage error, 3 internal error.  A command refuses its input by
-raising; `main` alone reports the refusal as one `error:` line on stderr and
-picks the exit code from the exception's class.
+objective, closed stdout), 2 usage error, 3 internal error.  A command
+refuses its input by raising; `main` alone reports the refusal as one
+`error:` line on stderr and picks the exit code from the exception's class.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -652,7 +654,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing reads stdout any more.  What is still buffered goes to
+        # the null device, so the interpreter's flush at exit cannot fail.
+        print("error: standard output was closed", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

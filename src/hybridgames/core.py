@@ -198,12 +198,6 @@ class Annotation:
     def of(kind: str, mapping: Mapping[str, Optional[Fraction]]) -> "Annotation":
         return Annotation(kind, tuple(sorted(mapping.items())))
 
-    def value(self, var: str) -> Optional[Fraction]:
-        for name, val in self.values:
-            if name == var:
-                return val
-        raise KeyError(var)
-
     def as_dict(self) -> dict[str, Optional[Fraction]]:
         return dict(self.values)
 
@@ -427,6 +421,7 @@ def _validate_flavor(g: Game, out: list[Violation]) -> None:
                 out.append(Violation(ViolationKind.RESET_SET_MISMATCH, e.id, None,
                                      f"reset set {got} does not match reset domain"))
     if g.flavor is Flavor.ANNOTATED_STOPWATCH:
+        pins: dict[LocId, dict[str, Optional[Fraction]]] = {}
         for loc in g.locations.values():
             ann = loc.id.last_annotation()
             if ann is None or ann.kind != FROZEN_KIND:
@@ -437,6 +432,7 @@ def _validate_flavor(g: Game, out: list[Violation]) -> None:
                 out.append(Violation(ViolationKind.ANNOTATION_MISMATCH, loc.id.render(), None,
                                      "annotation does not cover the variable set"))
                 continue
+            pins[loc.id] = entries
             for var in g.vars:
                 pinned = entries[var]
                 running = loc.flow.get(var) == ONE
@@ -446,6 +442,23 @@ def _validate_flavor(g: Game, out: list[Violation]) -> None:
                 if not running and pinned is None:
                     out.append(Violation(ViolationKind.ANNOTATION_MISMATCH, loc.id.render(), var,
                                          "stopped variable has no pinned value"))
+        # A pin is the value its variable was last set to: 0 at the start,
+        # then the reset value of the edge taken, else the pin at its source.
+        # A pin with no source pin to follow breaks initialization instead.
+        for var, pin in pins.get(g.init, {}).items():
+            if pin is not None and pin != ZERO:
+                out.append(Violation(ViolationKind.ANNOTATION_MISMATCH, g.init.render(), var,
+                                     f"initial pin {format_rational(pin)} is not 0"))
+        for e in g.edges.values():
+            if e.src not in pins or e.dst not in pins:
+                continue
+            for var, pin in pins[e.dst].items():
+                want = e.reset.assignments.get(var, pins[e.src][var])
+                if pin is not None and want is not None and pin != want:
+                    out.append(Violation(ViolationKind.ANNOTATION_MISMATCH, e.id, var,
+                                         f"target pin {format_rational(pin)} is not "
+                                         f"{format_rational(want)}, the reset value or "
+                                         "else the source pin"))
 
 
 def validate_game(g: Game) -> list[Violation]:

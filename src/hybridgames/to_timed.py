@@ -29,20 +29,6 @@ from .bisim import Affine, BisimWitness, stage_witness
 from .to_updatable import unfold
 
 
-def zero_offset(g_u: Game) -> Annotation:
-    return Annotation.of(OFFSET_KIND, {var: ZERO for var in g_u.vars})
-
-
-def successor_offset(g_u: Game, g1: Annotation, e: Edge) -> Annotation:
-    """Offsets after taking e: reset clocks remember the value they were set
-    to, the rest keep the offset they entered with."""
-    values = {}
-    for var in g_u.vars:
-        assigned = e.reset.assignments.get(var)
-        values[var] = assigned if assigned is not None else g1.value(var)
-    return Annotation.of(OFFSET_KIND, values)
-
-
 def offset_values(lid: LocId) -> dict:
     ann = lid.last_annotation()
     if ann is None or ann.kind != OFFSET_KIND:
@@ -53,12 +39,13 @@ def offset_values(lid: LocId) -> dict:
 def to_timed(g_u: Game) -> Game:
     """Replace constant resets by zero resets plus per-location offsets.
 
-    Locations are the reachable (location, offset) pairs from the initial
-    location with all offsets zero.  Guards are shifted by the source offset,
-    resets all become zero, and each edge records the set of clocks it
-    resets and the updatable edge it came from.
+    Locations are the reachable (location, offset) pairs, where every clock
+    is kept: its offset is the value it was last set to, 0 at the start.
+    Guards are shifted by the source offset, resets all become zero, and
+    each edge records the set of clocks it resets and the updatable edge it
+    came from.
     """
-    return unfold(g_u, Flavor.TIMED, zero_offset(g_u), successor_offset, _shift)
+    return unfold(g_u, Flavor.TIMED, OFFSET_KIND, lambda lid, i: True, _shift)
 
 
 def _shift(e: Edge, off: Annotation) -> Edge:

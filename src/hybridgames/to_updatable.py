@@ -36,50 +36,36 @@ from .core import (
 from .bisim import BisimWitness, stage_witness
 
 
-def initial_annotation(g_w: Game, lid: LocId) -> Annotation:
-    """Pinned values at the start of play: every stopped variable sits at its
-    initial value 0, running variables carry no pin."""
-    flow = g_w.locations[lid].flow
-    values = {var: (ZERO if flow[var] == 0 else None) for var in g_w.vars}
-    return Annotation.of(FROZEN_KIND, values)
-
-
-def successor_annotation(g_w: Game, f1: Annotation, e: Edge) -> Annotation:
-    """Pinned values after taking e from a location annotated f1."""
-    dst_flow = g_w.locations[e.dst].flow
-    values: dict[str, Optional] = {}
-    for var in g_w.vars:
-        if dst_flow[var] == ONE:
-            values[var] = None
-        else:
-            assigned = e.reset.assignments.get(var)
-            values[var] = assigned if assigned is not None else f1.value(var)
-    return Annotation.of(FROZEN_KIND, values)
-
-
 def annotate_resets(g_w: Game) -> Game:
     """Attach reset annotations to a stopwatch game: one location per
-    (location, pin map) pair reachable from the annotated initial location."""
-    return unfold(g_w, Flavor.ANNOTATED_STOPWATCH,
-                  initial_annotation(g_w, g_w.init), successor_annotation)
+    (location, pin map) pair reachable from the initial location, where each
+    variable stopped at a location is pinned to the value it was last set
+    to."""
+    return unfold(g_w, Flavor.ANNOTATED_STOPWATCH, FROZEN_KIND,
+                  lambda lid, i: g_w.slopes[lid][i] == 0)
 
 
-def unfold(g: Game, flavor: Flavor, start: Annotation,
-           successor: Callable[[Game, Annotation, Edge], Annotation],
+def unfold(g: Game, flavor: Flavor, kind: str,
+           kept: Callable[[LocId, int], bool],
            rewrite: Optional[Callable[[Edge, Annotation], Edge]] = None) -> Game:
-    """The unfolding of g over the (location, annotation) pairs reachable
-    from the initial location annotated `start`, in breadth-first order.
+    """The unfolding of g over its (location, annotation) pairs reachable
+    from the initial location, in breadth-first order.
 
-    Taking e from (l, a) leads to (e.dst, successor(g, a, e)).  Each pair is
-    one location l{a} with l's owner, observation and flow; each edge e
-    leaving it becomes e@a, with e as provenance and the guard, reset and
-    reset set of rewrite(e, a), or of e itself when rewrite is omitted.
+    An annotation of `kind` records, for each variable i with kept(l, i) at
+    its location l, the value the variable was last set to: 0 at the start,
+    then the value of each edge's reset that assigns it, else its value at
+    the edge's source.  Every other variable records None.  Each pair is one
+    location l{a} with l's owner, observation and flow; each edge e leaving
+    it becomes e@a, with e as provenance and the guard, reset and reset set
+    of rewrite(e, a), or of e itself when rewrite is omitted.
     """
     locations: dict[LocId, Location] = {}
     edges: dict[str, Edge] = {}
     frontier: deque[tuple[LocId, Annotation]] = deque()
 
-    def visit(lid: LocId, ann: Annotation) -> LocId:
+    def visit(lid: LocId, values: dict) -> LocId:
+        ann = Annotation.of(kind, {var: values[var] if kept(lid, i) else None
+                                   for i, var in enumerate(g.vars)})
         new_id = lid.annotated(ann)
         if new_id not in locations:
             base = g.locations[lid]
@@ -88,12 +74,12 @@ def unfold(g: Game, flavor: Flavor, start: Annotation,
             frontier.append((lid, ann))
         return new_id
 
-    init = visit(g.init, start)
+    init = visit(g.init, dict.fromkeys(g.vars, ZERO))
     while frontier:
         lid, ann = frontier.popleft()
         src_id = lid.annotated(ann)
         for e in g.edges_from(lid):
-            dst_id = visit(e.dst, successor(g, ann, e))
+            dst_id = visit(e.dst, {**ann.as_dict(), **e.reset.assignments})
             r = e if rewrite is None else rewrite(e, ann)
             eid = f"{e.id}@{ann.render()}"
             edges[eid] = Edge(eid, src_id, e.action, r.guard, r.reset, dst_id,

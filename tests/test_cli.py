@@ -1,7 +1,10 @@
 """Command line surface: parsing, emission, exit codes, pipelines."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,6 +216,19 @@ class TestExitCodes:
             assert code == 1 and out == ""
             assert err == "error: bad variable name 'x y' at $.vars[0]\n"
 
+    def test_pins_that_do_not_follow_the_resets_rejected(self, run, tmp_path):
+        # e3 resets x to 1 on entering l3: a pin of 5 there is not bisimilar
+        ann = tmp_path / "ann.json"
+        assert run("transform", str(SAMPLES / "patrol.json"),
+                   "--to", "annotated-stopwatch", "--out", str(ann))[0] == 0
+        path = tmp_path / "game.json"
+        path.write_text(ann.read_text().replace("l3{f:x=1}", "l3{f:x=5}"))
+        for argv in (["validate", str(path)],
+                     ["transform", str(path), "--to", "updatable"]):
+            code, out, err = run(*argv)
+            assert code == 1
+            assert "annotation-mismatch at e3@{f:x=_} var=x" in out + err
+
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize("name", ["not-utf8", "too-deep", "lone-surrogate"])
     def test_text_that_is_not_json_is_a_data_error(self, run, tmp_path,
@@ -270,6 +286,23 @@ class TestExitCodes:
         assert code == expected
         if expected == 2:
             assert out == "" and flag in err
+
+    @pytest.mark.parametrize("argv", [
+        "validate", "transform --to timed", "check-bisim --samples 3 --depth 2"])
+    def test_closed_stdout_is_a_data_error(self, argv):
+        command, *extra = argv.split()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(hg.__file__).resolve().parent.parent)}
+        try:
+            ran = subprocess.run(
+                [sys.executable, "-m", "hybridgames.cli", command,
+                 str(SAMPLES / "patrol.json"), *extra],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert ran.returncode == 1
+        assert ran.stderr == b"error: standard output was closed\n"
 
 
 class TestPipelines:

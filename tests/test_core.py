@@ -1,5 +1,6 @@
 """Core model types: rationals, intervals, location ids, validation."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridgames as hg
+from hybridgames import cli
 from hybridgames.samples import broken_initialization, small_timed, worked_example
 
 rationals = st.fractions(max_denominator=64)
@@ -141,6 +143,27 @@ class TestValidation:
         assert any(v.kind is hg.ViolationKind.INITIALIZATION_BROKEN for v in vs)
         rendered = vs[0].render()
         assert "e0" in rendered and "x" in rendered
+
+    @staticmethod
+    def _annotated_with(old, new):
+        """The worked example's annotated stage, its id `old` renamed `new`."""
+        text = cli.game_to_bytes(hg.build_chain(worked_example()).annotated).decode()
+        assert old in text
+        return json.loads(text.replace(old, new))
+
+    def test_pin_must_follow_the_reset(self):
+        # e3 resets x to 1 on entering l3, where x is stopped
+        doc = self._annotated_with("l3{f:x=1}", "l3{f:x=5}")
+        assert hg.validate_game(cli.parse_game(doc)) == [hg.Violation(
+            hg.ViolationKind.ANNOTATION_MISMATCH, "e3@{f:x=_}", "x",
+            "target pin 5 is not 1, the reset value or else the source pin")]
+
+    def test_initial_pin_must_be_zero(self):
+        doc = self._annotated_with("l0{f:x=_}", "l0{f:x=2}")
+        doc["locations"]["l0{f:x=2}"]["flow"]["x"] = "0"
+        assert hg.Violation(hg.ViolationKind.ANNOTATION_MISMATCH, "l0{f:x=2}", "x",
+                            "initial pin 2 is not 0") \
+            in hg.validate_game(cli.parse_game(doc))
 
     def test_classify_refuses_invalid_input(self):
         with pytest.raises(hg.InvalidGame):
