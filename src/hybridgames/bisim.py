@@ -1,14 +1,13 @@
 """Stage relations as data, and sampled checking of alternating bisimulations.
 
-Every lowering stage relates its input game g1 to its output game g2 in the
-same way: a g2 location stands for the g1 location left after stripping its
-last annotation (or for itself), a g2 valuation is the image of the g1
-valuation under a diagonal affine map chosen per g2 location, and a g2 edge
-stands for the g1 edge recorded as its provenance, taking the same delay.  A
-BisimWitness holds exactly that data, read off the two games by
-stage_witness.  Composing two witnesses chains the location and edge maps
-and composes the affine maps, so the end-to-end relation of the chain is one
-more record of the same kind.
+Every lowering stage relates its input game g1 to its output game g2 by one
+rule: a g2 location stands for the g1 location left after stripping its
+last annotation when the stage adds one (else for itself), a g2 value is
+the g1 value divided by its nonzero slope, less a stripped offset, and a g2
+edge stands for its provenance, taking the same delay.  A BisimWitness holds
+exactly that data, read off the two games by stage_witness.  Composing two
+witnesses chains the location and edge maps and composes the affine maps, so
+the end-to-end relation of the chain is one more record of the same kind.
 
 The local check takes one related pair and verifies, on a sampled set of
 enabled moves, that labels agree and that each player's moves are matched by
@@ -25,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .core import Edge, Game, LocId, MoveNotEnabled, OwnershipMismatch, Player
+from .core import (OFFSET_KIND, ONE, ZERO, Annotation, Edge, Game, LocId,
+                   MoveNotEnabled, OwnershipMismatch, Player)
 from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
 
 
@@ -117,21 +117,31 @@ class BisimWitness:
         return None if eid is None else Move(eid, m2.delay)
 
 
-def stage_witness(name: str, g1: Game, g2: Game, strip: bool = False,
-                  affine: Optional[Callable[[LocId], Affine]] = None) -> BisimWitness:
-    """The relation of one lowering stage, read off the two games.
+def _valuation_map(g1: Game, l1: LocId, stripped: Optional[Annotation]) -> Affine:
+    """The map from g1 values at l1: each value divided by its slope there
+    where that is nonzero, then lowered by its offset when the annotation
+    `stripped` records offsets."""
+    offsets = stripped.as_dict() if stripped and stripped.kind == OFFSET_KIND else {}
+    return Affine(tuple(1 / s if s else ONE for s in g1.slopes[l1]),
+                  tuple(-offsets.get(var, ZERO) for var in g1.vars))
 
-    Each g2 location stands for itself, or with `strip` for its id minus the
-    last annotation; `affine` gives the valuation map at a g2 location (the
-    identity when omitted); each g2 edge stands for its provenance.
+
+def stage_witness(name: str, g1: Game, g2: Game) -> BisimWitness:
+    """The relation of one lowering stage, read off its two games by one rule.
+
+    When g2's initial id carries one more annotation than g1's, the stage
+    strips: each g2 location stands for its id minus that annotation, else
+    for itself.  Each value is divided by its nonzero slope at the g1
+    location, then lowered by the offsets of a stripped offset annotation;
+    identity maps are omitted.  Each g2 edge stands for its provenance.
     """
-    loc_back = {l2: (l2.parent() if strip else l2) for l2 in g2.locations}
-    maps = {}
-    if affine is not None:
-        for l2 in g2.locations:
-            a = affine(l2)
-            if not a.is_identity():
-                maps[l2] = a
+    strip = len(g2.init.anns) == len(g1.init.anns) + 1
+    loc_back, maps = {}, {}
+    for l2 in g2.locations:
+        l1 = loc_back[l2] = l2.parent() if strip else l2
+        a = _valuation_map(g1, l1, l2.last_annotation() if strip else None)
+        if not a.is_identity():
+            maps[l2] = a
     edge_back = {eid: e.provenance for eid, e in g2.edges.items()
                  if e.provenance is not None}
     return BisimWitness(name, g1, g2, loc_back, maps, edge_back)

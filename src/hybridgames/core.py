@@ -380,6 +380,7 @@ class ViolationKind(Enum):
     RESET_SET_MISMATCH = "reset-set-mismatch"
     ANNOTATION_MISSING = "annotation-missing"
     ANNOTATION_MISMATCH = "annotation-mismatch"
+    BAD_VARIABLE = "bad-variable"
 
 
 @dataclass(frozen=True)
@@ -465,6 +466,14 @@ def validate_game(g: Game) -> list[Violation]:
     """Check every structural and flavor invariant; violations are data."""
     out: list[Violation] = []
     varset = set(g.vars)
+
+    for i, var in enumerate(g.vars):
+        if var in g.vars[:i]:
+            out.append(Violation(ViolationKind.BAD_VARIABLE, f"vars[{i}]", var,
+                                 "repeated name"))
+        elif not _NAME_RE.match(var):
+            out.append(Violation(ViolationKind.BAD_VARIABLE, f"vars[{i}]", var,
+                                 "not a valid name"))
 
     if g.init not in g.locations:
         out.append(Violation(ViolationKind.INIT_MISSING, g.init.render()))

@@ -170,7 +170,7 @@ def granular_witness_check(witness, depth: int,
     unit = Fraction(1, 2 * lcm(den1, den2))
     start = (initial_config(g1), initial_config(g2))
     if not witness.contains(*start):
-        return PairMismatch(start[0], start[1], "contains", None,
+        return PairMismatch(start[0], start[1], "relation", None,
                             "initial configurations unrelated")
     visited = {start}
     frontier: deque[tuple[Configuration, Configuration, int]] = deque(

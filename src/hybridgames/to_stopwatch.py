@@ -18,11 +18,10 @@ from .core import (
     Flavor,
     Game,
     Guard,
-    LocId,
     Location,
     Reset,
 )
-from .bisim import Affine, BisimWitness, stage_witness
+from .bisim import BisimWitness, _valuation_map, stage_witness
 from .semantics import Configuration
 
 
@@ -56,21 +55,12 @@ def to_stopwatch(g: Game) -> Game:
     return Game(Flavor.STOPWATCH, g.vars, g.actions, g.obs, locations, edges, g.init)
 
 
-def _slope_map(g_isr: Game, lid: LocId) -> Affine:
-    """The valuation map of the slope normalization at a location: each
-    value is divided by its local slope, zero-slope values are unchanged."""
-    flow = g_isr.locations[lid].flow
-    scale = tuple(ONE if flow[var] == 0 else 1 / flow[var] for var in g_isr.vars)
-    return Affine(scale, (ZERO,) * len(scale))
-
-
 def rescale_config(g_isr: Game, q: Configuration) -> Configuration:
     """Map a source configuration to its stopwatch counterpart."""
-    return Configuration(q.loc, _slope_map(g_isr, q.loc).apply(q.val))
+    return Configuration(q.loc, _valuation_map(g_isr, q.loc, None).apply(q.val))
 
 
 def stopwatch_witness(g_isr: Game, g_w: Game) -> BisimWitness:
     """The slope-normalization bisimulation: same location, rescaled values,
     identical edge ids and delays."""
-    return stage_witness("slope-normalization", g_isr, g_w,
-                         affine=lambda lid: _slope_map(g_isr, lid))
+    return stage_witness("slope-normalization", g_isr, g_w)

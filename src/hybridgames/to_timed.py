@@ -14,7 +14,6 @@ from dataclasses import replace
 
 from .core import (
     OFFSET_KIND,
-    ONE,
     ZERO,
     Annotation,
     Edge,
@@ -25,7 +24,7 @@ from .core import (
     LocId,
     Reset,
 )
-from .bisim import Affine, BisimWitness, stage_witness
+from .bisim import BisimWitness, stage_witness
 from .to_updatable import unfold
 
 
@@ -59,15 +58,7 @@ def _shift(e: Edge, off: Annotation) -> Edge:
                    reset_set=reset_set)
 
 
-def _offset_map(g_u: Game, timed_loc: LocId) -> Affine:
-    """The valuation map of the offset shift at a timed location: subtract
-    each clock's offset."""
-    offsets = offset_values(timed_loc)
-    return Affine((ONE,) * len(g_u.vars), tuple(-offsets[var] for var in g_u.vars))
-
-
 def offset_witness(g_u: Game, g_t: Game) -> BisimWitness:
     """Updatable vs timed: locations related by stripping the offset map,
     values by subtracting it, edges by provenance."""
-    return stage_witness("offset-shift", g_u, g_t, strip=True,
-                         affine=lambda lid: _offset_map(g_u, lid))
+    return stage_witness("offset-shift", g_u, g_t)

@@ -140,7 +140,7 @@ def to_updatable(g_ann: Game) -> Game:
 def annotation_witness(g_w: Game, g_ann: Game) -> BisimWitness:
     """Stopwatch vs annotated stopwatch: identical valuations, locations
     related by stripping the pin map, edges related by provenance."""
-    return stage_witness("reset-annotation", g_w, g_ann, strip=True)
+    return stage_witness("reset-annotation", g_w, g_ann)
 
 
 def rewrite_witness(g_ann: Game, g_u: Game) -> BisimWitness:

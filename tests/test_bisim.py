@@ -50,13 +50,17 @@ def off_by_one_offsets(monkeypatch):
     relation excludes every lifted pair."""
     # the package exports the function to_timed under the module's name
     to_timed = importlib.import_module("hybridgames.to_timed")
-    real = to_timed._offset_map
+    real = to_timed.stage_witness
 
-    def shifted(g_u, lid):
-        a = real(g_u, lid)
-        return Affine(a.scale, tuple(b - 1 for b in a.shift))
+    def shifted(name, g1, g2):
+        w = real(name, g1, g2)
+        identity = Affine((F(1),) * len(g1.vars), (F(0),) * len(g1.vars))
+        maps = {l2: w.affine.get(l2, identity) for l2 in w.loc_back}
+        return dataclasses.replace(w, affine={
+            l2: Affine(a.scale, tuple(b - 1 for b in a.shift))
+            for l2, a in maps.items()})
 
-    monkeypatch.setattr(to_timed, "_offset_map", shifted)
+    monkeypatch.setattr(to_timed, "stage_witness", shifted)
 
 
 def test_ownership_mismatch_raises():

@@ -1,5 +1,6 @@
 """Core model types: rationals, intervals, location ids, validation."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -164,6 +165,41 @@ class TestValidation:
         assert hg.Violation(hg.ViolationKind.ANNOTATION_MISMATCH, "l0{f:x=2}", "x",
                             "initial pin 2 is not 0") \
             in hg.validate_game(cli.parse_game(doc))
+
+    def test_repeated_variable_flagged(self):
+        g = worked_example()
+        g2 = hg.Game(g.flavor, ("x", "x"), g.actions, g.obs, g.locations,
+                     g.edges, g.init)
+        assert hg.Violation(hg.ViolationKind.BAD_VARIABLE, "vars[1]", "x",
+                            "repeated name") in hg.validate_game(g2)
+        with pytest.raises(hg.InvalidGame, match="bad-variable at vars"):
+            hg.build_chain(g2)
+
+    @staticmethod
+    def _with_variable_named(name):
+        """The worked example with its one variable x renamed `name`."""
+        g = worked_example()
+
+        def renamed(m):
+            return {name if var == "x" else var: v for var, v in m.items()}
+        locations = {lid: dataclasses.replace(loc, flow=renamed(loc.flow))
+                     for lid, loc in g.locations.items()}
+        edges = {eid: dataclasses.replace(
+                     e, guard=hg.Guard(renamed(e.guard.conjuncts)),
+                     reset=hg.Reset(renamed(e.reset.assignments)))
+                 for eid, e in g.edges.items()}
+        return hg.Game(g.flavor, (name,), g.actions, g.obs, locations, edges,
+                       g.init)
+
+    def test_ill_formed_variable_flagged(self):
+        # the command line refuses "x y" in a game file, and so in the files
+        # of this game's lowered stages
+        assert hg.validate_game(self._with_variable_named("y")) == []
+        g = self._with_variable_named("x y")
+        assert hg.validate_game(g) == [hg.Violation(
+            hg.ViolationKind.BAD_VARIABLE, "vars[0]", "x y", "not a valid name")]
+        with pytest.raises(hg.InvalidGame):
+            hg.build_chain(g)
 
     def test_classify_refuses_invalid_input(self):
         with pytest.raises(hg.InvalidGame):

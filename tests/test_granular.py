@@ -162,6 +162,18 @@ class TestGranularWitnessCheck:
         assert got is not None
         assert (got.direction, got.q1.loc, got.move) == ("owner", l1, None)
 
+    def test_unrelated_initial_pair_is_named_like_the_sampler(self):
+        g = worked_example()
+        w = hg.stopwatch_witness(g, hg.to_stopwatch(g))
+        # v/2 + 1 at init relates no initial pair
+        w = dataclasses.replace(w, affine={
+            **w.affine, g.init: hg.bisim.Affine((F(1, 2),), (F(1),))})
+        q1, q2 = hg.initial_config(g), hg.initial_config(w.g2)
+        got = hg.granular_witness_check(w, depth=5)
+        assert (got.direction, got.q1, got.q2, got.move) == ("relation", q1, q2, None)
+        sampled = hg.check_local_bisim(w, q1, q2).counterexample
+        assert sampled.direction == got.direction
+
     def test_delays_step_by_half_the_bound_grid(self, monkeypatch):
         # a guard bound 1/2 gives D = 2, so the grid step is 1/4
         tried = set()

@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hybridgames import cli
+from hybridgames.samples import small_timed, worked_example
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +51,12 @@ def test_command_line_transcript_prints_what_the_readme_shows(
         assert cli.main(argv) == 0, argv
         captured = capsys.readouterr()
         assert captured.out + captured.err == shown, argv
+
+
+@pytest.mark.parametrize("name,game", [("patrol", worked_example),
+                                       ("dispatcher", small_timed)])
+def test_sample_files_are_the_sample_games(name, game):
+    # the quick start builds the worked example in code, and the command
+    # transcript reads patrol.json
+    path = ROOT / "sample_games" / f"{name}.json"
+    assert path.read_bytes() == cli.game_to_bytes(game())
