@@ -9,6 +9,11 @@ regions, and resets to zero stay inside the abstraction, so the turn-based
 reachability and safety games are solved exactly by one finite attractor
 with the players swapped.  Losing verdicts carry player two's spoiler.
 
+Regions, region nodes and region moves are named tuples, so hashing and
+comparing them runs in C.  The region graph computes moves once
+per (location, region): a node's move list is the moves fired at its own
+region followed by the list of its time successor at the same location.
+
 The solver works on node ids, the nodes' indices in discovery order: the
 region graph stores each move's successor id and lists each node's
 predecessors once, and the attractor is one worklist over join times,
@@ -22,7 +27,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Flavor,
@@ -36,12 +41,12 @@ from .core import (
 from .semantics import Configuration, Move
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """ints: per-clock integer part, None once the clock exceeds its bound.
     fracs: per-clock fractional rank; -1 above the bound, 0 for integer
     valuations, else 1-based rank of the clock's fractional part among the
-    distinct positive fractional parts in the region."""
+    distinct positive fractional parts in the region, so the positive ranks
+    are exactly 1..k."""
 
     ints: tuple[Optional[int], ...]
     fracs: tuple[int, ...]
@@ -76,67 +81,52 @@ def region_of(val: tuple[Fraction, ...], bounds: tuple[int, ...]) -> Region:
 
 def _renumber(fracs: list[int]) -> tuple[int, ...]:
     present = sorted({c for c in fracs if c >= 1})
+    if not present or present[-1] == len(present):
+        return tuple(fracs)
     remap = {c: j + 1 for j, c in enumerate(present)}
     return tuple(remap.get(c, c) if c >= 1 else c for c in fracs)
 
 
 def time_successor(r: Region, bounds: tuple[int, ...]) -> Region:
     """The next region reached by letting time pass; fully-above regions are
-    their own successor."""
-    ints = list(r.ints)
-    fracs = list(r.fracs)
-    zeros = [i for i in range(len(ints)) if ints[i] is not None and fracs[i] == 0]
-    if zeros:
+    their own successor.  Ranks stay canonical: either every positive class
+    moves up one under the new class 1, or the top class becomes 0."""
+    ints, fracs = r
+    if 0 in fracs:
         # Integer-valued clocks start fracturing; they form the new lowest
         # fractional class unless they cross their bound.
-        stays = [i for i in zeros if ints[i] < bounds[i]]
-        for i in zeros:
-            if ints[i] == bounds[i]:
-                ints[i] = None
-                fracs[i] = -1
+        ints, fracs = list(ints), list(fracs)
+        stays = False
+        for i, f in enumerate(fracs):
+            if f == 0:
+                if ints[i] == bounds[i]:
+                    ints[i], fracs[i] = None, -1
+                else:
+                    stays = True
         if stays:
-            for i in range(len(fracs)):
-                if fracs[i] >= 1:
-                    fracs[i] += 1
-            for i in stays:
-                fracs[i] = 1
-        return Region(tuple(ints), _renumber(fracs))
-    classes = [c for c in fracs if c >= 1]
-    if classes:
-        top = max(classes)
-        for i in range(len(fracs)):
-            if fracs[i] == top:
-                ints[i] += 1
-                fracs[i] = 0
-        return Region(tuple(ints), _renumber(fracs))
-    return r
+            fracs = [f + 1 if f >= 0 else f for f in fracs]
+        return Region(tuple(ints), tuple(fracs))
+    top = max(fracs, default=0)
+    if top < 1:
+        return r
+    return Region(tuple(ip + 1 if f == top else ip for ip, f in zip(ints, fracs)),
+                  tuple(0 if f == top else f for f in fracs))
 
 
-def time_closure(r: Region, bounds: tuple[int, ...],
-                 known: Optional[dict[Region, list[Region]]] = None) -> list[Region]:
+def time_closure(r: Region, bounds: tuple[int, ...]) -> list[Region]:
     """All regions reachable by letting time pass, the region itself first.
 
-    Time successors only move forward and end at the fully-above region, so
-    the closure of a region is the region followed by its time successor's
-    closure.  `known` maps regions to their closures; the walk stops at the
-    first region it holds, and records the closure of every region walked.
-    """
-    known = {} if known is None else known
-    walk = []
-    while r not in known:
-        nxt = time_successor(r, bounds)
-        if nxt == r:
-            known[r] = [r]
-        else:
-            walk.append(r)
-            r = nxt
-    closure = known[r]
-    for w in reversed(walk):
-        closure = known[w] = [w, *closure]
+    Time successors only move forward and end at the fully-above region,
+    which is its own successor."""
+    closure = [r]
+    while (nxt := time_successor(closure[-1], bounds)) != closure[-1]:
+        closure.append(nxt)
     return closure
 
 
 def apply_reset(r: Region, reset_idxs: tuple[int, ...]) -> Region:
+    """The region after setting the clocks `reset_idxs` to zero; the only
+    region operation that can empty a fractional class, so it renumbers."""
     ints = list(r.ints)
     fracs = list(r.fracs)
     for i in reset_idxs:
@@ -162,14 +152,12 @@ def region_satisfies(r: Region, conjuncts: tuple[tuple[int, int, int], ...]) -> 
     return True
 
 
-@dataclass(frozen=True)
-class RegionNode:
+class RegionNode(NamedTuple):
     loc: LocId
     region: Region
 
 
-@dataclass(frozen=True)
-class RegionMove:
+class RegionMove(NamedTuple):
     """Wait until the clocks sit in `region`, then take `edge`."""
 
     region: Region
@@ -268,10 +256,12 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     Joint moves are (time-successor region, edge) pairs, the self region
     included; the successor node applies the edge's reset set.  Node and move
     orders are deterministic (breadth-first discovery order; closure order
-    then edge id).  Time closures are computed once per region, and guard and
-    reset once per (region, edge).  `scale` records the factor the clocks
-    were multiplied by to reach integer bounds, so concretized delays can be
-    divided back down.
+    then edge id).  Moves are computed once per (location, region): a node's
+    move list is the moves fired at its own region followed by the list of
+    its time successor at the same location, so nodes whose time closures
+    meet share that list's tail, and a reset is applied once per (region,
+    reset set).  `scale` records the factor the clocks were multiplied by to
+    reach integer bounds, so concretized delays can be divided back down.
     """
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("region construction requires a timed-flavor game")
@@ -285,35 +275,47 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     ids = {init: 0}
     moves: dict[RegionNode, tuple[RegionMove, ...]] = {}
     succ_ids: list[tuple[int, ...]] = []
-    closures: dict[Region, list[Region]] = {}
-    # (region, edge id) -> None where the guard fails, else the move and the
-    # id of the node after the reset; the edge fixes both nodes' location
-    fired: dict[tuple[Region, str], Optional[tuple[RegionMove, int]]] = {}
+    # (location, region) -> the moves of a node there and their successor ids
+    lists: dict[RegionNode, tuple[tuple[RegionMove, ...], tuple[int, ...]]] = {}
+    after_reset: dict[tuple[Region, tuple[int, ...]], Region] = {}
     # `nodes` grows while it is walked, which visits nodes breadth-first
     for node in nodes:
-        node_moves: list[RegionMove] = []
-        node_succs: list[int] = []
-        edges = g.edges_from(node.loc)
-        for r in time_closure(node.region, bounds, closures):
-            for e in edges:
-                key = (r, e.id)
-                if key in fired:
-                    hit = fired[key]
-                elif region_satisfies(r, guards[e.id]):
-                    succ = RegionNode(e.dst, apply_reset(r, resets[e.id]))
+        if node not in lists:
+            # fire the regions of the closure not yet listed at this
+            # location, in closure order, so successors keep their
+            # discovery order; the listed tail's successors all have ids
+            loc, r = node
+            edges = g.edges_from(loc)
+            key, fired, tail = node, [], ((), ())
+            while True:
+                own: list[RegionMove] = []
+                own_ids: list[int] = []
+                for e in edges:
+                    if not region_satisfies(r, guards[e.id]):
+                        continue
+                    pair = (r, resets[e.id])
+                    if pair not in after_reset:
+                        after_reset[pair] = apply_reset(*pair)
+                    succ = RegionNode(e.dst, after_reset[pair])
                     k = ids.setdefault(succ, len(nodes))
                     if k == len(nodes):
                         nodes.append(succ)
-                    hit = fired[key] = (RegionMove(r, e.id), k)
-                else:
-                    hit = fired[key] = None
-                if hit is None:
-                    continue
-                mv, k = hit
-                node_moves.append(mv)
-                node_succs.append(k)
-        moves[node] = tuple(node_moves)
-        succ_ids.append(tuple(node_succs))
+                    own.append(RegionMove(r, e.id))
+                    own_ids.append(k)
+                fired.append((key, own, own_ids))
+                nxt = time_successor(r, bounds)
+                if nxt == r:
+                    break
+                r, key = nxt, RegionNode(loc, nxt)
+                if key in lists:
+                    tail = lists[key]
+                    break
+            for key, own, own_ids in reversed(fired):
+                if own:
+                    tail = (*own, *tail[0]), (*own_ids, *tail[1])
+                lists[key] = tail
+        moves[node], node_ids = lists[node]
+        succ_ids.append(node_ids)
     return RegionGame(g, scale, bounds, nodes, moves, init, succ_ids)
 
 

@@ -1,5 +1,6 @@
 """Region abstraction and attractor solving on the timed fragment."""
 
+import pickle
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridgames as hg
+from hybridgames import cli
 from hybridgames.cli import parse_objective
 from hybridgames.samples import small_timed, worked_example
 
@@ -20,6 +22,15 @@ import gen  # noqa: E402  (the benchmark's game families, imported read-only)
 
 def R(ints, fracs):
     return hg.Region(tuple(ints), tuple(fracs))
+
+
+def _canonical(r):
+    """Whether the positive fractional ranks of `r` are exactly 1..k."""
+    ranks = sorted({f for f in r.fracs if f >= 1})
+    return ranks == list(range(1, len(ranks) + 1))
+
+
+_clock_value = st.fractions(min_value=0, max_value=3, max_denominator=8)
 
 
 class TestRegionOf:
@@ -73,6 +84,24 @@ class TestTimeSuccessor:
         start = hg.region_of(vals, b)
         later = hg.region_of((vals[0] + t, vals[1] + t), b)
         assert later in hg.time_closure(start, b)
+
+    @given(st.tuples(_clock_value, _clock_value, _clock_value), _clock_value)
+    def test_future_points_of_three_clocks_stay_inside_the_closure(self, vals, t):
+        # region_of ranks canonically, so a closure region with a gap in its
+        # ranks would miss the later point
+        b = (2, 1, 3)
+        start = hg.region_of(vals, b)
+        later = hg.region_of(tuple(v + t for v in vals), b)
+        closure = hg.time_closure(start, b)
+        assert later in closure
+        assert all(_canonical(r) for r in closure)
+
+    def test_ladder_closures_stay_canonical(self):
+        for i in range(8):
+            rg = hg.build_region_graph(gen.ladder_case(i)[0])
+            for node in rg.nodes:
+                for r in hg.time_closure(node.region, rg.bounds):
+                    assert _canonical(r), (i, node, r)
 
 
 class TestResetAndSatisfies:
@@ -199,6 +228,19 @@ class TestRegionGame:
         mv = rg.moves[rg.init][0]
         with pytest.raises(hg.NoRealization):
             rg.concretize_move(late, mv)
+
+    def test_region_values_survive_file_and_pickle_round_trips(self):
+        # strategy files rebuild regions, nodes and moves as fresh values
+        # that must hash and compare like the graph's own keys
+        rg = hg.build_region_graph(gen.ladder_case(0)[0])
+        for node in rg.nodes:
+            back = pickle.loads(pickle.dumps(node))
+            assert back == node and rg.moves[back] == rg.moves[node]
+            for r in (node.region, *(mv.region for mv in rg.moves[node])):
+                parsed = cli._parse_region(cli._region_doc(r), "$", None)
+                assert parsed == r and hash(parsed) == hash(r)
+            for mv in rg.moves[node]:
+                assert pickle.loads(pickle.dumps(mv)) in rg.moves[back]
 
     def test_deterministic_construction(self):
         a = hg.build_region_graph(small_timed())
@@ -406,7 +448,43 @@ def _kernel_cases():
         yield g, [(o.kind, o.obs) for o in map(parse_objective, texts)]
 
 
+def _reference_graph(g):
+    """The region graph exactly as `build_region_graph`'s docstring defines
+    it: breadth-first from the initial node, each node's moves the (region,
+    edge) pairs of its time closure in closure order, then edge order, whose
+    guard the region meets, and node ids in discovery order."""
+    bounds = [0] * len(g.vars)
+    for triples in g.guards.values():
+        for i, lo, hi in triples:
+            bounds[i] = max(bounds[i], int(lo), int(hi))
+    bounds = tuple(bounds)
+    init = hg.RegionNode(g.init, hg.region_of((F(0),) * len(g.vars), bounds))
+    nodes, ids, moves, succ_ids = [init], {init: 0}, {}, []
+    for node in nodes:
+        node_moves, node_succs = [], []
+        for r in hg.time_closure(node.region, bounds):
+            for e in g.edges_from(node.loc):
+                if not hg.region_satisfies(r, g.guards[e.id]):
+                    continue
+                reset = tuple(i for i, _ in g.resets[e.id])
+                succ = hg.RegionNode(e.dst, hg.apply_reset(r, reset))
+                if succ not in ids:
+                    ids[succ] = len(nodes)
+                    nodes.append(succ)
+                node_moves.append(hg.RegionMove(r, e.id))
+                node_succs.append(ids[succ])
+        moves[node] = tuple(node_moves)
+        succ_ids.append(tuple(node_succs))
+    return init, bounds, nodes, list(moves.items()), succ_ids
+
+
 class TestKernel:
+    def test_build_matches_the_reference_build(self):
+        for g in (small_timed(), *(g for g, _ in _kernel_cases())):
+            rg = hg.build_region_graph(g)
+            got = (rg.init, rg.bounds, rg.nodes, list(rg.moves.items()), rg.succ_ids)
+            assert got == _reference_graph(g)
+
     def test_join_times_reproduce_the_pass_sweep(self):
         solve = {"reach": hg.solve_reachability, "safe": hg.solve_safety}
         for g, objectives in _kernel_cases():
