@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bisim import verify_chain
+from .bisim import identity_witness, verify_chain
 from .chain import LOWERINGS, Chain, build_chain
 from .core import (
     Edge,
@@ -389,41 +389,45 @@ def solve_timed_game(g: Game, objective: Objective) -> tuple[RegionGame, SolveRe
     return rg, result
 
 
-def strategy_file_for_timed(g: Game, rg: RegionGame,
-                            result: SolveResult, objective: Objective) -> StrategyFile:
-    sf = StrategyFile(game_hash(g), objective.text, rg.scale)
-    for node in rg.nodes:
-        mv = result.strategy.get(node)
-        if mv is None:
-            continue
-        sf.entries.append(StrategyEntry(
-            node.loc.render(), node.region, mv.edge, mv.region))
-    return sf
+def _objective_over(text: str, g: Game) -> Objective:
+    """The objective `text` names, over observations `g` declares."""
+    objective = parse_objective(text)
+    unknown = objective.obs - set(g.obs)
+    if unknown:
+        raise GameError("objective names observations the game does not "
+                        "declare: " + ",".join(sorted(unknown)))
+    return objective
 
 
-def strategy_file_for_source(g: Game, chain: Chain, rg: RegionGame,
+def strategy_file_for_source(g: Game, chain: Optional[Chain], rg: RegionGame,
                              result: SolveResult, objective: Objective) -> StrategyFile:
+    """The file for `g` of `result`, solved on `rg` of g's timed stage;
+    `chain` is g's chain, or None when `g` is timed.  Entries name g's
+    locations and edges through the relation from `g` to its timed stage,
+    and a note names the timed location only in a source game's file.  The
+    name stays because the benchmark calls this writer by it."""
+    w = identity_witness(g) if chain is None else chain.end_to_end
     sf = StrategyFile(game_hash(g), objective.text, rg.scale)
     for node in rg.nodes:
         mv = result.strategy.get(node)
         if mv is None:
             continue
         sf.entries.append(StrategyEntry(
-            chain.end_to_end.loc_back[node.loc].render(), node.region,
-            chain.end_to_end.edge_back[mv.edge], mv.region,
-            timed_location=node.loc.render()))
+            w.loc_back[node.loc].render(), node.region, w.edge_back[mv.edge],
+            mv.region, None if chain is None else node.loc.render()))
     return sf
 
 
-def _strategy_table(sf: StrategyFile, timed: Game,
-                    chain: Optional[Chain]) -> tuple[RegionGame, SolveResult]:
-    """The region graph of the timed stage `timed`, rebuilt at the file's
-    scale, and the region strategy the file records, checked against it:
-    every entry must name a node and one of that node's moves, and no node
-    may have two entries.  `chain` is given for files of its source game,
-    whose entries name a source location and edge and, in the note, their
-    timed location, which must stand for that source location; a timed-stage
-    file's notes carry none."""
+def _strategy_table(sf: StrategyFile, g: Game, chain: Optional[Chain]
+                    ) -> tuple[Objective, RegionGame, SolveResult]:
+    """Read what `strategy_file_for_source` writes for `g`: the file's
+    objective, the region graph of g's timed stage at the file's scale, and
+    the region strategy.  Each entry must name a node and one of its moves,
+    no node twice, and a timed location must stand for its entry's location
+    as an id, whatever its spelling."""
+    objective = _objective_over(sf.kind, g)
+    timed, w = (g, identity_witness(g)) if chain is None \
+        else (chain.timed, chain.end_to_end)
     scaled, factor = scale_to_integers(timed)
     if factor != sf.scale:
         raise GameError("strategy file scale does not match the game")
@@ -431,27 +435,23 @@ def _strategy_table(sf: StrategyFile, timed: Game,
     strategy = {}
     for i, ent in enumerate(sf.entries):
         path = f"$.entries[{i}]"
-        if chain is None:
-            if ent.timed_location is not None:
-                raise ParseError(f"unexpected timed_location at {path}.note")
-            loc, edge = _locid(ent.location, f"{path}.location"), ent.edge
-        elif ent.timed_location is None:
-            raise ParseError(f"missing timed_location at {path}.note")
-        else:
-            loc = _locid(ent.timed_location, f"{path}.note.timed_location")
-            edge = chain.end_to_end.edge_fwd.get((loc, ent.edge))
-        node = RegionNode(loc, ent.region)
-        mv = RegionMove(ent.succ, edge)
+        if (ent.timed_location is None) != (chain is None):
+            raise ParseError(f"{'unexpected' if chain is None else 'missing'} "
+                             f"timed_location at {path}.note")
+        loc = _locid(ent.location, f"{path}.location")
+        tloc = loc if ent.timed_location is None else \
+            _locid(ent.timed_location, f"{path}.note.timed_location")
+        node = RegionNode(tloc, ent.region)
+        mv = RegionMove(ent.succ, w.edge_fwd.get((tloc, ent.edge)))
         if mv not in rg.moves.get(node, ()):
             raise ParseError(f"no such region move in the game at {path}")
-        if chain is not None and \
-                ent.location != chain.end_to_end.loc_back[loc].render():
+        if w.loc_back[tloc] != loc:
             raise ParseError("timed_location stands for another location at "
                              f"{path}.location")
         if node in strategy:
             raise ParseError(f"second entry for one region node at {path}")
         strategy[node] = mv
-    return rg, SolveResult(frozenset(strategy), strategy)
+    return objective, rg, SolveResult(frozenset(strategy), strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +515,13 @@ def cmd_check_bisim(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _load_valid_game(args.game)
-    objective = parse_objective(args.objective)
-    unknown = objective.obs - set(g.obs)
-    if unknown:
-        raise GameError("objective names observations the game does not "
-                        "declare: " + ",".join(sorted(unknown)))
+    objective = _objective_over(args.objective, g)
     # Non-timed games go through the whole chain and are solved on their
     # timed stage.
     chain = None if g.flavor is Flavor.TIMED else build_chain(g)
     rg, result = solve_timed_game(g if chain is None else chain.timed, objective)
     winning = result.wins_from_init(rg)
-    if chain is None:
-        sf = strategy_file_for_timed(g, rg, result, objective)
-    else:
-        sf = strategy_file_for_source(g, chain, rg, result, objective)
+    sf = strategy_file_for_source(g, chain, rg, result, objective)
     if args.out is not None or winning:
         _write_out(strategy_to_bytes(sf), args.out)
     print(f"{'winning' if winning else 'losing'} for player one: "
@@ -547,8 +540,7 @@ def cmd_pull_back(args) -> int:
     if sf.game != timed_hash:
         raise GameError("strategy file does not match this game's timed stage "
                         f"(expected {timed_hash}, file says {sf.game})")
-    objective = parse_objective(sf.kind)
-    rg, table = _strategy_table(sf, chain.timed, None)
+    objective, rg, table = _strategy_table(sf, chain.timed, None)
     out = strategy_file_for_source(g, chain, rg, table, objective)
     _write_out(strategy_to_bytes(out), args.out)
     return 0
@@ -561,7 +553,7 @@ def cmd_simulate(args) -> int:
         raise GameError("strategy file was produced for a different game")
     # the hash ties the file to `g`, so the file's stage is g's stage
     chain = None if g.flavor is Flavor.TIMED else build_chain(g)
-    rg, table = _strategy_table(sf, g if chain is None else chain.timed, chain)
+    _, rg, table = _strategy_table(sf, g, chain)
     sigma = positional_strategy(rg, table)
     if chain is not None:
         sigma = pull_back_strategy(chain, sigma)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hybridgames import cli
 from hybridgames.samples import broken_initialization, small_timed, worked_example
 
 from fixtures import valid_fixtures
+from gamegen import gen_isr_game, oracle_pool
 from test_bisim import off_by_one_offsets, rewrite_hands_l1_to_player_one
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_games"
@@ -99,8 +101,8 @@ class TestStrategyDocuments:
         g = small_timed()
         rg, result = cli.solve_timed_game(
             g, cli.parse_objective("reach:done"))
-        return g, cli.strategy_file_for_timed(
-            g, rg, result, cli.parse_objective("reach:done"))
+        return g, cli.strategy_file_for_source(
+            g, None, rg, result, cli.parse_objective("reach:done"))
 
     def test_roundtrip(self):
         _, sf = self._solved()
@@ -533,6 +535,59 @@ class TestPipelines:
         assert code == 1 and out == ""
         assert "objective must look like" in err
 
+    def test_pull_back_rejects_kind_over_undeclared_observations(
+            self, run, game_file, tmp_path):
+        src, strat, doc = self._timed_strategy(run, game_file, tmp_path)
+        doc["kind"] = "reach:nowhere"
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("pull-back", src, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert "objective names observations the game does not declare: " \
+            "nowhere" in err
+
+    @pytest.mark.parametrize("kind,message", [
+        ("reach", "objective must look like"),
+        ("reach:nowhere",
+         "objective names observations the game does not declare: nowhere")])
+    @pytest.mark.parametrize("pulled", [False, True])
+    def test_simulate_checks_kind(self, run, game_file, tmp_path, kind,
+                                  message, pulled):
+        src, strat, _ = self._timed_strategy(run, game_file, tmp_path)
+        game = str(tmp_path / "timed.json")
+        if pulled:
+            game, target = src, tmp_path / "pulled.json"
+            assert run("pull-back", src, "--strategy", str(strat),
+                       "--out", str(target))[0] == 0
+            strat = target
+        doc = json.loads(strat.read_text())
+        doc["kind"] = kind
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("simulate", game, "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_simulate_reads_a_respelled_timed_location(self, run, game_file,
+                                                       tmp_path):
+        # a location id's annotation may list its variables in any order:
+        # the file's entry is the same location however it is spelled
+        src = game_file(gen_isr_game(301, profile="pipeline"))
+        timed = str(tmp_path / "timed.json")
+        assert run("transform", src, "--to", "timed", "--out", timed)[0] == 0
+        strat = tmp_path / "timed-strat.json"
+        assert run("solve", timed, "--objective", "safe:amber,green,red",
+                   "--out", str(strat))[0] == 0
+        doc = json.loads(strat.read_text())
+        entry = doc["entries"][0]
+        assert entry["location"] == "l0{f:x=0,y=_}{g:x=0,y=0}"
+        entry["location"] = "l0{f:y=_,x=0}{g:x=0,y=0}"
+        assert hg.parse_locid(entry["location"]) == \
+            hg.parse_locid("l0{f:x=0,y=_}{g:x=0,y=0}")
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("simulate", timed, "--strategy", str(strat))
+        assert code == 0 and err == ""
+        assert json.loads(out.splitlines()[0])["loc"] == \
+            "l0{f:x=0,y=_}{g:x=0,y=0}"
+
     @pytest.mark.parametrize("field,value,where", [
         ("location", "l3", "$.entries[0].location"),
         ("timed_location", "zz", "$.entries[0]")])
@@ -619,3 +674,66 @@ class TestPipelines:
         code, out, err = run(command, src, *extra_args)
         assert code == 1 and out == ""
         assert f"duplicate key {key!r}" in err
+
+
+def _objectives(target, safe):
+    return [cli.Objective("reach", target), cli.Objective("safe", safe)]
+
+
+def _file_order(rg, result):
+    """The strategy's items in region-graph order, the order files list them."""
+    return [(n, result.strategy[n]) for n in rg.nodes if n in result.strategy]
+
+
+class TestStrategyRoundTrip:
+    """Every file is written by `strategy_file_for_source` and read back by
+    `_strategy_table`, both through the relation from the file's game to its
+    timed stage.  The reader gives back the strategy in the order the file
+    lists it, region-graph order; the attractor records its moves in join
+    order, which differs on a few of these games."""
+
+    def test_timed_files_read_back_as_solved(self):
+        for seed, g, target, safe in oracle_pool():
+            for objective in _objectives(target, safe):
+                rg, result = cli.solve_timed_game(g, objective)
+                sf = cli.parse_strategy(json.loads(cli.strategy_to_bytes(
+                    cli.strategy_file_for_source(g, None, rg, result, objective))))
+                if not objective.obs:
+                    # the command line cannot ask for an objective over no
+                    # observations, and the reader refuses its kind
+                    with pytest.raises(cli.ParseError,
+                                       match="objective must look like"):
+                        cli._strategy_table(sf, g, None)
+                    continue
+                got, _, table = cli._strategy_table(sf, g, None)
+                assert got == objective, seed
+                assert list(table.strategy.items()) == \
+                    _file_order(rg, result), seed
+
+    def test_source_files_read_back_and_pull_back_alike(self, run, game_file,
+                                                        tmp_path):
+        for s in range(300, 320):
+            g = gen_isr_game(s, profile="pipeline")
+            chain = hg.build_chain(g)
+            src = game_file(g)
+            obs = sorted(g.obs)
+            rng = random.Random(s)
+            target = frozenset({rng.choice(obs)})
+            safe = frozenset(obs) - {rng.choice(obs)}
+            for objective in _objectives(target, safe):
+                rg, result = cli.solve_timed_game(chain.timed, objective)
+                write = cli.strategy_file_for_source
+                direct = cli.strategy_to_bytes(
+                    write(g, chain, rg, result, objective))
+                got, _, table = cli._strategy_table(
+                    cli.parse_strategy(json.loads(direct)), g, chain)
+                assert got == objective, s
+                assert list(table.strategy.items()) == \
+                    _file_order(rg, result), s
+                strat = tmp_path / "timed-strat.json"
+                strat.write_bytes(cli.strategy_to_bytes(
+                    write(chain.timed, None, rg, result, objective)))
+                pulled = tmp_path / "pulled.json"
+                assert run("pull-back", src, "--strategy", str(strat),
+                           "--out", str(pulled)) == (0, "", ""), s
+                assert pulled.read_bytes() == direct, s

@@ -33,7 +33,7 @@ def _digests() -> dict:
         for objective, solve in ((cli.Objective("reach", target), hg.solve_reachability),
                                  (cli.Objective("safe", safe), hg.solve_safety)):
             result = solve(rg, objective.obs)
-            sf = cli.strategy_file_for_timed(g, rg, result, objective)
+            sf = cli.strategy_file_for_source(g, None, rg, result, objective)
             cases[objective.text] = {
                 "wins": result.wins_from_init(rg),
                 "sha256": hashlib.sha256(cli.strategy_to_bytes(sf)).hexdigest(),
