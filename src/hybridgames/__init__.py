@@ -99,6 +99,7 @@ from .granular import (
     PairMismatch,
     granular_reach_winner,
     granular_safe_winner,
+    granular_winners,
     granular_witness_check,
 )
 from .strategy import (

@@ -97,12 +97,12 @@ def _grid_graph(g: Game, max_configs: int
     return succ_map
 
 
-def _attracts_init(g: Game, player: Player, in_seed, max_configs: int) -> bool:
+def _attracts_init(g: Game, succ_map: dict[Configuration, list[Configuration]],
+                   player: Player, in_seed) -> bool:
     """Whether `player` forces the initial configuration to one whose
-    observation satisfies `in_seed`: its attractor on the clamped grid,
-    swept over the configurations until a sweep adds nothing; the clamped
-    space is finite, so the sweeps reach the fixpoint."""
-    succ_map = _grid_graph(g, max_configs)
+    observation satisfies `in_seed`: its attractor on the explored clamped
+    grid `succ_map`, swept over the configurations until a sweep adds
+    nothing; the clamped space is finite, so the sweeps reach the fixpoint."""
     attr = {q for q in succ_map if in_seed(g.locations[q.loc].obs)}
     changed = True
     while changed:
@@ -120,13 +120,21 @@ def _attracts_init(g: Game, player: Player, in_seed, max_configs: int) -> bool:
     return initial_config(g) in attr
 
 
+def _reach_wins(g: Game, succ_map, target_obs: frozenset) -> bool:
+    return _attracts_init(g, succ_map, Player.ONE, lambda obs: obs in target_obs)
+
+
+def _safe_wins(g: Game, succ_map, safe_obs: frozenset) -> bool:
+    return not _attracts_init(g, succ_map, Player.TWO,
+                              lambda obs: obs not in safe_obs)
+
+
 def granular_reach_winner(g: Game, target_obs: frozenset,
                           max_configs: int = 200_000) -> bool:
     """Whether player one wins reachability from the initial configuration:
     player one's attractor to the target on the clamped grid.  More
     than `max_configs` configurations raise GameError."""
-    return _attracts_init(g, Player.ONE, lambda obs: obs in target_obs,
-                          max_configs)
+    return _reach_wins(g, _grid_graph(g, max_configs), target_obs)
 
 
 def granular_safe_winner(g: Game, safe_obs: frozenset,
@@ -134,8 +142,16 @@ def granular_safe_winner(g: Game, safe_obs: frozenset,
     """Whether player one wins safety from the initial configuration: it
     avoids player two's attractor to the unsafe observations.  `max_configs`
     is as in granular_reach_winner."""
-    return not _attracts_init(g, Player.TWO, lambda obs: obs not in safe_obs,
-                              max_configs)
+    return _safe_wins(g, _grid_graph(g, max_configs), safe_obs)
+
+
+def granular_winners(g: Game, target_obs: frozenset, safe_obs: frozenset,
+                     max_configs: int = 200_000) -> tuple[bool, bool]:
+    """Whether player one wins reachability of `target_obs` and safety in
+    `safe_obs`, as granular_reach_winner and granular_safe_winner decide
+    them, from one exploration of the grid."""
+    succ_map = _grid_graph(g, max_configs)
+    return _reach_wins(g, succ_map, target_obs), _safe_wins(g, succ_map, safe_obs)
 
 
 @dataclass

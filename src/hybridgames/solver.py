@@ -13,6 +13,8 @@ Regions, region nodes and region moves are named tuples, so hashing and
 comparing them runs in C.  The region graph computes moves once
 per (location, region): a node's move list is the moves fired at its own
 region followed by the list of its time successor at the same location.
+The build keys node ids and move lists by region in one table per
+location, and computes each region's time successor and reset images once.
 
 The solver works on node ids, the nodes' indices in discovery order: the
 region graph stores each move's successor id and lists each node's
@@ -79,14 +81,6 @@ def region_of(val: tuple[Fraction, ...], bounds: tuple[int, ...]) -> Region:
     return Region(tuple(ints), tuple(fracs))
 
 
-def _renumber(fracs: list[int]) -> tuple[int, ...]:
-    present = sorted({c for c in fracs if c >= 1})
-    if not present or present[-1] == len(present):
-        return tuple(fracs)
-    remap = {c: j + 1 for j, c in enumerate(present)}
-    return tuple(remap.get(c, c) if c >= 1 else c for c in fracs)
-
-
 def time_successor(r: Region, bounds: tuple[int, ...]) -> Region:
     """The next region reached by letting time pass; fully-above regions are
     their own successor.  Ranks stay canonical: either every positive class
@@ -109,8 +103,8 @@ def time_successor(r: Region, bounds: tuple[int, ...]) -> Region:
     top = max(fracs, default=0)
     if top < 1:
         return r
-    return Region(tuple(ip + 1 if f == top else ip for ip, f in zip(ints, fracs)),
-                  tuple(0 if f == top else f for f in fracs))
+    return Region(tuple([ip + 1 if f == top else ip for ip, f in zip(ints, fracs)]),
+                  tuple([0 if f == top else f for f in fracs]))
 
 
 def time_closure(r: Region, bounds: tuple[int, ...]) -> list[Region]:
@@ -126,29 +120,26 @@ def time_closure(r: Region, bounds: tuple[int, ...]) -> list[Region]:
 
 def apply_reset(r: Region, reset_idxs: tuple[int, ...]) -> Region:
     """The region after setting the clocks `reset_idxs` to zero; the only
-    region operation that can empty a fractional class, so it renumbers."""
-    ints = list(r.ints)
-    fracs = list(r.fracs)
+    region operation that can empty a fractional class, and each class it
+    empties moves every higher rank down one."""
+    ints, fracs = list(r.ints), list(r.fracs)
     for i in reset_idxs:
-        ints[i] = 0
-        fracs[i] = 0
-    return Region(tuple(ints), _renumber(fracs))
+        c = fracs[i]
+        ints[i] = fracs[i] = 0
+        if c > 0 and c not in fracs:
+            fracs = [f - 1 if f > c else f for f in fracs]
+    return Region(tuple(ints), tuple(fracs))
 
 
 def region_satisfies(r: Region, conjuncts: tuple[tuple[int, int, int], ...]) -> bool:
     """Guard test on (clock index, integer lo, integer hi) triples; exactly
     the per-valuation test, which is region-invariant for closed integer
-    bounds."""
+    bounds: a clock with a fractional part lies in (ip, ip + 1)."""
+    ints, fracs = r
     for i, lo, hi in conjuncts:
-        ip = r.ints[i]
-        if ip is None:
+        ip = ints[i]
+        if ip is None or ip < lo or (ip if fracs[i] == 0 else ip + 1) > hi:
             return False
-        if r.fracs[i] == 0:
-            if not (lo <= ip <= hi):
-                return False
-        else:
-            if not (lo <= ip and ip + 1 <= hi):
-                return False
     return True
 
 
@@ -259,62 +250,79 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     then edge id).  Moves are computed once per (location, region): a node's
     move list is the moves fired at its own region followed by the list of
     its time successor at the same location, so nodes whose time closures
-    meet share that list's tail, and a reset is applied once per (region,
-    reset set).  `scale` records the factor the clocks were multiplied by to
-    reach integer bounds, so concretized delays can be divided back down.
+    meet share that list's tail.  Node ids and move lists sit in one table
+    per location keyed by region, so a walk builds a `RegionNode` only for a
+    node it discovers; each region's time successor and reset images are
+    computed once per build and shared by every location.  `scale` records
+    the factor the clocks were multiplied by to reach integer bounds, so
+    concretized delays can be divided back down.
     """
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("region construction requires a timed-flavor game")
     bounds = _clock_bounds(g)
-    guards = {eid: tuple((i, int(lo), int(hi)) for i, lo, hi in triples)
-              for eid, triples in g.guards.items()}
-    resets = {eid: tuple(i for i, _ in pairs) for eid, pairs in g.resets.items()}
-
     init = RegionNode(g.init, region_of((ZERO,) * len(g.vars), bounds))
     nodes: list[RegionNode] = [init]
-    ids = {init: 0}
+    # per location, region -> the id of the node there
+    ids: dict[LocId, dict[Region, int]] = {lid: {} for lid in g.locations}
+    ids[g.init][init.region] = 0
+    # per location, region -> the moves of the node there and their
+    # successor ids
+    lists: dict[LocId, dict[Region, tuple[tuple[RegionMove, ...], tuple[int, ...]]]] = {
+        lid: {} for lid in g.locations}
+    # per location, its edges as (edge id, target, target's id table,
+    # integer guard triples, reset indices)
+    flat = {lid: [(e.id, e.dst, ids[e.dst],
+                   tuple((i, int(lo), int(hi)) for i, lo, hi in g.guards[e.id]),
+                   tuple(i for i, _ in g.resets[e.id]))
+                  for e in g.edges_from(lid)]
+            for lid in g.locations}
+    # per region, its time successor and, per reset set, its image
+    later: dict[Region, Region] = {}
+    after_reset: dict[Region, dict[tuple[int, ...], Region]] = {}
     moves: dict[RegionNode, tuple[RegionMove, ...]] = {}
     succ_ids: list[tuple[int, ...]] = []
-    # (location, region) -> the moves of a node there and their successor ids
-    lists: dict[RegionNode, tuple[tuple[RegionMove, ...], tuple[int, ...]]] = {}
-    after_reset: dict[tuple[Region, tuple[int, ...]], Region] = {}
     # `nodes` grows while it is walked, which visits nodes breadth-first
     for node in nodes:
-        if node not in lists:
+        loc, region = node
+        listed = lists[loc]
+        if region not in listed:
             # fire the regions of the closure not yet listed at this
             # location, in closure order, so successors keep their
             # discovery order; the listed tail's successors all have ids
-            loc, r = node
-            edges = g.edges_from(loc)
-            key, fired, tail = node, [], ((), ())
+            edges, r = flat[loc], region
+            fired, tail = [], ((), ())
             while True:
                 own: list[RegionMove] = []
                 own_ids: list[int] = []
-                for e in edges:
-                    if not region_satisfies(r, guards[e.id]):
+                images = after_reset.get(r)
+                if images is None:
+                    images = after_reset[r] = {}
+                for eid, dst, dst_ids, guard, reset in edges:
+                    if not region_satisfies(r, guard):
                         continue
-                    pair = (r, resets[e.id])
-                    if pair not in after_reset:
-                        after_reset[pair] = apply_reset(*pair)
-                    succ = RegionNode(e.dst, after_reset[pair])
-                    k = ids.setdefault(succ, len(nodes))
+                    if reset not in images:
+                        images[reset] = apply_reset(r, reset)
+                    succ = images[reset]
+                    k = dst_ids.setdefault(succ, len(nodes))
                     if k == len(nodes):
-                        nodes.append(succ)
-                    own.append(RegionMove(r, e.id))
+                        nodes.append(RegionNode(dst, succ))
+                    own.append(RegionMove(r, eid))
                     own_ids.append(k)
-                fired.append((key, own, own_ids))
-                nxt = time_successor(r, bounds)
+                fired.append((r, own, own_ids))
+                if r not in later:
+                    later[r] = time_successor(r, bounds)
+                nxt = later[r]
                 if nxt == r:
                     break
-                r, key = nxt, RegionNode(loc, nxt)
-                if key in lists:
-                    tail = lists[key]
+                r = nxt
+                if r in listed:
+                    tail = listed[r]
                     break
-            for key, own, own_ids in reversed(fired):
+            for r, own, own_ids in reversed(fired):
                 if own:
                     tail = (*own, *tail[0]), (*own_ids, *tail[1])
-                lists[key] = tail
-        moves[node], node_ids = lists[node]
+                listed[r] = tail
+        moves[node], node_ids = listed[region]
         succ_ids.append(node_ids)
     return RegionGame(g, scale, bounds, nodes, moves, init, succ_ids)
 
@@ -335,6 +343,12 @@ class SolveResult:
 JoinTime = tuple[int, int]
 
 
+def _locations(rg: RegionGame, keep) -> set[LocId]:
+    """The ids of the game's locations that satisfy `keep`, so a test on
+    every node reads its location once per call."""
+    return {lid for lid, loc in rg.game.locations.items() if keep(loc)}
+
+
 def _attractor(rg: RegionGame, player: Player, seed: list[int]
                ) -> tuple[list[Optional[JoinTime]], dict[RegionNode, RegionMove]]:
     """The join time of every node from which `player` forces a visit to the
@@ -353,7 +367,8 @@ def _attractor(rg: RegionGame, player: Player, seed: list[int]
     a node that joined earlier.
     """
     nodes, succ_ids, preds = rg.nodes, rg.succ_ids, rg.pred_ids
-    mine = [rg.owner(n) is player for n in nodes]
+    ours = _locations(rg, lambda loc: loc.owner is player)
+    mine = [n.loc in ours for n in nodes]
     # per opponent node, its moves not yet attracted
     outside = [len(succs) for succs in succ_ids]
     queued = [False] * len(nodes)
@@ -386,9 +401,10 @@ def _stay_out(rg: RegionGame, player: Player, joined: list[Optional[JoinTime]]
               ) -> dict[RegionNode, RegionMove]:
     """For each `player` node that never joined the opponent's attractor,
     its first move that stays outside; only deadlocked nodes have none."""
+    ours = _locations(rg, lambda loc: loc.owner is player)
     out: dict[RegionNode, RegionMove] = {}
     for k, node in enumerate(rg.nodes):
-        if joined[k] is not None or rg.owner(node) is not player:
+        if joined[k] is not None or node.loc not in ours:
             continue
         for m, s in enumerate(rg.succ_ids[k]):
             if joined[s] is None:
@@ -402,8 +418,9 @@ def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
     reaches nothing, so deadlocked nodes outside the target lose; each
     strategy move leads to a node that joined the attractor earlier, so the
     target is reached, and the spoiler keeps plays outside the attractor."""
+    target = _locations(rg, lambda loc: loc.obs in target_obs)
     joined, strategy = _attractor(
-        rg, Player.ONE, [k for k, n in enumerate(rg.nodes) if rg.obs(n) in target_obs])
+        rg, Player.ONE, [k for k, n in enumerate(rg.nodes) if n.loc in target])
     winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is not None)
     return SolveResult(winning, strategy, _stay_out(rg, Player.TWO, joined))
 
@@ -413,7 +430,8 @@ def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
     Halting is safe; the strategy keeps plays outside the attractor and each
     spoiler move leads to a node that joined the attractor earlier, so an
     unsafe observation is forced."""
+    unsafe = _locations(rg, lambda loc: loc.obs not in safe_obs)
     joined, spoiler = _attractor(
-        rg, Player.TWO, [k for k, n in enumerate(rg.nodes) if rg.obs(n) not in safe_obs])
+        rg, Player.TWO, [k for k, n in enumerate(rg.nodes) if n.loc in unsafe])
     winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is None)
     return SolveResult(winning, _stay_out(rg, Player.ONE, joined), spoiler)

@@ -1,10 +1,11 @@
-"""One game of each benchmark workload, run as the benchmark runs it.
+"""Benchmark workloads, run as the benchmark runs them.
 
 `test_bench_surface.py` binds the benchmark's calls but cannot see what it
 reads off the results (`chain.games()`, `rg.successor`, `report.stages`).
 Running the first game of every workload against `perfbench/expected.json`
 catches a change that breaks those reads or an expected answer in tier-1
-time.  The benchmark files are imported, never edited.
+time; the `regions` workload, all solver work, runs whole.  The benchmark
+files are imported, never edited.
 """
 
 import json
@@ -29,4 +30,18 @@ def test_first_game_of_each_workload_has_no_failures(name):
     attempted, failed = workloads.RUN[name](
         case, NullTracer(), EXPECTED[name], lambda key, seconds: samples.append(key))
     assert attempted > 0 and samples
+    assert failed == 0
+
+
+def test_every_regions_game_has_no_failures():
+    # the whole solver workload, where the test above runs only game 0
+    cases = workloads.prepare("regions")
+    samples = []
+    attempted = failed = 0
+    for case in cases:
+        a, f = workloads.run_regions(case, NullTracer(), EXPECTED["regions"],
+                                     lambda key, seconds: samples.append(key))
+        attempted, failed = attempted + a, failed + f
+    assert samples == sorted(int(k) for k in EXPECTED["regions"])
+    assert attempted == 2 * len(cases)
     assert failed == 0

@@ -42,8 +42,7 @@ def solver_winners(timed: hg.Game, target, safe) -> tuple[bool, bool]:
 
 def oracle_winners(g: hg.Game, target, safe,
                    max_configs: int = 200_000) -> tuple[bool, bool]:
-    return (hg.granular_reach_winner(g, target, max_configs),
-            hg.granular_safe_winner(g, safe, max_configs))
+    return hg.granular_winners(g, target, safe, max_configs)
 
 
 def assert_windows_on_grid(g: hg.Game, max_configs: int) -> None:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hybridgames as hg
@@ -109,6 +109,21 @@ class TestResetAndSatisfies:
         r = hg.region_of((F(1, 2), F(1, 4)), (1, 1))
         assert hg.apply_reset(r, (0,)) == R([0, 0], [0, 1])
         assert hg.apply_reset(r, (0, 1)) == R([0, 0], [0, 0])
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+        # values reach past the largest bound, so clocks above it are reset too
+        st.lists(st.fractions(min_value=0, max_value=4, max_denominator=6),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+        st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))))
+    # the reset empties the middle class; empties classes 1 and 3 of 4
+    @example(([F(1, 4), F(1, 2), F(3, 4)], [1, 1, 1], [1]))
+    @example(([F(1, 5), F(2, 5), F(3, 5), F(4, 5)], [1, 1, 1, 1], [0, 2]))
+    def test_reset_region_is_the_region_of_the_reset_valuation(self, case):
+        vals, bounds, reset = case
+        zeroed = tuple(F(0) if i in reset else v for i, v in enumerate(vals))
+        assert hg.apply_reset(hg.region_of(tuple(vals), tuple(bounds)), tuple(reset)) == \
+            hg.region_of(zeroed, tuple(bounds))
 
     def test_point_and_fragment_evaluation(self):
         b = (2, 2)
