@@ -8,11 +8,11 @@ one run per stage with pointwise related configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import NamedTuple
 
-from .bisim import BisimWitness, compose
+from .bisim import BisimWitness, compose, identity_witness
 from .core import Flavor, Game, InvalidHistory, MoveNotEnabled, require_valid
 from .semantics import Move, Run, initial_config, step
 from .to_stopwatch import stopwatch_witness, to_stopwatch
@@ -23,7 +23,8 @@ from .to_updatable import annotation_witness, annotate_resets, rewrite_witness, 
 @dataclass(frozen=True)
 class Chain:
     """The five games of the chain, the relation of each of the four stages
-    in chain order, and their composition from source to timed stage."""
+    in chain order, and their composition from source to timed stage; the
+    stages above the source's flavor hold the source itself."""
 
     isr: Game
     stopwatch: Game
@@ -46,21 +47,28 @@ LOWERINGS = (
     (Flavor.TIMED, to_timed, offset_witness),
 )
 
+# Every flavor in chain order, the source flavor first.
+CHAIN_ORDER = (Flavor.ISR, *(flavor for flavor, _, _ in LOWERINGS))
 
-def build_chain(g_isr: Game) -> Chain:
-    """Validate the source game and run all lowering stages."""
-    games = [require_valid(g_isr)]
-    stages = []
-    for _, construct, witness in LOWERINGS:
-        games.append(construct(games[-1]))
-        stages.append(witness(games[-2], games[-1]))
+
+def build_chain(g: Game) -> Chain:
+    """Validate a game and lower it from its own flavor: each stage below
+    that flavor runs its construction, and each stage above it relates the
+    game to itself by the identity, under the stage's name."""
+    games, stages = [require_valid(g)], []
+    entry = CHAIN_ORDER.index(g.flavor)
+    for k, (_, construct, witness) in enumerate(LOWERINGS, start=1):
+        games.append(construct(games[-1]) if k > entry else g)
+        w = witness(games[-2], games[-1])
+        stages.append(w if k > entry else replace(identity_witness(g), name=w.name))
     return Chain(*games, tuple(stages), reduce(compose, stages))
 
 
 def stage_witnesses(chain: Chain) -> list[tuple[BisimWitness, int, int]]:
     """Every stage witness, the composed annotation witness and the composed
     end-to-end witness, each with the indices in `Chain.games()` (and so in
-    a LiftedRun) of the two games it relates."""
+    a LiftedRun) of the two games it relates; a game the chain holds more
+    than once gets its first index."""
     w_slope, w_ann, w_rw, w_off = chain.stages
     ids = [id(g) for g in chain.games()]
     return [(w, ids.index(id(w.g1)), ids.index(id(w.g2)))

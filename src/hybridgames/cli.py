@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bisim import identity_witness, verify_chain
-from .chain import LOWERINGS, Chain, build_chain
+from .bisim import verify_chain
+from .chain import CHAIN_ORDER, Chain, build_chain
 from .core import (
     Edge,
     Flavor,
@@ -38,7 +38,6 @@ from .core import (
     format_rational,
     parse_locid,
     parse_rational,
-    require_valid,
     scale_to_integers,
     validate_game,
 )
@@ -371,9 +370,9 @@ class Objective:
 
 
 def parse_objective(text: str) -> Objective:
-    kind, _, rest = text.partition(":")
-    names = rest.split(",")
-    if kind not in ("reach", "safe") or "" in names:
+    kind, colon, rest = text.partition(":")
+    names = rest.split(",") if rest else []  # "reach:" names no observation
+    if kind not in ("reach", "safe") or not colon or "" in names:
         raise ParseError(
             f"objective must look like reach:OBS or safe:OBS,OBS: got {text!r}")
     return Objective(kind, frozenset(names))
@@ -399,14 +398,14 @@ def _objective_over(text: str, g: Game) -> Objective:
     return objective
 
 
-def strategy_file_for_source(g: Game, chain: Optional[Chain], rg: RegionGame,
+def strategy_file_for_source(g: Game, chain: Chain, rg: RegionGame,
                              result: SolveResult, objective: Objective) -> StrategyFile:
     """The file for `g` of `result`, solved on `rg` of g's timed stage;
-    `chain` is g's chain, or None when `g` is timed.  Entries name g's
-    locations and edges through the relation from `g` to its timed stage,
-    and a note names the timed location only in a source game's file.  The
-    name stays because the benchmark calls this writer by it."""
-    w = identity_witness(g) if chain is None else chain.end_to_end
+    `chain` is g's chain.  Entries name g's locations and edges through the
+    relation from `g` to its timed stage, and a note names the timed
+    location only when that stage is another game.  The name stays because
+    the benchmark calls this writer by it."""
+    w = chain.end_to_end
     sf = StrategyFile(game_hash(g), objective.text, rg.scale)
     for node in rg.nodes:
         mv = result.strategy.get(node)
@@ -414,29 +413,29 @@ def strategy_file_for_source(g: Game, chain: Optional[Chain], rg: RegionGame,
             continue
         sf.entries.append(StrategyEntry(
             w.loc_back[node.loc].render(), node.region, w.edge_back[mv.edge],
-            mv.region, None if chain is None else node.loc.render()))
+            mv.region, node.loc.render() if chain.timed is not g else None))
     return sf
 
 
-def _strategy_table(sf: StrategyFile, g: Game, chain: Optional[Chain]
+def _strategy_table(sf: StrategyFile, chain: Chain
                     ) -> tuple[Objective, RegionGame, SolveResult]:
-    """Read what `strategy_file_for_source` writes for `g`: the file's
-    objective, the region graph of g's timed stage at the file's scale, and
-    the region strategy.  Each entry must name a node and one of its moves,
-    no node twice, and a timed location must stand for its entry's location
-    as an id, whatever its spelling."""
-    objective = _objective_over(sf.kind, g)
-    timed, w = (g, identity_witness(g)) if chain is None \
-        else (chain.timed, chain.end_to_end)
-    scaled, factor = scale_to_integers(timed)
+    """Read what `strategy_file_for_source` writes for `chain.isr`: the
+    file's objective, the region graph of the chain's timed stage at the
+    file's scale, and the region strategy.  Each entry must name a node and
+    one of its moves, no node twice, and a timed location must stand for its
+    entry's location as an id, whatever its spelling."""
+    objective = _objective_over(sf.kind, chain.isr)
+    w = chain.end_to_end
+    noted = chain.timed is not chain.isr
+    scaled, factor = scale_to_integers(chain.timed)
     if factor != sf.scale:
         raise GameError("strategy file scale does not match the game")
     rg = build_region_graph(scaled, scale=factor)
     strategy = {}
     for i, ent in enumerate(sf.entries):
         path = f"$.entries[{i}]"
-        if (ent.timed_location is None) != (chain is None):
-            raise ParseError(f"{'unexpected' if chain is None else 'missing'} "
+        if (ent.timed_location is None) == noted:
+            raise ParseError(f"{'missing' if noted else 'unexpected'} "
                              f"timed_location at {path}.note")
         loc = _locid(ent.location, f"{path}.location")
         tloc = loc if ent.timed_location is None else \
@@ -456,11 +455,6 @@ def _strategy_table(sf: StrategyFile, g: Game, chain: Optional[Chain]
 
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-def _load_valid_game(path: str) -> Game:
-    """The game at `path`; InvalidGame lists its violations otherwise."""
-    return require_valid(load_game(path))
 
 
 def _write_out(data: bytes, out: Optional[str]):
@@ -486,42 +480,33 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    print(classify_flavor(_load_valid_game(args.game)).value)
+    print(classify_flavor(load_game(args.game)).value)
     return 0
 
 
-_CHAIN_ORDER = [Flavor.ISR] + [flavor for flavor, _, _ in LOWERINGS]
-
-
 def cmd_transform(args) -> int:
-    g = _load_valid_game(args.game)
-    src_idx = _CHAIN_ORDER.index(g.flavor)
-    dst_idx = _CHAIN_ORDER.index(Flavor(args.to))
-    if dst_idx < src_idx:
-        raise UsageError(f"cannot transform {g.flavor.value} back to {args.to}")
-    cur = g
-    for _, construct, _ in LOWERINGS[src_idx:dst_idx]:
-        cur = construct(cur)
-    _write_out(game_to_bytes(cur), args.out)
+    chain = build_chain(load_game(args.game))
+    flavor = chain.isr.flavor
+    k = CHAIN_ORDER.index(Flavor(args.to))
+    if k < CHAIN_ORDER.index(flavor):
+        raise UsageError(f"cannot transform {flavor.value} back to {args.to}")
+    _write_out(game_to_bytes(chain.games()[k]), args.out)
     return 0
 
 
 def cmd_check_bisim(args) -> int:
-    report = verify_chain(_load_valid_game(args.game), samples=args.samples,
+    report = verify_chain(load_game(args.game), samples=args.samples,
                           depth=args.depth, seed=args.seed)
     print(report.render())
     return 0 if report.passed else 1
 
 
 def cmd_solve(args) -> int:
-    g = _load_valid_game(args.game)
-    objective = _objective_over(args.objective, g)
-    # Non-timed games go through the whole chain and are solved on their
-    # timed stage.
-    chain = None if g.flavor is Flavor.TIMED else build_chain(g)
-    rg, result = solve_timed_game(g if chain is None else chain.timed, objective)
+    chain = build_chain(load_game(args.game))
+    objective = _objective_over(args.objective, chain.isr)
+    rg, result = solve_timed_game(chain.timed, objective)
     winning = result.wins_from_init(rg)
-    sf = strategy_file_for_source(g, chain, rg, result, objective)
+    sf = strategy_file_for_source(chain.isr, chain, rg, result, objective)
     if args.out is not None or winning:
         _write_out(strategy_to_bytes(sf), args.out)
     print(f"{'winning' if winning else 'losing'} for player one: "
@@ -530,33 +515,30 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pull_back(args) -> int:
-    g = _load_valid_game(args.game)
-    if g.flavor is Flavor.TIMED:
+    chain = build_chain(load_game(args.game))
+    if chain.isr.flavor is Flavor.TIMED:
         raise UsageError("pull-back needs a game with something above the "
                          "timed stage")
-    chain = build_chain(g)
     sf = parse_strategy(_load_json(args.strategy))
     timed_hash = game_hash(chain.timed)
     if sf.game != timed_hash:
         raise GameError("strategy file does not match this game's timed stage "
                         f"(expected {timed_hash}, file says {sf.game})")
-    objective, rg, table = _strategy_table(sf, chain.timed, None)
-    out = strategy_file_for_source(g, chain, rg, table, objective)
+    objective, rg, table = _strategy_table(sf, build_chain(chain.timed))
+    out = strategy_file_for_source(chain.isr, chain, rg, table, objective)
     _write_out(strategy_to_bytes(out), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    g = _load_valid_game(args.game)
+    chain = build_chain(load_game(args.game))
+    g = chain.isr
     sf = parse_strategy(_load_json(args.strategy))
     if sf.game != game_hash(g):
         raise GameError("strategy file was produced for a different game")
     # the hash ties the file to `g`, so the file's stage is g's stage
-    chain = None if g.flavor is Flavor.TIMED else build_chain(g)
-    _, rg, table = _strategy_table(sf, g, chain)
-    sigma = positional_strategy(rg, table)
-    if chain is not None:
-        sigma = pull_back_strategy(chain, sigma)
+    _, rg, table = _strategy_table(sf, chain)
+    sigma = pull_back_strategy(chain, positional_strategy(rg, table))
     opponent = random_strategy(g, args.seed)
     run = play(g, sigma, opponent, args.steps)
     for i, q in enumerate(run.configs()):
@@ -605,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("transform", help="lower a game along the chain")
     q.add_argument("game")
     q.add_argument("--to", required=True,
-                   choices=[f.value for f in _CHAIN_ORDER])
+                   choices=[f.value for f in CHAIN_ORDER])
     q.add_argument("--out", default=None)
     q.set_defaults(fn=cmd_transform)
 

@@ -12,6 +12,7 @@ import pytest
 
 import hybridgames as hg
 from hybridgames import cli
+from hybridgames.chain import CHAIN_ORDER
 from hybridgames.samples import broken_initialization, small_timed, worked_example
 
 from fixtures import valid_fixtures
@@ -19,6 +20,7 @@ from gamegen import gen_isr_game, oracle_pool
 from test_bisim import off_by_one_offsets, rewrite_hands_l1_to_player_one
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_games"
+FLAVORS = [f.value for f in CHAIN_ORDER]
 
 
 @pytest.fixture
@@ -102,7 +104,7 @@ class TestStrategyDocuments:
         rg, result = cli.solve_timed_game(
             g, cli.parse_objective("reach:done"))
         return g, cli.strategy_file_for_source(
-            g, None, rg, result, cli.parse_objective("reach:done"))
+            g, hg.build_chain(g), rg, result, cli.parse_objective("reach:done"))
 
     def test_roundtrip(self):
         _, sf = self._solved()
@@ -121,9 +123,20 @@ class TestStrategyDocuments:
         obj = cli.parse_objective("safe:b,a")
         assert obj.kind == "safe" and obj.obs == frozenset({"a", "b"})
         assert obj.text == "safe:a,b"
-        for bad in ("win:a", "reach", "reach:", ""):
+        for bad in ("win:a", "reach", ""):
             with pytest.raises(cli.ParseError):
                 cli.parse_objective(bad)
+
+    @pytest.mark.parametrize("kind", ["reach", "safe"])
+    def test_objective_over_no_observations(self, run, kind):
+        # the text the writer gives such an objective reads back as it
+        obj = cli.parse_objective(f"{kind}:")
+        assert obj == cli.Objective(kind, frozenset())
+        assert obj.text == f"{kind}:"
+        code, out, err = run("solve", str(SAMPLES / "patrol.json"),
+                             "--objective", f"{kind}:")
+        assert code == 1 and out == ""
+        assert err == f"losing for player one: {kind}:\n"
 
     @pytest.mark.parametrize("text", ["reach:goal,", "reach:,", "safe:,start",
                                       "safe:a,,b"])
@@ -309,14 +322,48 @@ class TestExitCodes:
 
 class TestPipelines:
     def test_transform_steps_compose(self, run, game_file, tmp_path):
+        # lowering to one stage, then from its file to a later one, writes
+        # the file of lowering to the later one directly
         src = game_file(worked_example())
-        stop = str(tmp_path / "stop.json")
+        direct = {}
+        for flavor in FLAVORS:
+            direct[flavor] = tmp_path / f"{flavor}.json"
+            assert run("transform", src, "--to", flavor,
+                       "--out", str(direct[flavor]))[0] == 0
+        for i, first in enumerate(FLAVORS):
+            for then in FLAVORS[i:]:
+                code, out, err = run("transform", str(direct[first]),
+                                     "--to", then)
+                assert (code, err) == (0, ""), (first, then)
+                assert out.encode() == direct[then].read_bytes(), (first, then)
+            for earlier in FLAVORS[:i]:
+                code, out, _ = run("transform", str(direct[first]),
+                                   "--to", earlier)
+                assert (code, out) == (2, ""), (first, earlier)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_each_stage_file_pulls_back_as_solved(self, run, tmp_path, flavor):
+        # a stage file of the worked example (patrol.json) enters the chain
+        # at its own flavor, so the strategy solved on its timed stage pulls
+        # back to the file of solving it
+        src = str(tmp_path / "stage.json")
+        assert run("transform", str(SAMPLES / "patrol.json"), "--to", flavor,
+                   "--out", src)[0] == 0
         timed = str(tmp_path / "timed.json")
-        assert run("transform", src, "--to", "stopwatch", "--out", stop)[0] == 0
-        assert run("transform", stop, "--to", "timed", "--out", timed)[0] == 0
-        direct = str(tmp_path / "direct.json")
-        assert run("transform", src, "--to", "timed", "--out", direct)[0] == 0
-        assert open(timed, "rb").read() == open(direct, "rb").read()
+        assert run("transform", src, "--to", "timed", "--out", timed)[0] == 0
+        strat = tmp_path / "timed-strat.json"
+        assert run("solve", timed, "--objective", "reach:goal",
+                   "--out", str(strat))[0] == 0
+        direct = tmp_path / "direct.json"
+        assert run("solve", src, "--objective", "reach:goal",
+                   "--out", str(direct))[0] == 0
+        code, out, err = run("pull-back", src, "--strategy", str(strat))
+        if flavor == "timed":
+            assert code == 2 and out == ""
+            assert direct.read_bytes() == strat.read_bytes()
+        else:
+            assert (code, err) == (0, "")
+            assert out.encode() == direct.read_bytes()
 
     def test_check_bisim_reports_stages(self, run, game_file):
         code, out, _ = run("check-bisim", game_file(worked_example()),
@@ -696,16 +743,10 @@ class TestStrategyRoundTrip:
         for seed, g, target, safe in oracle_pool():
             for objective in _objectives(target, safe):
                 rg, result = cli.solve_timed_game(g, objective)
+                chain = hg.build_chain(g)
                 sf = cli.parse_strategy(json.loads(cli.strategy_to_bytes(
-                    cli.strategy_file_for_source(g, None, rg, result, objective))))
-                if not objective.obs:
-                    # the command line cannot ask for an objective over no
-                    # observations, and the reader refuses its kind
-                    with pytest.raises(cli.ParseError,
-                                       match="objective must look like"):
-                        cli._strategy_table(sf, g, None)
-                    continue
-                got, _, table = cli._strategy_table(sf, g, None)
+                    cli.strategy_file_for_source(g, chain, rg, result, objective))))
+                got, _, table = cli._strategy_table(sf, chain)
                 assert got == objective, seed
                 assert list(table.strategy.items()) == \
                     _file_order(rg, result), seed
@@ -726,13 +767,14 @@ class TestStrategyRoundTrip:
                 direct = cli.strategy_to_bytes(
                     write(g, chain, rg, result, objective))
                 got, _, table = cli._strategy_table(
-                    cli.parse_strategy(json.loads(direct)), g, chain)
+                    cli.parse_strategy(json.loads(direct)), chain)
                 assert got == objective, s
                 assert list(table.strategy.items()) == \
                     _file_order(rg, result), s
                 strat = tmp_path / "timed-strat.json"
                 strat.write_bytes(cli.strategy_to_bytes(
-                    write(chain.timed, None, rg, result, objective)))
+                    write(chain.timed, hg.build_chain(chain.timed), rg, result,
+                          objective)))
                 pulled = tmp_path / "pulled.json"
                 assert run("pull-back", src, "--strategy", str(strat),
                            "--out", str(pulled)) == (0, "", ""), s

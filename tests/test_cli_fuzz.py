@@ -30,7 +30,8 @@ def _documents() -> dict:
         "source": cli.emit_game(g),
         "timed-game": cli.emit_game(chain.timed),
         "timed-strategy": cli.emit_strategy(
-            cli.strategy_file_for_source(chain.timed, None, rg, result, objective)),
+            cli.strategy_file_for_source(
+                chain.timed, hg.build_chain(chain.timed), rg, result, objective)),
         "pulled-strategy": cli.emit_strategy(
             cli.strategy_file_for_source(g, chain, rg, result, objective)),
     }

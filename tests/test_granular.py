@@ -101,7 +101,7 @@ class TestGranularWinners:
         _line_game(3, p2_escape=True, at=F(2, 3))],
         ids=["worked-example", "third-bound", "third-bound-escape"])
     def test_any_flavor_and_rational_bounds_match_region_solver(self, g):
-        timed = g if g.flavor is hg.Flavor.TIMED else hg.build_chain(g).timed
+        timed = hg.build_chain(g).timed
         scaled, factor = hg.scale_to_integers(timed)
         rg = hg.build_region_graph(scaled, scale=factor)
         for obs in sorted(g.obs):

@@ -40,28 +40,33 @@ def solver_winners(timed: hg.Game, target, safe) -> tuple[bool, bool]:
             hg.solve_safety(rg, safe).wins_from_init(rg))
 
 
-def oracle_winners(g: hg.Game, target, safe,
-                   max_configs: int = 200_000) -> tuple[bool, bool]:
-    return hg.granular_winners(g, target, safe, max_configs)
-
-
-def assert_windows_on_grid(g: hg.Game, max_configs: int) -> None:
-    """Exactness rests on every window endpoint of every explored
-    configuration lying on the grid 1/(2D)."""
+def explored_grid(g: hg.Game, max_configs: int = 200_000) -> dict:
+    """The oracle's one exploration of g's clamped grid, after checking what
+    exactness rests on: every window endpoint of every explored
+    configuration lies on the grid 1/(2D).  Over `max_configs`
+    configurations raise GameError."""
+    graph = granular._grid_graph(g, max_configs)
     den = 2 * granular._grid_constants(g)[0]
-    for q in granular._grid_graph(g, max_configs):
+    for q in graph:
         for e, w in enabled_edges(g, q):
             for t in (w.lo, w.hi):
                 assert t is None or den % t.denominator == 0, (q, e.id, t)
+    return graph
+
+
+def oracle_winners(g: hg.Game, graph: dict, target, safe) -> tuple[bool, bool]:
+    """The oracle's winners, as `granular_winners` decides them, on the
+    exploration `graph` of g's grid."""
+    return (granular._reach_wins(g, graph, target),
+            granular._safe_wins(g, graph, safe))
 
 
 @pytest.mark.parametrize("seed", range(300, 340))
 def test_pipeline_source_game(seed):
     g = gen_isr_game(seed, profile="pipeline")
     target, safe = objectives(g, seed)
-    assert oracle_winners(g, target, safe) == \
+    assert oracle_winners(g, explored_grid(g), target, safe) == \
         solver_winners(hg.build_chain(g).timed, target, safe)
-    assert_windows_on_grid(g, 200_000)
 
 
 @pytest.mark.parametrize("stage", range(5),
@@ -70,10 +75,10 @@ def test_pipeline_source_game(seed):
 def test_worked_example_stage(stage):
     chain = hg.build_chain(worked_example())
     g = chain.games()[stage]
-    assert_windows_on_grid(g, 200_000)
+    graph = explored_grid(g)
     for obs in sorted(g.obs):
         target, safe = frozenset({obs}), g.obs - {obs}
-        assert oracle_winners(g, target, safe) == \
+        assert oracle_winners(g, graph, target, safe) == \
             solver_winners(chain.timed, target, safe), obs
 
 
@@ -83,10 +88,10 @@ def test_thirds_games_within_budget():
         g = gen_isr_game(seed, profile="thirds")
         target, safe = objectives(g, seed)
         try:
-            got = oracle_winners(g, target, safe, THIRDS_BUDGET)
+            graph = explored_grid(g, THIRDS_BUDGET)
         except hg.GameError:
             continue
-        assert got == solver_winners(hg.build_chain(g).timed, target, safe), seed
-        assert_windows_on_grid(g, THIRDS_BUDGET)
+        assert oracle_winners(g, graph, target, safe) == \
+            solver_winners(hg.build_chain(g).timed, target, safe), seed
         decided.append(seed)
     assert len(decided) >= MIN_DECIDED, decided

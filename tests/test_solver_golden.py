@@ -28,12 +28,13 @@ DIGESTS = Path(__file__).resolve().parent / "solver_golden.json"
 def _digests() -> dict:
     got = {}
     for seed, g, target, safe in oracle_pool():
+        chain = hg.build_chain(g)
         rg = hg.build_region_graph(g)
         cases = {}
         for objective, solve in ((cli.Objective("reach", target), hg.solve_reachability),
                                  (cli.Objective("safe", safe), hg.solve_safety)):
             result = solve(rg, objective.obs)
-            sf = cli.strategy_file_for_source(g, None, rg, result, objective)
+            sf = cli.strategy_file_for_source(g, chain, rg, result, objective)
             cases[objective.text] = {
                 "wins": result.wins_from_init(rg),
                 "sha256": hashlib.sha256(cli.strategy_to_bytes(sf)).hexdigest(),
