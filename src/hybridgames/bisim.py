@@ -25,20 +25,31 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .core import (OFFSET_KIND, ONE, ZERO, Annotation, Edge, Game, LocId,
-                   MoveNotEnabled, OwnershipMismatch, Player)
+                   MoveNotEnabled, OwnershipMismatch, Player, interned)
 from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
 
 
 @dataclass(frozen=True)
 class Affine:
     """The diagonal valuation map v -> scale*v + shift, one exact pair per
-    variable; every scale is nonzero, so the map is invertible."""
+    variable; every scale is nonzero, so the map is invertible.  A scale of
+    1 is stored as the shared ONE and a shift of 0 as ZERO, so apply skips
+    them by identity."""
 
     scale: tuple[Fraction, ...]
     shift: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", tuple(map(interned, self.scale)))
+        object.__setattr__(self, "shift", tuple(map(interned, self.shift)))
+
     def apply(self, val: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        return tuple(a * x + b for a, x, b in zip(self.scale, val, self.shift))
+        out = []
+        for a, x, b in zip(self.scale, val, self.shift):
+            if a is not ONE:
+                x = a * x
+            out.append(x if b is ZERO else x + b)
+        return tuple(out)
 
     def inverse(self) -> "Affine":
         scale = tuple(1 / a for a in self.scale)
@@ -185,13 +196,12 @@ class MoveSampler:
     extra: int = 1
 
     def delays(self, w: DelayWindow) -> list[Fraction]:
-        out = [w.lo]
-        if w.hi is None:
-            out += [w.lo + 1, w.lo + 2]
-        elif w.hi != w.lo:
-            out += [(w.lo + w.hi) / 2, w.hi]
-        out += [w.draw(self.rng, max_den=8, ray=2) for _ in range(self.extra)]
-        return list(dict.fromkeys(out))
+        out = list(w.probes)
+        for _ in range(self.extra):
+            t = w.draw(self.rng, max_den=8, ray=2)
+            if t not in out:
+                out.append(t)
+        return out
 
     def moves(self, g: Game, q: Configuration) -> list[Move]:
         return self.moves_in(enabled_edges(g, q))

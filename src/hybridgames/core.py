@@ -22,6 +22,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def interned(x: Fraction) -> Fraction:
+    """ZERO or ONE when x equals 0 or 1, else x itself.
+
+    Tables built through this let hot paths test for a stopped or unit rate
+    by identity (`is ZERO`, `is ONE`) and skip the exact arithmetic, while a
+    value that is equal but not shared only takes the general path.
+    """
+    return ZERO if x == 0 else ONE if x == 1 else x
+
+
 class GameError(Exception):
     """Base class for errors raised by this package."""
 
@@ -359,8 +369,9 @@ class Game:
 
     @cached_property
     def slopes(self) -> Mapping[LocId, tuple[Fraction, ...]]:
-        """Location id -> its flow as one slope per variable, in order."""
-        return {lid: tuple(loc.flow[var] for var in self.vars)
+        """Location id -> its flow as one slope per variable, in order; a
+        slope of 0 or 1 is the shared ZERO or ONE."""
+        return {lid: tuple(interned(loc.flow[var]) for var in self.vars)
                 for lid, loc in self.locations.items()}
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .core import (
+    ONE,
     ZERO,
     Edge,
     Game,
@@ -53,6 +55,12 @@ class Configuration:
 class Move:
     edge: str
     delay: Fraction
+
+    def __hash__(self) -> int:
+        # Moves key the witness checker's memo tables as fresh objects:
+        # hashing the delay's two integers skips Fraction.__hash__'s modular
+        # inverse, and equal delays, an int included, share both integers.
+        return hash((self.edge, self.delay.numerator, self.delay.denominator))
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,17 @@ class DelayWindow:
             return False
         return self.hi is None or t <= self.hi
 
+    # cached_property writes __dict__ directly, past the frozen __setattr__.
+    @cached_property
+    def probes(self) -> tuple[Fraction, ...]:
+        """The window's fixed sample points: lo, the midpoint and hi (lo
+        alone for a point), or lo, lo+1 and lo+2 on an unbounded ray."""
+        if self.hi is None:
+            return (self.lo, self.lo + 1, self.lo + 2)
+        if self.hi == self.lo:
+            return (self.lo,)
+        return (self.lo, (self.lo + self.hi) / 2, self.hi)
+
     def draw(self, rng: random.Random, max_den: int, ray: int) -> Fraction:
         """lo plus a random fraction, of denominator at most max_den, of the
         window's length (of `ray` when the window is unbounded).  A point
@@ -120,7 +139,8 @@ def delay_window(g: Game, q: Configuration, edge_id: str) -> Optional[DelayWindo
     """Solve {t >= 0 | forall constrained x: v(x) + t*slope(x) in guard(x)}.
 
     Returns None when the set is empty.  The result is always a closed
-    interval or a closed unbounded ray intersected with t >= 0.
+    interval or a closed unbounded ray intersected with t >= 0.  A unit
+    slope subtracts where another divides (Game.slopes shares ONE).
     """
     e = g.edges[edge_id]
     if e.src != q.loc:
@@ -131,15 +151,18 @@ def delay_window(g: Game, q: Configuration, edge_id: str) -> Optional[DelayWindo
     for i, glo, ghi in g.guards[edge_id]:
         v = q.val[i]
         slope = slopes[i]
-        if slope == 0:
+        if slope is ZERO:
             if not glo <= v <= ghi:
                 return None
             continue
         # v + t*slope in [glo, ghi]; a negative slope swaps the endpoints.
-        a = (glo - v) / slope
-        b = (ghi - v) / slope
-        if slope < 0:
-            a, b = b, a
+        if slope is ONE:
+            a, b = glo - v, ghi - v
+        else:
+            a = (glo - v) / slope
+            b = (ghi - v) / slope
+            if slope < 0:
+                a, b = b, a
         if a > lo:
             lo = a
         if hi is None or b < hi:
@@ -160,13 +183,18 @@ def enabled_edges(g: Game, q: Configuration) -> list[tuple[Edge, DelayWindow]]:
 
 
 def step(g: Game, q: Configuration, move: Move) -> Configuration:
-    """Apply one move exactly; raises MoveNotEnabled when it is not legal."""
+    """Apply one move exactly; raises MoveNotEnabled when it is not legal.
+
+    A stopped variable keeps its value and a unit-slope one gains the
+    delay, with no multiplication (Game.slopes shares ZERO and ONE)."""
     e = g.edges.get(move.edge)
     if e is None or e.src != q.loc:
         raise MoveNotEnabled(f"edge {move.edge} is not available at {q.loc.render()}")
-    if move.delay < 0:
+    t = move.delay
+    if t < 0:
         raise MoveNotEnabled("negative delay")
-    new = [v + move.delay * slope for v, slope in zip(q.val, g.slopes[q.loc])]
+    new = [v if s is ZERO else v + t if s is ONE else v + t * s
+           for v, s in zip(q.val, g.slopes[q.loc])]
     for i, lo, hi in g.guards[e.id]:
         if not lo <= new[i] <= hi:
             raise MoveNotEnabled(f"delay {move.delay} outside the window of edge {move.edge}")

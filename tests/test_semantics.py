@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hybridgames as hg
+from hybridgames.bisim import Affine
+from hybridgames.core import ONE, ZERO
 from hybridgames.samples import worked_example
 
 from gamegen import gen_isr_game, gen_timed_game, probe_runs
@@ -192,3 +194,106 @@ class TestPlay:
         assert len(longer.steps) == len(run.steps) + 1
         assert len(run.steps) == 2
         assert longer.configs()[:-1] == run.configs()
+
+
+class TestMoveHash:
+    def test_equal_moves_hash_equal(self):
+        pairs = [(hg.Move("e", F(2, 4)), hg.Move("e", F(1, 2))),
+                 (hg.Move("e", 3), hg.Move("e", F(3))),
+                 (hg.Move("e", 0), hg.Move("e", F(0)))]
+        for m1, m2 in pairs:
+            assert m1 == m2 and hash(m1) == hash(m2)
+        assert len({m for pair in pairs for m in pair}) == len(pairs)
+
+    def test_edge_and_delay_both_count(self):
+        assert hg.Move("e", F(1, 2)) != hg.Move("e", F(2))
+        assert hg.Move("e", F(1, 2)) != hg.Move("f", F(1, 2))
+
+
+# The shared ZERO and ONE, fresh objects equal to them, and other slopes.
+SLOPES = (ZERO, ONE, F(0), F(1), F(-1), F(1, 3), F(3), F(-2, 5))
+SHIFTS = (ZERO, F(0), F(1, 2), F(-3))
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+LENGTHS = st.fractions(min_value=0, max_value=3, max_denominator=6)
+
+
+def one_loop_game(slopes, guard, reset):
+    """One location l with flow `slopes` on x0, x1, ... and one self-loop e
+    with guard and reset keyed by variable index."""
+    names = tuple(f"x{i}" for i in range(len(slopes)))
+    lid = hg.LocId("l")
+    loc = hg.Location(lid, hg.Player.ONE, "o", dict(zip(names, slopes)))
+    e = hg.Edge("e", lid, "a", hg.Guard({names[i]: iv for i, iv in guard.items()}),
+                hg.Reset({names[i]: x for i, x in reset.items()}), lid)
+    return hg.Game(hg.Flavor.ISR, names, frozenset({"a"}), frozenset({"o"}),
+                   {lid: loc}, {"e": e}, lid)
+
+
+@st.composite
+def loop_cases(draw):
+    """Slopes, a valuation, a guard and reset by variable index, a delay."""
+    n = draw(st.integers(1, 3))
+    slopes = [draw(st.sampled_from(SLOPES)) for _ in range(n)]
+    val = tuple(draw(RATIONALS) for _ in range(n))
+    guard = {}
+    for i in range(n):
+        if draw(st.booleans()):
+            lo = draw(RATIONALS)
+            guard[i] = hg.Interval(lo, lo + draw(LENGTHS))
+    reset = {i: draw(RATIONALS) for i in range(n) if draw(st.booleans())}
+    return slopes, val, guard, reset, draw(st.fractions(0, 6, max_denominator=6))
+
+
+class TestUnitSlopeFastPaths:
+    # step, delay_window and Affine.apply skip the exact arithmetic of a
+    # slope or scale of 1 and a slope or shift of 0 by identity with the
+    # shared ONE and ZERO; each must still give what the plain formula gives
+
+    @given(st.lists(st.sampled_from(SLOPES), min_size=1, max_size=3))
+    def test_slopes_share_zero_and_one(self, slopes):
+        assert F(0) is not ZERO and F(1) is not ONE
+        g = one_loop_game(slopes, {}, {})
+        for s, kept in zip(slopes, g.slopes[g.init]):
+            assert kept == s
+            if s == 0:
+                assert kept is ZERO
+            if s == 1:
+                assert kept is ONE
+
+    @given(loop_cases())
+    def test_window_is_the_plain_formula(self, case):
+        slopes, val, guard, reset, _ = case
+        g = one_loop_game(slopes, guard, reset)
+        lo, hi, empty = F(0), None, False
+        for i, iv in guard.items():
+            v, s = val[i], slopes[i]
+            if s == 0:
+                empty = empty or not iv.contains(v)
+                continue
+            a, b = sorted([(iv.lo - v) / s, (iv.hi - v) / s])
+            lo = max(lo, a)
+            hi = b if hi is None else min(hi, b)
+        expected = (None if empty or (hi is not None and hi < lo)
+                    else hg.DelayWindow(lo, hi))
+        assert hg.delay_window(g, hg.Configuration(g.init, val), "e") == expected
+
+    @given(loop_cases())
+    def test_step_is_the_plain_formula(self, case):
+        slopes, val, guard, reset, t = case
+        g = one_loop_game(slopes, guard, reset)
+        q, move = hg.Configuration(g.init, val), hg.Move("e", t)
+        advanced = [v + t * s for v, s in zip(val, slopes)]
+        if all(iv.contains(advanced[i]) for i, iv in guard.items()):
+            expected = tuple(reset.get(i, x) for i, x in enumerate(advanced))
+            assert hg.step(g, q, move) == hg.Configuration(g.init, expected)
+        else:
+            with pytest.raises(hg.MoveNotEnabled):
+                hg.step(g, q, move)
+
+    @given(st.lists(st.tuples(st.sampled_from([s for s in SLOPES if s]),
+                              st.sampled_from(SHIFTS), RATIONALS),
+                    min_size=1, max_size=3))
+    def test_affine_apply_is_the_plain_formula(self, triples):
+        scale, shift, x = zip(*triples)
+        assert Affine(scale, shift).apply(x) == tuple(
+            a * v + b for a, v, b in zip(scale, x, shift))

@@ -4,10 +4,13 @@ Every name a module imports at module level is used in that module
 (`__init__.py`, which imports to re-export, excepted), and every
 module-level private name is referenced somewhere in the package outside
 its own definition.  Both catch what a simplification leaves behind: an
-import whose last use went, or a helper nothing calls any more.
+import whose last use went, or a helper nothing calls any more.  Every
+module also compiles with warnings as errors: a SyntaxWarning such as the
+one for `x is 0` would otherwise only show on a command's stderr.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,11 @@ def test_every_private_name_is_referenced():
                     for stmt in tree.body for name in sorted(_defined(stmt))
                     if _is_private(name) and name not in referenced]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_compiles_without_warnings(module):
+    path = SRC / module
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
