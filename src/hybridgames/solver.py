@@ -13,14 +13,19 @@ Regions, region nodes and region moves are named tuples, so hashing and
 comparing them runs in C.  The region graph computes moves once
 per (location, region): a node's move list is the moves fired at its own
 region followed by the list of its time successor at the same location.
-The build keys node ids and move lists by region in one table per
-location, and computes each region's time successor and reset images once.
+The build numbers each distinct region the first time it makes it, and
+works on those ids from then on: one table per location maps a region id
+to its node id and move list, and each region's time successor and reset
+images are computed once and kept as ids.
 
 The solver works on node ids, the nodes' indices in discovery order: the
-region graph stores each move's successor id and lists each node's
-predecessors once, and the attractor is one worklist over join times,
-linear in moves up to a heap (Liu & Smolka, "Simple linear-time algorithms
-for minimal fixed points", ICALP 1998).
+region graph stores each node's move list and each move's successor id
+aligned with `nodes`, records each node's location index, and lists each
+node's predecessors once; the dict views keyed by node are built only when
+read.  The attractor is one worklist over join times, linear in moves up to
+a heap (Liu & Smolka, "Simple linear-time algorithms for minimal fixed
+points", ICALP 1998), that tests owners and observations per location
+index.
 """
 
 from __future__ import annotations
@@ -157,24 +162,35 @@ class RegionMove(NamedTuple):
 
 @dataclass
 class RegionGame:
-    """`succ_ids[k]` holds the id, the index in `nodes`, of the successor of
-    each move of `nodes[k]`, aligned with `moves[nodes[k]]`."""
+    """A node's id is its index in `nodes`.  `move_lists[k]` holds the moves
+    of `nodes[k]`, `succ_ids[k]` the id of each one's successor, aligned
+    with it, and `node_locs[k]` the index of the node's location in
+    `game.locations`.  `moves` and `successor`, keyed by node, are views of
+    these lists built on first read, so a solve that only reads ids never
+    builds them."""
 
     game: Game
     scale: int
     bounds: tuple[int, ...]
     nodes: list[RegionNode]
-    moves: dict[RegionNode, tuple[RegionMove, ...]]
+    move_lists: list[tuple[RegionMove, ...]]
     init: RegionNode
     succ_ids: list[tuple[int, ...]]
+    node_locs: list[int]
+
+    @cached_property
+    def moves(self) -> dict[RegionNode, tuple[RegionMove, ...]]:
+        """Each node's moves, keyed by node: a view of `move_lists` built on
+        first read."""
+        return dict(zip(self.nodes, self.move_lists))
 
     @cached_property
     def successor(self) -> dict[tuple[RegionNode, RegionMove], RegionNode]:
         """The node each move leads to, keyed by (node, move): a view of
         `succ_ids` built on first read."""
         return {(node, mv): self.nodes[s]
-                for node, succs in zip(self.nodes, self.succ_ids)
-                for mv, s in zip(self.moves[node], succs)}
+                for node, moves, succs in zip(self.nodes, self.move_lists, self.succ_ids)
+                for mv, s in zip(moves, succs)}
 
     @cached_property
     def pred_ids(self) -> list[list[int]]:
@@ -250,68 +266,87 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     then edge id).  Moves are computed once per (location, region): a node's
     move list is the moves fired at its own region followed by the list of
     its time successor at the same location, so nodes whose time closures
-    meet share that list's tail.  Node ids and move lists sit in one table
-    per location keyed by region, so a walk builds a `RegionNode` only for a
-    node it discovers; each region's time successor and reset images are
-    computed once per build and shared by every location.  `scale` records
-    the factor the clocks were multiplied by to reach integer bounds, so
-    concretized delays can be divided back down.
+    meet share that list's tail.  Each distinct region gets an int id the
+    first time it is made; its time successor is computed once per build
+    and each reset image once per (region, reset set), both kept as ids.
+    Node ids and move lists sit in one table per location keyed by region
+    id, the walk holds each node as (location index, region id), and the
+    `RegionNode` objects are made once it ends; the move lists come back
+    aligned with `nodes`, with the node-keyed `moves` a view.  `scale`
+    records the factor the clocks were multiplied by to reach integer
+    bounds, so concretized delays can be divided back down.
     """
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("region construction requires a timed-flavor game")
     bounds = _clock_bounds(g)
-    init = RegionNode(g.init, region_of((ZERO,) * len(g.vars), bounds))
-    nodes: list[RegionNode] = [init]
-    # per location, region -> the id of the node there
-    ids: dict[LocId, dict[Region, int]] = {lid: {} for lid in g.locations}
-    ids[g.init][init.region] = 0
-    # per location, region -> the moves of the node there and their
-    # successor ids
-    lists: dict[LocId, dict[Region, tuple[tuple[RegionMove, ...], tuple[int, ...]]]] = {
-        lid: {} for lid in g.locations}
-    # per location, its edges as (edge id, target, target's id table,
-    # integer guard triples, reset indices)
-    flat = {lid: [(e.id, e.dst, ids[e.dst],
-                   tuple((i, int(lo), int(hi)) for i, lo, hi in g.guards[e.id]),
-                   tuple(i for i, _ in g.resets[e.id]))
-                  for e in g.edges_from(lid)]
-            for lid in g.locations}
-    # per region, its time successor and, per reset set, its image
-    later: dict[Region, Region] = {}
-    after_reset: dict[Region, dict[tuple[int, ...], Region]] = {}
-    moves: dict[RegionNode, tuple[RegionMove, ...]] = {}
+    locs = list(g.locations)
+    index = {lid: li for li, lid in enumerate(locs)}
+    r0 = region_of((ZERO,) * len(g.vars), bounds)
+    # each distinct region, numbered in the order it is first made
+    regions: list[Region] = [r0]
+    region_ids: dict[Region, int] = {r0: 0}
+    # per region id, the id of its time successor once computed
+    later: list[Optional[int]] = [None]
+
+    def intern(r: Region) -> int:
+        k = region_ids.setdefault(r, len(regions))
+        if k == len(regions):
+            regions.append(r)
+            later.append(None)
+        return k
+
+    # per location index, region id -> the id of the node there
+    ids: list[dict[int, int]] = [{} for _ in locs]
+    # per location index, region id -> the moves of the node there and
+    # their successor ids
+    lists: list[dict[int, tuple[tuple[RegionMove, ...], tuple[int, ...]]]] = [
+        {} for _ in locs]
+    # per reset set, region id -> the id of its image
+    images: dict[tuple[int, ...], dict[int, int]] = {}
+    # per location index, its edges as (edge id, target index, target's id
+    # table, integer guard triples, reset indices, their image table)
+    flat = []
+    for lid in locs:
+        edges = []
+        for e in g.edges_from(lid):
+            reset = tuple(i for i, _ in g.resets[e.id])
+            edges.append((e.id, index[e.dst], ids[index[e.dst]],
+                          tuple((i, int(lo), int(hi)) for i, lo, hi in g.guards[e.id]),
+                          reset, images.setdefault(reset, {})))
+        flat.append(edges)
+    # per node id, its (location index, region id)
+    keys = [(index[g.init], 0)]
+    ids[index[g.init]][0] = 0
+    move_lists: list[tuple[RegionMove, ...]] = []
     succ_ids: list[tuple[int, ...]] = []
-    # `nodes` grows while it is walked, which visits nodes breadth-first
-    for node in nodes:
-        loc, region = node
-        listed = lists[loc]
-        if region not in listed:
+    # `keys` grows while it is walked, which visits nodes breadth-first
+    for li, rid in keys:
+        listed = lists[li]
+        if rid not in listed:
             # fire the regions of the closure not yet listed at this
             # location, in closure order, so successors keep their
             # discovery order; the listed tail's successors all have ids
-            edges, r = flat[loc], region
+            edges, r = flat[li], rid
             fired, tail = [], ((), ())
             while True:
+                region = regions[r]
                 own: list[RegionMove] = []
                 own_ids: list[int] = []
-                images = after_reset.get(r)
-                if images is None:
-                    images = after_reset[r] = {}
-                for eid, dst, dst_ids, guard, reset in edges:
-                    if not region_satisfies(r, guard):
+                for eid, dst, dst_ids, guard, reset, image in edges:
+                    if not region_satisfies(region, guard):
                         continue
-                    if reset not in images:
-                        images[reset] = apply_reset(r, reset)
-                    succ = images[reset]
-                    k = dst_ids.setdefault(succ, len(nodes))
-                    if k == len(nodes):
-                        nodes.append(RegionNode(dst, succ))
-                    own.append(RegionMove(r, eid))
+                    s = image.get(r)
+                    if s is None:
+                        s = image[r] = intern(apply_reset(region, reset))
+                    k = dst_ids.setdefault(s, len(keys))
+                    if k == len(keys):
+                        keys.append((dst, s))
+                    own.append(RegionMove(region, eid))
                     own_ids.append(k)
                 fired.append((r, own, own_ids))
-                if r not in later:
-                    later[r] = time_successor(r, bounds)
                 nxt = later[r]
+                if nxt is None:
+                    nxt = later[r] = intern(time_successor(region, bounds))
                 if nxt == r:
                     break
                 r = nxt
@@ -322,9 +357,12 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
                 if own:
                     tail = (*own, *tail[0]), (*own_ids, *tail[1])
                 listed[r] = tail
-        moves[node], node_ids = listed[region]
+        moves, node_ids = listed[rid]
+        move_lists.append(moves)
         succ_ids.append(node_ids)
-    return RegionGame(g, scale, bounds, nodes, moves, init, succ_ids)
+    nodes = [RegionNode(locs[li], regions[r]) for li, r in keys]
+    return RegionGame(g, scale, bounds, nodes, move_lists, nodes[0], succ_ids,
+                      [li for li, _ in keys])
 
 
 @dataclass
@@ -343,10 +381,10 @@ class SolveResult:
 JoinTime = tuple[int, int]
 
 
-def _locations(rg: RegionGame, keep) -> set[LocId]:
-    """The ids of the game's locations that satisfy `keep`, so a test on
-    every node reads its location once per call."""
-    return {lid for lid, loc in rg.game.locations.items() if keep(loc)}
+def _locations(rg: RegionGame, keep) -> list[bool]:
+    """Per location index, whether the location satisfies `keep`, so a test
+    on every node reads its location once per call."""
+    return [keep(loc) for loc in rg.game.locations.values()]
 
 
 def _attractor(rg: RegionGame, player: Player, seed: list[int]
@@ -368,7 +406,7 @@ def _attractor(rg: RegionGame, player: Player, seed: list[int]
     """
     nodes, succ_ids, preds = rg.nodes, rg.succ_ids, rg.pred_ids
     ours = _locations(rg, lambda loc: loc.owner is player)
-    mine = [n.loc in ours for n in nodes]
+    mine = [ours[li] for li in rg.node_locs]
     # per opponent node, its moves not yet attracted
     outside = [len(succs) for succs in succ_ids]
     queued = [False] * len(nodes)
@@ -381,9 +419,8 @@ def _attractor(rg: RegionGame, player: Player, seed: list[int]
     while heap:
         p, i, k = heapq.heappop(heap)
         if i >= 0 and mine[k]:
-            node = nodes[k]
             m = next(m for m, s in enumerate(succ_ids[k]) if joined[s] is not None)
-            moves[node] = rg.moves[node][m]
+            moves[nodes[k]] = rg.move_lists[k][m]
         joined[k] = (p, i)
         for j in preds[k]:
             if queued[j]:
@@ -403,12 +440,12 @@ def _stay_out(rg: RegionGame, player: Player, joined: list[Optional[JoinTime]]
     its first move that stays outside; only deadlocked nodes have none."""
     ours = _locations(rg, lambda loc: loc.owner is player)
     out: dict[RegionNode, RegionMove] = {}
-    for k, node in enumerate(rg.nodes):
-        if joined[k] is not None or node.loc not in ours:
+    for k, li in enumerate(rg.node_locs):
+        if joined[k] is not None or not ours[li]:
             continue
         for m, s in enumerate(rg.succ_ids[k]):
             if joined[s] is None:
-                out[node] = rg.moves[node][m]
+                out[rg.nodes[k]] = rg.move_lists[k][m]
                 break
     return out
 
@@ -420,7 +457,7 @@ def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
     target is reached, and the spoiler keeps plays outside the attractor."""
     target = _locations(rg, lambda loc: loc.obs in target_obs)
     joined, strategy = _attractor(
-        rg, Player.ONE, [k for k, n in enumerate(rg.nodes) if n.loc in target])
+        rg, Player.ONE, [k for k, li in enumerate(rg.node_locs) if target[li]])
     winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is not None)
     return SolveResult(winning, strategy, _stay_out(rg, Player.TWO, joined))
 
@@ -432,6 +469,6 @@ def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
     unsafe observation is forced."""
     unsafe = _locations(rg, lambda loc: loc.obs not in safe_obs)
     joined, spoiler = _attractor(
-        rg, Player.TWO, [k for k, n in enumerate(rg.nodes) if n.loc in unsafe])
+        rg, Player.TWO, [k for k, li in enumerate(rg.node_locs) if unsafe[li]])
     winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is None)
     return SolveResult(winning, _stay_out(rg, Player.ONE, joined), spoiler)

@@ -1,5 +1,6 @@
 """Region abstraction and attractor solving on the timed fragment."""
 
+import math
 import pickle
 import sys
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hybridgames as hg
-from hybridgames import cli
+from hybridgames import cli, solver
 from hybridgames.cli import parse_objective
 from hybridgames.samples import small_timed, worked_example
 
@@ -191,6 +192,28 @@ def _ladder_game(p2_can_escape):
     )
 
 
+def _probes(w, bounds):
+    """The delays `concretize_move` tries from the scaled valuation `w`, in
+    order: each time at which some clock reaches an integer no more than one
+    past its bound (and 0), the midpoint after each, then one past the last."""
+    times = sorted({F(0)} | {k - v for v, m in zip(w, bounds)
+                             for k in range(math.ceil(v), m + 2)})
+    probes = []
+    for a, b in zip(times, times[1:]):
+        probes += [a, (a + b) / 2]
+    return probes + [times[-1], times[-1] + 1]
+
+
+def _fractional_valuations(n):
+    """Valuations of `n` clocks that mix the fractional parts 1/2, 1/3, 2/3
+    and 0 across clocks in four rotations, then one where every clock has
+    fractional part 1/2."""
+    parts = (F(1, 2), F(1, 3), F(2, 3), F(0))
+    for shift in range(4):
+        yield tuple(parts[(i + shift) % 4] + i % 2 for i in range(n))
+    yield tuple(F(1, 2) + i % 2 for i in range(n))
+
+
 class TestRegionGame:
     def test_loop_without_reset_splits_nodes(self):
         rg = hg.build_region_graph(_loop_game(reset_clock=False))
@@ -243,6 +266,23 @@ class TestRegionGame:
         mv = rg.moves[rg.init][0]
         with pytest.raises(hg.NoRealization):
             rg.concretize_move(late, mv)
+
+    def test_concretize_takes_the_first_probe_into_each_closure_region(self):
+        games = [small_timed(), *(gen.ladder_case(i)[0] for i in range(4))]
+        for g in games:
+            rg = hg.build_region_graph(g)
+            edge = next(iter(g.edges))
+            for val in _fractional_valuations(len(g.vars)):
+                q = hg.Configuration(g.init, val)
+                w = tuple(v * rg.scale for v in val)
+                probes = _probes(w, rg.bounds)
+                for r in hg.time_closure(rg.node_of(q).region, rg.bounds):
+                    first = next(t for t in probes
+                                 if hg.region_of(tuple(x + t for x in w), rg.bounds) == r)
+                    got = rg.concretize_move(q, hg.RegionMove(r, edge))
+                    assert got == hg.Move(edge, first / rg.scale)
+                    landed = tuple(x + got.delay * rg.scale for x in w)
+                    assert hg.region_of(landed, rg.bounds) == r
 
     def test_region_values_survive_file_and_pickle_round_trips(self):
         # strategy files rebuild regions, nodes and moves as fresh values
@@ -404,30 +444,31 @@ class TestSpoiler:
 
 def _sweep_attractor(rg, player, seed):
     """Reference attractor: passes over `rg.nodes` grow the set in place
-    until one adds nothing, recording each attracted `player` node's first
-    move into the set when it joins."""
-    attr = set(seed)
+    until one adds nothing.  Returns each attracted node's join, the (pass,
+    index in `rg.nodes`) at which it was added, seeds at (1, -1), and each
+    attracted `player` node's first move into the set when it joined."""
+    joined = dict.fromkeys(seed, (1, -1))
     moves = {}
-    changed = True
+    p, changed = 0, True
     while changed:
-        changed = False
-        for node in rg.nodes:
-            if node in attr:
+        p, changed = p + 1, False
+        for i, node in enumerate(rg.nodes):
+            if node in joined:
                 continue
             node_moves = rg.moves[node]
             if rg.owner(node) is player:
                 for mv in node_moves:
-                    if rg.successor[(node, mv)] in attr:
+                    if rg.successor[(node, mv)] in joined:
                         moves[node] = mv
                         break
                 else:
                     continue
-            elif not (node_moves and all(rg.successor[(node, mv)] in attr
+            elif not (node_moves and all(rg.successor[(node, mv)] in joined
                                          for mv in node_moves)):
                 continue
-            attr.add(node)
+            joined[node] = (p, i)
             changed = True
-    return attr, moves
+    return joined, moves
 
 
 def _sweep_stay_out(rg, player, attr):
@@ -443,14 +484,16 @@ def _sweep_stay_out(rg, player, attr):
 
 
 def _sweep_solve(rg, kind, obs):
-    """(winning, strategy, spoiler) as the pass sweep computes them."""
+    """(winning, strategy, spoiler, joined) as the pass sweep computes them,
+    `joined` mapping each node of the attractor to its (pass, index)."""
     if kind == "reach":
-        win, strategy = _sweep_attractor(
-            rg, hg.Player.ONE, {n for n in rg.nodes if rg.obs(n) in obs})
-        return win, strategy, _sweep_stay_out(rg, hg.Player.TWO, win)
-    bad, spoiler = _sweep_attractor(
-        rg, hg.Player.TWO, {n for n in rg.nodes if rg.obs(n) not in obs})
-    return set(rg.nodes) - bad, _sweep_stay_out(rg, hg.Player.ONE, bad), spoiler
+        joined, strategy = _sweep_attractor(
+            rg, hg.Player.ONE, [n for n in rg.nodes if rg.obs(n) in obs])
+        return set(joined), strategy, _sweep_stay_out(rg, hg.Player.TWO, joined), joined
+    joined, spoiler = _sweep_attractor(
+        rg, hg.Player.TWO, [n for n in rg.nodes if rg.obs(n) not in obs])
+    return (set(rg.nodes) - set(joined), _sweep_stay_out(rg, hg.Player.ONE, joined),
+            spoiler, joined)
 
 
 def _kernel_cases():
@@ -509,7 +552,13 @@ class TestKernel:
                     [rg.successor[(node, mv)] for mv in rg.moves[node]]
             for kind, obs in objectives:
                 got = solve[kind](rg, obs)
-                winning, strategy, spoiler = _sweep_solve(rg, kind, obs)
+                winning, strategy, spoiler, joined = _sweep_solve(rg, kind, obs)
                 assert got.winning == winning
                 assert list(got.strategy.items()) == list(strategy.items())
                 assert list(got.spoiler.items()) == list(spoiler.items())
+                # every node's (pass, index), not only which nodes join, so
+                # an attractor that joins a node a pass late shows
+                player = hg.Player.ONE if kind == "reach" else hg.Player.TWO
+                seed = [k for k, n in enumerate(rg.nodes) if joined.get(n) == (1, -1)]
+                assert solver._attractor(rg, player, seed)[0] == \
+                    [joined.get(n) for n in rg.nodes]
