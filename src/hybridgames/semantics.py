@@ -122,12 +122,25 @@ class DelayWindow:
     def draw(self, rng: random.Random, max_den: int, ray: int) -> Fraction:
         """lo plus a random fraction, of denominator at most max_den, of the
         window's length (of `ray` when the window is unbounded).  A point
-        window returns lo without touching rng."""
-        span = Fraction(ray) if self.hi is None else self.hi - self.lo
-        if span == 0:
-            return self.lo
+        window returns lo without touching rng.
+
+        The result is lo + Fraction(k, den) * span, with the same two
+        randint calls, but it is built as one Fraction from the numerators
+        and denominators: on Python 3.11 each Fraction operator dispatches
+        through a numbers.Rational check, and a sampled pass draws tens of
+        thousands of delays."""
+        lo, hi = self.lo, self.hi
+        ln, ld = lo.numerator, lo.denominator
+        if hi is None:
+            sn, sd = ray, 1
+        else:
+            sn = hi.numerator * ld - ln * hi.denominator
+            sd = hi.denominator * ld
+        if sn == 0:
+            return lo
         den = rng.randint(1, max_den)
-        return self.lo + Fraction(rng.randint(0, den), den) * span
+        k = rng.randint(0, den)
+        return Fraction(ln * den * sd + k * sn * ld, ld * den * sd)
 
 
 def initial_config(g: Game) -> Configuration:
@@ -186,17 +199,24 @@ def step(g: Game, q: Configuration, move: Move) -> Configuration:
     """Apply one move exactly; raises MoveNotEnabled when it is not legal.
 
     A stopped variable keeps its value and a unit-slope one gains the
-    delay, with no multiplication (Game.slopes shares ZERO and ONE)."""
+    delay, with no multiplication (Game.slopes shares ZERO and ONE).  The
+    delay's sign and each guard bound are tested on numerators and
+    denominators (positive, so cross-multiplying keeps the order): on
+    Python 3.11 each Fraction comparison dispatches through a
+    numbers.Rational check.  The verdicts are those of `<` and `<=`."""
     e = g.edges.get(move.edge)
     if e is None or e.src != q.loc:
         raise MoveNotEnabled(f"edge {move.edge} is not available at {q.loc.render()}")
     t = move.delay
-    if t < 0:
+    if t.numerator < 0:
         raise MoveNotEnabled("negative delay")
     new = [v if s is ZERO else v + t if s is ONE else v + t * s
            for v, s in zip(q.val, g.slopes[q.loc])]
     for i, lo, hi in g.guards[e.id]:
-        if not lo <= new[i] <= hi:
+        x = new[i]
+        xn, xd = x.numerator, x.denominator
+        if (lo.numerator * xd > xn * lo.denominator
+                or xn * hi.denominator > hi.numerator * xd):
             raise MoveNotEnabled(f"delay {move.delay} outside the window of edge {move.edge}")
     for i, value in g.resets[e.id]:
         new[i] = value

@@ -86,6 +86,16 @@ class TestDelayWindows:
             assert t == lo and rng.getstate() == before
         else:
             assert ((t - lo) / (hi - lo)).denominator <= max_den
+        # the same value, type and rng use as the Fraction formula: these
+        # draws feed the check-bisim reports and the simulate transcript
+        twin = random.Random(seed)
+        expected = lo
+        if w.hi != lo:
+            den = twin.randint(1, max_den)
+            expected = lo + F(twin.randint(0, den), den) * (hi - lo)
+        assert type(t) is F
+        assert (t.numerator, t.denominator) == (expected.numerator, expected.denominator)
+        assert rng.getstate() == twin.getstate()
 
 
 class TestStep:
@@ -208,6 +218,47 @@ class TestMoveHash:
     def test_edge_and_delay_both_count(self):
         assert hg.Move("e", F(1, 2)) != hg.Move("e", F(2))
         assert hg.Move("e", F(1, 2)) != hg.Move("f", F(1, 2))
+
+    def test_equal_only_to_moves(self):
+        m = hg.Move("e", F(1, 2))
+        q = hg.Configuration(hg.LocId("e"), (F(1, 2),))
+        for other in [("e", F(1, 2)), q, None]:
+            assert m != other and other != m
+            assert not m == other and not other == m
+
+    def test_not_equal_is_the_negation_of_equal(self):
+        moves = [hg.Move("e", F(1, 2)), hg.Move("e", F(2, 4)), hg.Move("e", 2),
+                 hg.Move("e", F(2)), hg.Move("f", F(2)), hg.Move("e", F(-1, 2))]
+        for m1 in moves:
+            for m2 in moves:
+                assert (m1 != m2) is (not m1 == m2)
+
+
+class TestConfigurationEquality:
+    def test_distinct_equal_configurations_compare_and_hash_equal(self):
+        q1 = hg.Configuration(hg.LocId("l"), (F(1, 2), F(0)))
+        q2 = hg.Configuration(hg.LocId("l"), (F(2, 4), F(0)))
+        assert q1 is not q2 and q1.loc is not q2.loc
+        assert q1 == q2 and q2 == q1 and hash(q1) == hash(q2)
+        assert not q1 != q2
+        assert len({q1, q2}) == 1
+
+    def test_location_and_values_both_count(self):
+        q = cfg("l1", 3)
+        assert q != cfg("l1", 2) and q != cfg("l2", 3)
+        assert q != hg.Configuration(hg.LocId("l1"), (F(3), F(0)))
+
+    def test_equal_only_to_configurations(self):
+        q = cfg("l1", 3)
+        for other in [(hg.LocId("l1"), (F(3),)), hg.Move("l1", F(3)), None]:
+            assert q != other and other != q
+            assert not q == other and not other == q
+
+    def test_not_equal_is_the_negation_of_equal(self):
+        qs = [cfg("l1", 3), cfg("l1", F(6, 2)), cfg("l1", 2), cfg("l2", 3)]
+        for q1 in qs:
+            for q2 in qs:
+                assert (q1 != q2) is (not q1 == q2)
 
 
 # The shared ZERO and ONE, fresh objects equal to them, and other slopes.
