@@ -48,15 +48,9 @@ from .semantics import (
     step,
     trace_of,
 )
-from .to_stopwatch import rescale_config, stopwatch_witness, to_stopwatch
-from .to_updatable import (
-    annotate_resets,
-    annotation_witness,
-    pinned_values,
-    rewrite_witness,
-    to_updatable,
-)
-from .to_timed import offset_values, offset_witness, to_timed
+from .to_stopwatch import to_stopwatch
+from .to_updatable import annotate_resets, pinned_values, to_updatable
+from .to_timed import to_timed
 from .chain import (
     LOWERINGS,
     Chain,
@@ -78,6 +72,8 @@ from .bisim import (
     compose,
     identity_witness,
     replay_counterexample,
+    rescale_config,
+    stage_witness,
     verify_chain,
 )
 from .solver import (

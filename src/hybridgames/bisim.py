@@ -122,7 +122,7 @@ class BisimWitness:
         eid = self.edge_fwd.get((q2.loc, m1.edge))
         return None if eid is None else Move(eid, m1.delay)
 
-    def move_backward(self, _q1: Configuration, m2: Move) -> Optional[Move]:
+    def move_backward(self, m2: Move) -> Optional[Move]:
         """The g1 counterpart of a g2 move."""
         eid = self.edge_back.get(m2.edge)
         return None if eid is None else Move(eid, m2.delay)
@@ -135,6 +135,11 @@ def _valuation_map(g1: Game, l1: LocId, stripped: Optional[Annotation]) -> Affin
     offsets = stripped.as_dict() if stripped and stripped.kind == OFFSET_KIND else {}
     return Affine(tuple(1 / s if s else ONE for s in g1.slopes[l1]),
                   tuple(-offsets.get(var, ZERO) for var in g1.vars))
+
+
+def rescale_config(g_isr: Game, q: Configuration) -> Configuration:
+    """Map a source configuration to its stopwatch counterpart."""
+    return Configuration(q.loc, _valuation_map(g_isr, q.loc, None).apply(q.val))
 
 
 def stage_witness(name: str, g1: Game, g2: Game) -> BisimWitness:
@@ -203,9 +208,6 @@ class MoveSampler:
                 out.append(t)
         return out
 
-    def moves(self, g: Game, q: Configuration) -> list[Move]:
-        return self.moves_in(enabled_edges(g, q))
-
     def moves_in(self, windows: list[tuple[Edge, DelayWindow]]) -> list[Move]:
         """The sampled moves of already computed enabled edges."""
         return [Move(e.id, t) for e, w in windows for t in self.delays(w)]
@@ -243,7 +245,7 @@ def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
     """The matching clause for one sampled move: a g1 move from q1 matched
     by its g2 counterpart from q2 when `forward`, else a g2 move from q2 by
     its g1 counterpart.  The mover's side steps first, through `step`."""
-    other = w.move_forward(q2, move) if forward else w.move_backward(q1, move)
+    other = w.move_forward(q2, move) if forward else w.move_backward(move)
     if other is None:
         return "no counterpart move"
     try:
@@ -316,6 +318,7 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
     saves recomputing; the sampler draws the same delays either way.
     """
     sampler = sampler or MoveSampler()
+    memo = memo or _Memo()
     if not w.contains(q1, q2):
         cex = Counterexample(w.name, "relation", q1, q2, _NO_MOVE,
                              "pair not in the relation")
@@ -330,15 +333,13 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
                              "observations differ")
         return Verdict(False, 0, cex, "observations differ")
 
-    enabled, match = ((enabled_edges, _match) if memo is None
-                      else (memo.enabled, memo.match))
     checked = 0
     owner_forward = own1 is Player.ONE
     for forward in (owner_forward, not owner_forward):
         g, q = (w.g1, q1) if forward else (w.g2, q2)
-        for move in sampler.moves_in(enabled(g, q)):
+        for move in sampler.moves_in(memo.enabled(g, q)):
             checked += 1
-            problem = match(w, q1, q2, move, forward)
+            problem = memo.match(w, q1, q2, move, forward)
             if problem:
                 cex = Counterexample(w.name, "forward" if forward else "backward",
                                      q1, q2, move, problem)

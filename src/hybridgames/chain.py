@@ -12,12 +12,12 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import NamedTuple
 
-from .bisim import BisimWitness, compose, identity_witness
+from .bisim import BisimWitness, compose, identity_witness, stage_witness
 from .core import Flavor, Game, InvalidHistory, MoveNotEnabled, require_valid
 from .semantics import Move, Run, initial_config, step
-from .to_stopwatch import stopwatch_witness, to_stopwatch
-from .to_timed import offset_witness, to_timed
-from .to_updatable import annotation_witness, annotate_resets, rewrite_witness, to_updatable
+from .to_stopwatch import to_stopwatch
+from .to_timed import to_timed
+from .to_updatable import annotate_resets, to_updatable
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,13 @@ class Chain:
 
 
 # The lowering stages in chain order: the flavor each one produces, its
-# construction, and the builder of its relation from input to output game.
+# construction, and the name of its relation from input to output game, which
+# `stage_witness` reads off the two games.
 LOWERINGS = (
-    (Flavor.STOPWATCH, to_stopwatch, stopwatch_witness),
-    (Flavor.ANNOTATED_STOPWATCH, annotate_resets, annotation_witness),
-    (Flavor.UPDATABLE, to_updatable, rewrite_witness),
-    (Flavor.TIMED, to_timed, offset_witness),
+    (Flavor.STOPWATCH, to_stopwatch, "slope-normalization"),
+    (Flavor.ANNOTATED_STOPWATCH, annotate_resets, "reset-annotation"),
+    (Flavor.UPDATABLE, to_updatable, "guard-rewrite"),
+    (Flavor.TIMED, to_timed, "offset-shift"),
 )
 
 # Every flavor in chain order, the source flavor first.
@@ -57,10 +58,10 @@ def build_chain(g: Game) -> Chain:
     game to itself by the identity, under the stage's name."""
     games, stages = [require_valid(g)], []
     entry = CHAIN_ORDER.index(g.flavor)
-    for k, (_, construct, witness) in enumerate(LOWERINGS, start=1):
+    for k, (_, construct, name) in enumerate(LOWERINGS, start=1):
         games.append(construct(games[-1]) if k > entry else g)
-        w = witness(games[-2], games[-1])
-        stages.append(w if k > entry else replace(identity_witness(g), name=w.name))
+        stages.append(stage_witness(name, games[-2], games[-1]) if k > entry
+                      else replace(identity_witness(g), name=name))
     return Chain(*games, tuple(stages), reduce(compose, stages))
 
 

@@ -201,7 +201,7 @@ def granular_witness_check(witness, depth: int,
             continue
         horizon = max(_horizon(g1, bound1, q1), _horizon(g2, bound2, q2))
         sides = (("forward", g1, q1, lambda m: (m, witness.move_forward(q2, m))),
-                 ("backward", g2, q2, lambda m: (witness.move_backward(q1, m), m)))
+                 ("backward", g2, q2, lambda m: (witness.move_backward(m), m)))
         for direction, g, q, pair in sides:
             for e, w in enabled_edges(g, q):
                 t, past = w.lo, 0

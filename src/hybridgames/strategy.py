@@ -59,7 +59,7 @@ def pull_back_strategy(chain: Chain, sigma_t: StrategyFn) -> StrategyFn:
         m_t = sigma_t(lifted.timed)
         if m_t is None:
             return None
-        move = chain.end_to_end.move_backward(lifted.source.last(), m_t)
+        move = chain.end_to_end.move_backward(m_t)
         if move is None:
             raise InvalidHistory(f"strategy chose unknown timed edge {m_t.edge!r}")
         return move

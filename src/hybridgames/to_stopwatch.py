@@ -21,8 +21,6 @@ from .core import (
     Location,
     Reset,
 )
-from .bisim import BisimWitness, _valuation_map, stage_witness
-from .semantics import Configuration
 
 
 def to_stopwatch(g: Game) -> Game:
@@ -53,14 +51,3 @@ def to_stopwatch(g: Game) -> Game:
                           Reset(assignments), e.dst, provenance=eid)
 
     return Game(Flavor.STOPWATCH, g.vars, g.actions, g.obs, locations, edges, g.init)
-
-
-def rescale_config(g_isr: Game, q: Configuration) -> Configuration:
-    """Map a source configuration to its stopwatch counterpart."""
-    return Configuration(q.loc, _valuation_map(g_isr, q.loc, None).apply(q.val))
-
-
-def stopwatch_witness(g_isr: Game, g_w: Game) -> BisimWitness:
-    """The slope-normalization bisimulation: same location, rescaled values,
-    identical edge ids and delays."""
-    return stage_witness("slope-normalization", g_isr, g_w)

@@ -20,19 +20,9 @@ from .core import (
     Flavor,
     Game,
     Guard,
-    InvalidGame,
-    LocId,
     Reset,
 )
-from .bisim import BisimWitness, stage_witness
 from .to_updatable import unfold
-
-
-def offset_values(lid: LocId) -> dict:
-    ann = lid.last_annotation()
-    if ann is None or ann.kind != OFFSET_KIND:
-        raise InvalidGame(f"{lid.render()} carries no offset annotation")
-    return ann.as_dict()
 
 
 def to_timed(g_u: Game) -> Game:
@@ -56,9 +46,3 @@ def _shift(e: Edge, off: Annotation) -> Edge:
                                    for var, iv in e.guard.conjuncts.items()}),
                    reset=Reset({var: ZERO for var in reset_set}),
                    reset_set=reset_set)
-
-
-def offset_witness(g_u: Game, g_t: Game) -> BisimWitness:
-    """Updatable vs timed: locations related by stripping the offset map,
-    values by subtracting it, edges by provenance."""
-    return stage_witness("offset-shift", g_u, g_t)

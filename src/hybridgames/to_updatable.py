@@ -33,7 +33,6 @@ from .core import (
     Location,
     Reset,
 )
-from .bisim import BisimWitness, stage_witness
 
 
 def annotate_resets(g_w: Game) -> Game:
@@ -101,7 +100,9 @@ def to_updatable(g_ann: Game) -> Game:
     The reset of each edge assigns, per variable, the pin at the target if
     there is one, else the original reset value if any.  Conjuncts over
     source-pinned variables are evaluated statically and removed, and edges
-    whose pinned value falls outside the conjunct are dropped.
+    whose pinned value falls outside the conjunct are dropped.  Every other
+    edge keeps its id; a dropped edge has no counterpart, which only ever
+    shows from unreachable configurations.
     """
     locations = {}
     for lid, loc in g_ann.locations.items():
@@ -135,18 +136,3 @@ def to_updatable(g_ann: Game) -> Game:
 
     return Game(Flavor.UPDATABLE, g_ann.vars, g_ann.actions, g_ann.obs,
                 locations, edges, g_ann.init)
-
-
-def annotation_witness(g_w: Game, g_ann: Game) -> BisimWitness:
-    """Stopwatch vs annotated stopwatch: identical valuations, locations
-    related by stripping the pin map, edges related by provenance."""
-    return stage_witness("reset-annotation", g_w, g_ann)
-
-
-def rewrite_witness(g_ann: Game, g_u: Game) -> BisimWitness:
-    """Annotated stopwatch vs updatable: the identity on configurations.
-
-    Edges keep their ids across the rewrite; an edge dropped as dead has no
-    counterpart, which is only ever visible from unreachable configurations.
-    """
-    return stage_witness("guard-rewrite", g_ann, g_u)

@@ -117,7 +117,7 @@ def test_05_mutation_sensitivity():
         ref = [hg.rescale_config(g, q) for r in runs for q in r.configs()]
         name, bad = mutate_game(hg.to_stopwatch(g), 900 + i, ve, vl,
                                 ref_configs=ref)
-        w = hg.stopwatch_witness(g, bad)
+        w = hg.stage_witness("slope-normalization", g, bad)
         sampler = hg.MoveSampler(random.Random(900 + i), extra=2)
         hit = False
         try:

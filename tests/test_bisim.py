@@ -48,19 +48,20 @@ def test_witness_rejects_unrelated_pair():
 def off_by_one_offsets(monkeypatch):
     """Make the offset stage's valuation map subtract one too many, so its
     relation excludes every lifted pair."""
-    # the package exports the function to_timed under the module's name
-    to_timed = importlib.import_module("hybridgames.to_timed")
-    real = to_timed.stage_witness
+    chain = importlib.import_module("hybridgames.chain")
+    real = chain.stage_witness
 
     def shifted(name, g1, g2):
         w = real(name, g1, g2)
+        if name != "offset-shift":
+            return w
         identity = Affine((F(1),) * len(g1.vars), (F(0),) * len(g1.vars))
         maps = {l2: w.affine.get(l2, identity) for l2 in w.loc_back}
         return dataclasses.replace(w, affine={
             l2: Affine(a.scale, tuple(b - 1 for b in a.shift))
             for l2, a in maps.items()})
 
-    monkeypatch.setattr(to_timed, "stage_witness", shifted)
+    monkeypatch.setattr(chain, "stage_witness", shifted)
 
 
 def test_ownership_mismatch_raises():
@@ -79,8 +80,8 @@ def replace_lowering(monkeypatch, real, fake):
     """Build the chain with `fake` where `chain.LOWERINGS` has `real`."""
     chain = importlib.import_module("hybridgames.chain")
     monkeypatch.setattr(chain, "LOWERINGS", tuple(
-        (flavor, fake if construct is real else construct, witness)
-        for flavor, construct, witness in chain.LOWERINGS))
+        (flavor, fake if construct is real else construct, name)
+        for flavor, construct, name in chain.LOWERINGS))
 
 
 def rewrite_hands_l1_to_player_one(monkeypatch):
@@ -138,7 +139,7 @@ def test_tampered_guard_is_caught_and_replayable():
     edges["e1"] = dataclasses.replace(e1, guard=hg.Guard(conj))
     tampered = dataclasses.replace(w_stage, edges=edges)
 
-    w = hg.stopwatch_witness(G, tampered)
+    w = hg.stage_witness("slope-normalization", G, tampered)
     q = hg.Configuration(hg.LocId("l1"), (F(3),))
     verdict = hg.check_local_bisim(w, q, hg.rescale_config(G, q))
     assert not verdict.passed
@@ -148,14 +149,14 @@ def test_tampered_guard_is_caught_and_replayable():
     assert hg.replay_counterexample(w, cex)
 
     # the untouched stage upstream still checks out on the same state
-    w_ok = hg.stopwatch_witness(G, w_stage)
+    w_ok = hg.stage_witness("slope-normalization", G, w_stage)
     assert hg.check_local_bisim(w_ok, q, hg.rescale_config(G, q)).passed
 
 
 def test_compose_matches_two_hop_checks():
     ch = hg.build_chain(G)
-    w_ann = hg.annotation_witness(ch.stopwatch, ch.annotated)
-    w_rw = hg.rewrite_witness(ch.annotated, ch.updatable)
+    w_ann = hg.stage_witness("reset-annotation", ch.stopwatch, ch.annotated)
+    w_rw = hg.stage_witness("guard-rewrite", ch.annotated, ch.updatable)
     beta = hg.compose(w_ann, w_rw)
     assert beta.g1 is ch.stopwatch and beta.g2 is ch.updatable
     for q in sampled_configs(ch.stopwatch, seeds=range(3)):
@@ -335,7 +336,7 @@ class TestMoveSampler:
 
     def test_moves_pair_edges_with_window_samples(self):
         q = hg.Configuration(hg.LocId("l1"), (F(3),))
-        moves = self.sampler.moves(G, q)
+        moves = self.sampler.moves_in(hg.enabled_edges(G, q))
         edges = {m.edge for m in moves}
         assert edges == {"e1", "e2"}
         for m in moves:

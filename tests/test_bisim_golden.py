@@ -43,7 +43,7 @@ def _first_failure(i: int) -> str:
     ve, vl = visited_components(runs)
     ref = [hg.rescale_config(g, q) for r in runs for q in r.configs()]
     _, bad = mutate_game(hg.to_stopwatch(g), 900 + i, ve, vl, ref_configs=ref)
-    w = hg.stopwatch_witness(g, bad)
+    w = hg.stage_witness("slope-normalization", g, bad)
     sampler = hg.MoveSampler(random.Random(900 + i), extra=2)
     try:
         for r in runs:

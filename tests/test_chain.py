@@ -47,6 +47,7 @@ def test_stages_above_the_entry_hold_the_game(k):
     chain = hg.build_chain(g)
     assert all(game is g for game in chain.games()[:k + 1])
     assert all(game is not g for game in chain.games()[k + 1:])
+    assert [w.name for w in chain.stages] == [name for _, _, name in hg.LOWERINGS]
     for w in chain.stages[:k]:
         assert w.g1 is g and w.g2 is g
         assert w.loc_back == {lid: lid for lid in g.locations}

@@ -6,7 +6,8 @@ module-level private name is referenced somewhere in the package outside
 its own definition.  Both catch what a simplification leaves behind: an
 import whose last use went, or a helper nothing calls any more.  Every
 module also compiles with warnings as errors: a SyntaxWarning such as the
-one for `x is 0` would otherwise only show on a command's stderr.
+one for `x is 0` would otherwise only show on a command's stderr.  The
+lowering constructions import neither `bisim` nor `chain`.
 """
 
 import ast
@@ -80,6 +81,20 @@ def test_every_private_name_is_referenced():
                     for stmt in tree.body for name in sorted(_defined(stmt))
                     if _is_private(name) and name not in referenced]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", ["to_stopwatch.py", "to_updatable.py",
+                                    "to_timed.py"])
+def test_constructions_import_no_relation(module):
+    # `chain.LOWERINGS` is the one place that pairs a construction with its
+    # relation, so the construction modules import neither side of it
+    imported = set()
+    for node in ast.walk(MODULES[module]):
+        if isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {part for a in node.names for part in a.name.split(".")}
+    assert imported & {"bisim", "chain"} == set()
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))

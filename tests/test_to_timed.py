@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import hybridgames as hg
+from hybridgames.core import OFFSET_KIND
 from hybridgames.samples import worked_example
 
 CH = hg.build_chain(worked_example())
@@ -52,7 +53,9 @@ def test_provenance_points_one_stage_back():
 
 def test_offset_values_read_back():
     lid = hg.parse_locid("l1{f:x=_}{g:x=-3}")
-    assert hg.offset_values(lid) == {"x": F(-3)}
+    ann = lid.last_annotation()
+    assert ann.kind == OFFSET_KIND
+    assert ann.as_dict() == {"x": F(-3)}
 
 
 def test_timed_stage_validates_and_classifies():
@@ -79,7 +82,7 @@ def test_delay_windows_survive_shifting():
 
 
 def test_offset_witness_accepts_sampled_pairs():
-    w = hg.offset_witness(U, T)
+    w = hg.stage_witness("offset-shift", U, T)
     for seed in range(6):
         run = hg.play(U, hg.random_strategy(U, seed),
                       hg.random_strategy(U, seed + 50), 8)

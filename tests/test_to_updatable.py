@@ -137,7 +137,7 @@ class TestLiteralMode:
         g = _pinned_loop_game(F(0), F(2))
         ann = hg.annotate_resets(hg.to_stopwatch(g))
         literal = _literal(ann)
-        w = hg.rewrite_witness(ann, literal)
+        w = hg.stage_witness("guard-rewrite", ann, literal)
         pinned = hg.Configuration(hg.parse_locid("l1{f:x=1}"), (F(1),))
         verdict = hg.check_local_bisim(w, pinned, pinned)
         assert not verdict.passed
@@ -154,7 +154,7 @@ class TestLiteralMode:
 
 
 def test_rewrite_witness_accepts_sampled_pairs():
-    w = hg.rewrite_witness(ANN, U)
+    w = hg.stage_witness("guard-rewrite", ANN, U)
     for seed in range(6):
         run = hg.play(ANN, hg.random_strategy(ANN, seed),
                       hg.random_strategy(ANN, seed + 50), 8)
@@ -164,10 +164,10 @@ def test_rewrite_witness_accepts_sampled_pairs():
 
 
 def test_annotation_witness_accepts_sampled_pairs():
-    w = hg.annotation_witness(W, ANN)
+    w = hg.stage_witness("reset-annotation", W, ANN)
     # the composed annotation relation, stopwatch to updatable, relates
     # each pair too, since the guard rewrite is the identity on configurations
-    composed = hg.compose(w, hg.rewrite_witness(ANN, U))
+    composed = hg.compose(w, hg.stage_witness("guard-rewrite", ANN, U))
     for seed in range(6):
         run = hg.play(W, hg.random_strategy(W, seed),
                       hg.random_strategy(W, seed + 50), 8)
