@@ -265,11 +265,12 @@ _UNSEEN = object()
 
 
 class _Memo:
-    """What one verify_chain call has computed, each table a pure function
-    of its key: the enabled edges of a (game, configuration), the successor
-    of a (game, configuration, move) or the text of its MoveNotEnabled, and
-    per witness each matching clause's outcome.  Games and witnesses are
-    keyed by id, so a memo must not outlive the call that holds them."""
+    """What one verify_chain call, or one check_local_bisim call given no
+    memo, has computed, each table a pure function of its key: the enabled
+    edges of a (game, configuration), the successor of a (game,
+    configuration, move) or the text of its MoveNotEnabled, and per witness
+    each matching clause's outcome.  Games and witnesses are keyed by id, so
+    a memo must not outlive the call that holds them."""
 
     def __init__(self) -> None:
         self.windows: dict = {}

@@ -6,7 +6,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from hybridgames.chain import build_chain
+from hybridgames.chain import LOWERINGS, build_chain
 from hybridgames.core import (
     Edge,
     Flavor,
@@ -22,6 +22,10 @@ from hybridgames.core import (
 from hybridgames.samples import broken_initialization, small_timed, worked_example
 
 from gamegen import gen_isr_game
+
+# Each lowering stage's relation name by the flavor it lowers to, read from
+# the one table that pairs a construction with its relation.
+STAGE_NAME = {flavor: name for flavor, _, name in LOWERINGS}
 
 
 def _replace_edge(g: Game, eid: str, **changes) -> Game:

@@ -12,7 +12,7 @@ import hybridgames as hg
 from hybridgames.cli import parse_objective, solve_timed_game
 from hybridgames.samples import worked_example
 
-from fixtures import invalid_fixtures, valid_fixtures
+from fixtures import STAGE_NAME, invalid_fixtures, valid_fixtures
 from gamegen import (
     gen_isr_game,
     gen_timed_game,
@@ -117,7 +117,7 @@ def test_05_mutation_sensitivity():
         ref = [hg.rescale_config(g, q) for r in runs for q in r.configs()]
         name, bad = mutate_game(hg.to_stopwatch(g), 900 + i, ve, vl,
                                 ref_configs=ref)
-        w = hg.stage_witness("slope-normalization", g, bad)
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, bad)
         sampler = hg.MoveSampler(random.Random(900 + i), extra=2)
         hit = False
         try:

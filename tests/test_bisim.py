@@ -8,9 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 import hybridgames as hg
-from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine
+from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine, _match
 from hybridgames.samples import worked_example
 
+from fixtures import STAGE_NAME
 from gamegen import gen_isr_game
 
 G = worked_example()
@@ -139,7 +140,7 @@ def test_tampered_guard_is_caught_and_replayable():
     edges["e1"] = dataclasses.replace(e1, guard=hg.Guard(conj))
     tampered = dataclasses.replace(w_stage, edges=edges)
 
-    w = hg.stage_witness("slope-normalization", G, tampered)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], G, tampered)
     q = hg.Configuration(hg.LocId("l1"), (F(3),))
     verdict = hg.check_local_bisim(w, q, hg.rescale_config(G, q))
     assert not verdict.passed
@@ -149,14 +150,15 @@ def test_tampered_guard_is_caught_and_replayable():
     assert hg.replay_counterexample(w, cex)
 
     # the untouched stage upstream still checks out on the same state
-    w_ok = hg.stage_witness("slope-normalization", G, w_stage)
+    w_ok = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], G, w_stage)
     assert hg.check_local_bisim(w_ok, q, hg.rescale_config(G, q)).passed
 
 
 def test_compose_matches_two_hop_checks():
     ch = hg.build_chain(G)
-    w_ann = hg.stage_witness("reset-annotation", ch.stopwatch, ch.annotated)
-    w_rw = hg.stage_witness("guard-rewrite", ch.annotated, ch.updatable)
+    w_ann = hg.stage_witness(STAGE_NAME[hg.Flavor.ANNOTATED_STOPWATCH], ch.stopwatch,
+                             ch.annotated)
+    w_rw = hg.stage_witness(STAGE_NAME[hg.Flavor.UPDATABLE], ch.annotated, ch.updatable)
     beta = hg.compose(w_ann, w_rw)
     assert beta.g1 is ch.stopwatch and beta.g2 is ch.updatable
     for q in sampled_configs(ch.stopwatch, seeds=range(3)):
@@ -240,10 +242,40 @@ class TestVerifyChain:
         assert a.render() == b.render()
 
 
+def unmemoised_check_local_bisim(w, q1, q2, sampler):
+    """check_local_bisim without a memo: the same clauses in the same order,
+    each move's enabled edges and successors computed afresh by
+    enabled_edges and the plain step."""
+    if not w.contains(q1, q2):
+        cex = hg.Counterexample(w.name, "relation", q1, q2, _NO_MOVE,
+                                "pair not in the relation")
+        return hg.Verdict(False, 0, cex, cex.reason)
+    own1, own2 = w.g1.owner(q1.loc), w.g2.owner(q2.loc)
+    if own1 is not own2:
+        raise hg.OwnershipMismatch(
+            f"{q1.loc.render()} owned by {own1.name}, {q2.loc.render()} by {own2.name}")
+    if w.g1.locations[q1.loc].obs != w.g2.locations[q2.loc].obs:
+        cex = hg.Counterexample(w.name, "label", q1, q2, _NO_MOVE,
+                                "observations differ")
+        return hg.Verdict(False, 0, cex, "observations differ")
+    checked = 0
+    owner_forward = own1 is hg.Player.ONE
+    for forward in (owner_forward, not owner_forward):
+        g, q = (w.g1, q1) if forward else (w.g2, q2)
+        for move in sampler.moves_in(hg.enabled_edges(g, q)):
+            checked += 1
+            problem = _match(w, q1, q2, move, forward)
+            if problem:
+                cex = hg.Counterexample(w.name, "forward" if forward else "backward",
+                                        q1, q2, move, problem)
+                return hg.Verdict(False, checked, cex, problem)
+    return hg.Verdict(True, checked)
+
+
 def unmemoised_verify_chain(g, samples, depth, seed=0):
     """verify_chain as it was before its memo, kept as the oracle: the same
     sampled plays and the same seeded sampler, every pair checked by
-    check_local_bisim without a memo."""
+    unmemoised_check_local_bisim."""
     chain = hg.build_chain(g)
     witnesses = hg.stage_witnesses(chain)
     rng = random.Random(seed)
@@ -269,7 +301,8 @@ def unmemoised_verify_chain(g, samples, depth, seed=0):
             if len(result.failures) >= _MAX_FAILURES:
                 continue
             try:
-                verdict = hg.check_local_bisim(w, configs[i], configs[j], sampler)
+                verdict = unmemoised_check_local_bisim(w, configs[i], configs[j],
+                                                       sampler)
             except hg.OwnershipMismatch as exc:
                 cex = hg.Counterexample(w.name, "owner", configs[i], configs[j],
                                         _NO_MOVE, str(exc))

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import hybridgames as hg
 
+from fixtures import STAGE_NAME
 from gamegen import gen_isr_game, mutate_game, probe_runs, visited_components
 
 DIGESTS = Path(__file__).resolve().parent / "bisim_golden.json"
@@ -43,7 +44,7 @@ def _first_failure(i: int) -> str:
     ve, vl = visited_components(runs)
     ref = [hg.rescale_config(g, q) for r in runs for q in r.configs()]
     _, bad = mutate_game(hg.to_stopwatch(g), 900 + i, ve, vl, ref_configs=ref)
-    w = hg.stage_witness("slope-normalization", g, bad)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, bad)
     sampler = hg.MoveSampler(random.Random(900 + i), extra=2)
     try:
         for r in runs:

@@ -11,6 +11,7 @@ import hybridgames as hg
 from hybridgames import granular
 from hybridgames.samples import small_timed, worked_example
 
+from fixtures import STAGE_NAME
 from gamegen import gen_isr_game
 
 
@@ -137,7 +138,7 @@ class TestGranularWinners:
 class TestGranularWitnessCheck:
     def test_clean_stage_has_no_mismatch(self):
         g = worked_example()
-        w = hg.stage_witness("slope-normalization", g, hg.to_stopwatch(g))
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, hg.to_stopwatch(g))
         assert hg.granular_witness_check(w, depth=5) is None
 
     def test_tampered_guard_is_found(self):
@@ -146,7 +147,7 @@ class TestGranularWitnessCheck:
             hg.to_stopwatch(g), "e1",
             hg.Guard({"x": hg.Interval(F(-2), F(1, 2))}))
         got = hg.granular_witness_check(
-            hg.stage_witness("slope-normalization", g, tampered), depth=5)
+            hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, tampered), depth=5)
         assert got is not None
         assert got.direction in ("forward", "backward")
         assert got.move.edge == "e1"
@@ -159,7 +160,7 @@ class TestGranularWitnessCheck:
         narrowed = _with_edge_guard(hg.to_stopwatch(g), "e1",
                                     hg.Guard({"x": hg.Interval(F(0), F(5))}))
         got = hg.granular_witness_check(
-            hg.stage_witness("slope-normalization", g, narrowed), depth=5)
+            hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, narrowed), depth=5)
         assert got is not None
         assert (got.direction, got.move) == ("forward", hg.Move("e1", F(11, 2)))
 
@@ -171,13 +172,13 @@ class TestGranularWitnessCheck:
         locations[l1] = dataclasses.replace(locations[l1], owner=hg.Player.ONE)
         flipped = dataclasses.replace(stage, locations=locations)
         got = hg.granular_witness_check(
-            hg.stage_witness("slope-normalization", g, flipped), depth=5)
+            hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, flipped), depth=5)
         assert got is not None
         assert (got.direction, got.q1.loc, got.move) == ("owner", l1, None)
 
     def test_unrelated_initial_pair_is_named_like_the_sampler(self):
         g = worked_example()
-        w = hg.stage_witness("slope-normalization", g, hg.to_stopwatch(g))
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, hg.to_stopwatch(g))
         # v/2 + 1 at init relates no initial pair
         w = dataclasses.replace(w, affine={
             **w.affine, g.init: hg.bisim.Affine((F(1, 2),), (F(1),))})
@@ -196,7 +197,7 @@ class TestGranularWitnessCheck:
             return hg.step(g, q, move)
         monkeypatch.setattr(hg.granular, "step", recording_step)
         g = _ray_game(F(1, 2))
-        w = hg.stage_witness("slope-normalization", g, hg.to_stopwatch(g))
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, hg.to_stopwatch(g))
         assert hg.granular_witness_check(w, depth=5) is None
         assert F(1, 4) in tried
 
@@ -204,7 +205,7 @@ class TestGranularWitnessCheck:
         # acceptance check 5's games, unmutated, at its depth
         for seed in range(900, 950):
             g = gen_isr_game(seed, profile="pipeline")
-            w = hg.stage_witness("slope-normalization", g, hg.to_stopwatch(g))
+            w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, hg.to_stopwatch(g))
             assert hg.granular_witness_check(w, depth=8) is None, seed
 
     def test_package_bug_in_step_propagates(self, monkeypatch):
@@ -213,13 +214,13 @@ class TestGranularWitnessCheck:
             raise TypeError("broken step")
         monkeypatch.setattr(hg.granular, "step", broken_step)
         g = worked_example()
-        w = hg.stage_witness("slope-normalization", g, hg.to_stopwatch(g))
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, hg.to_stopwatch(g))
         with pytest.raises(TypeError, match="broken step"):
             hg.granular_witness_check(w, depth=5)
 
     def test_pair_budget_is_enforced(self):
         g = worked_example()
-        w = hg.stage_witness("slope-normalization", g, hg.to_stopwatch(g))
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], g, hg.to_stopwatch(g))
         with pytest.raises(hg.GameError):
             hg.granular_witness_check(w, depth=5, max_pairs=2)
 

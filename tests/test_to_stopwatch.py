@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import hybridgames as hg
 from hybridgames.samples import worked_example
 
+from fixtures import STAGE_NAME
+
 G = worked_example()
 W = hg.to_stopwatch(G)
 
@@ -51,7 +53,7 @@ def test_structure_untouched():
        st.fractions(max_denominator=8))
 def test_rescale_roundtrip(lid, x):
     q = hg.Configuration(lid, (x,))
-    w = hg.stage_witness("slope-normalization", G, W)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], G, W)
     assert w.forward_configs(q) == (hg.rescale_config(G, q),)
     assert w.backward_config(hg.rescale_config(G, q)) == q
 
@@ -66,7 +68,7 @@ def test_delay_windows_survive_rescaling(lid, x):
 
 
 def test_witness_accepts_sampled_reachable_pairs():
-    w = hg.stage_witness("slope-normalization", G, W)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], G, W)
     assert w.g1 is G and w.g2 is W
     for seed in range(6):
         run = hg.play(G, hg.random_strategy(G, seed),
@@ -78,7 +80,7 @@ def test_witness_accepts_sampled_reachable_pairs():
 
 
 def test_witness_translates_moves_both_ways():
-    w = hg.stage_witness("slope-normalization", G, W)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], G, W)
     q = hg.initial_config(G)
     m = hg.Move("e0", F(3, 2))
     assert w.move_forward(q, m) == m

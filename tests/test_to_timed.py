@@ -6,6 +6,8 @@ import hybridgames as hg
 from hybridgames.core import OFFSET_KIND
 from hybridgames.samples import worked_example
 
+from fixtures import STAGE_NAME
+
 CH = hg.build_chain(worked_example())
 U = CH.updatable
 T = CH.timed
@@ -82,7 +84,7 @@ def test_delay_windows_survive_shifting():
 
 
 def test_offset_witness_accepts_sampled_pairs():
-    w = hg.stage_witness("offset-shift", U, T)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.TIMED], U, T)
     for seed in range(6):
         run = hg.play(U, hg.random_strategy(U, seed),
                       hg.random_strategy(U, seed + 50), 8)

@@ -8,6 +8,8 @@ import pytest
 import hybridgames as hg
 from hybridgames.samples import worked_example
 
+from fixtures import STAGE_NAME
+
 G = worked_example()
 W = hg.to_stopwatch(G)
 ANN = hg.annotate_resets(W)
@@ -137,7 +139,7 @@ class TestLiteralMode:
         g = _pinned_loop_game(F(0), F(2))
         ann = hg.annotate_resets(hg.to_stopwatch(g))
         literal = _literal(ann)
-        w = hg.stage_witness("guard-rewrite", ann, literal)
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.UPDATABLE], ann, literal)
         pinned = hg.Configuration(hg.parse_locid("l1{f:x=1}"), (F(1),))
         verdict = hg.check_local_bisim(w, pinned, pinned)
         assert not verdict.passed
@@ -154,7 +156,7 @@ class TestLiteralMode:
 
 
 def test_rewrite_witness_accepts_sampled_pairs():
-    w = hg.stage_witness("guard-rewrite", ANN, U)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.UPDATABLE], ANN, U)
     for seed in range(6):
         run = hg.play(ANN, hg.random_strategy(ANN, seed),
                       hg.random_strategy(ANN, seed + 50), 8)
@@ -164,10 +166,10 @@ def test_rewrite_witness_accepts_sampled_pairs():
 
 
 def test_annotation_witness_accepts_sampled_pairs():
-    w = hg.stage_witness("reset-annotation", W, ANN)
+    w = hg.stage_witness(STAGE_NAME[hg.Flavor.ANNOTATED_STOPWATCH], W, ANN)
     # the composed annotation relation, stopwatch to updatable, relates
     # each pair too, since the guard rewrite is the identity on configurations
-    composed = hg.compose(w, hg.stage_witness("guard-rewrite", ANN, U))
+    composed = hg.compose(w, hg.stage_witness(STAGE_NAME[hg.Flavor.UPDATABLE], ANN, U))
     for seed in range(6):
         run = hg.play(W, hg.random_strategy(W, seed),
                       hg.random_strategy(W, seed + 50), 8)
