@@ -421,9 +421,10 @@ def _strategy_table(sf: StrategyFile, chain: Chain
                     ) -> tuple[Objective, RegionGame, SolveResult]:
     """Read what `strategy_file_for_source` writes for `chain.isr`: the
     file's objective, the region graph of the chain's timed stage at the
-    file's scale, and the region strategy.  Each entry must name a node and
-    one of its moves, no node twice, and a timed location must stand for its
-    entry's location as an id, whatever its spelling."""
+    file's scale, and the region strategy in file order, its winning nodes
+    those with an entry.  Each entry must name a node and one of its moves,
+    no node twice, and a timed location must stand for its entry's location
+    as an id, whatever its spelling."""
     objective = _objective_over(sf.kind, chain.isr)
     w = chain.end_to_end
     noted = chain.timed is not chain.isr
@@ -440,17 +441,18 @@ def _strategy_table(sf: StrategyFile, chain: Chain
         loc = _locid(ent.location, f"{path}.location")
         tloc = loc if ent.timed_location is None else \
             _locid(ent.timed_location, f"{path}.note.timed_location")
-        node = RegionNode(tloc, ent.region)
+        k = rg.node_ids.get(RegionNode(tloc, ent.region))
         mv = RegionMove(ent.succ, w.edge_fwd.get((tloc, ent.edge)))
-        if mv not in rg.moves.get(node, ()):
+        if k is None or mv not in rg.move_lists[k]:
             raise ParseError(f"no such region move in the game at {path}")
         if w.loc_back[tloc] != loc:
             raise ParseError("timed_location stands for another location at "
                              f"{path}.location")
-        if node in strategy:
+        if k in strategy:
             raise ParseError(f"second entry for one region node at {path}")
-        strategy[node] = mv
-    return objective, rg, SolveResult(frozenset(strategy), strategy)
+        strategy[k] = rg.move_ids[k][rg.move_lists[k].index(mv)]
+    wins = [k in strategy for k in range(len(rg.succ_ids))]
+    return objective, rg, SolveResult(rg, wins, strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,28 @@ works on those ids from then on: one table per location maps a region id
 to its node id and move list, and each region's time successor and reset
 images are computed once and kept as ids.
 
-The solver works on node ids, the nodes' indices in discovery order: the
-region graph stores each node's move list and each move's successor id
-aligned with `nodes`, records each node's location index, and lists each
-node's predecessors once; the dict views keyed by node are built only when
-read.  The attractor is one worklist over join times, linear in moves up to
-a heap (Liu & Smolka, "Simple linear-time algorithms for minimal fixed
+Build and solves work on ids alone.  A node's id is its index in
+discovery order and a move's id is its region id times the number of
+edges plus its edge's index in `game.edges`, so the region graph is lists
+of ints aligned with node ids: each node's location index and region id,
+its move ids, and each move's successor id.  A solve records per node id
+a verdict and a move id.  `RegionNode`s, `RegionMove`s and the dicts
+keyed by them are views built on first read, each distinct move made
+once; only strategy files, `positional_strategy` and tests read them.
+The attractor is one worklist over join times, linear in moves up to a
+heap (Liu & Smolka, "Simple linear-time algorithms for minimal fixed
 points", ICALP 1998), that tests owners and observations per location
 index.
+
+The build runs with the cyclic garbage collector paused.  It makes
+hundreds of thousands of tuples and no reference cycle, so every
+collection the allocations would trigger scans them and frees nothing;
+the collector is switched back on afterwards only if it was on.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -162,32 +172,72 @@ class RegionMove(NamedTuple):
 
 @dataclass
 class RegionGame:
-    """A node's id is its index in `nodes`.  `move_lists[k]` holds the moves
-    of `nodes[k]`, `succ_ids[k]` the id of each one's successor, aligned
-    with it, and `node_locs[k]` the index of the node's location in
-    `game.locations`.  `moves` and `successor`, keyed by node, are views of
-    these lists built on first read, so a solve that only reads ids never
-    builds them."""
+    """The region graph on ids.  Node k sits at location
+    `node_locs[k]` (an index into `game.locations`) in region
+    `regions[node_regions[k]]`; node 0 is the initial node.
+    `move_ids[k]` holds the ids of its moves and `succ_ids[k]` the id of
+    each one's successor, aligned with it.  Move id m waits until the
+    clocks sit in region m // E and takes edge m % E, E being the number
+    of edges and each edge numbered by its place in `game.edges`.
+
+    `nodes`, `init`, `move_lists`, `moves` and `successor` are views of
+    these lists, built on first read, so a solve that only reads ids
+    never builds them; `move` makes each distinct move once and shares
+    it between views."""
 
     game: Game
     scale: int
     bounds: tuple[int, ...]
-    nodes: list[RegionNode]
-    move_lists: list[tuple[RegionMove, ...]]
-    init: RegionNode
-    succ_ids: list[tuple[int, ...]]
+    regions: list[Region]
     node_locs: list[int]
+    node_regions: list[int]
+    move_ids: list[tuple[int, ...]]
+    succ_ids: list[tuple[int, ...]]
+    _made: dict[int, RegionMove] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
+
+    @cached_property
+    def nodes(self) -> list[RegionNode]:
+        """The nodes in id order."""
+        locs, regions = list(self.game.locations), self.regions
+        return [RegionNode(locs[li], regions[r])
+                for li, r in zip(self.node_locs, self.node_regions)]
+
+    @cached_property
+    def init(self) -> RegionNode:
+        """Node 0."""
+        return RegionNode(self.game.init, self.regions[self.node_regions[0]])
+
+    @cached_property
+    def node_ids(self) -> dict[RegionNode, int]:
+        """Each node's id, keyed by node."""
+        return {node: k for k, node in enumerate(self.nodes)}
+
+    @cached_property
+    def _edges(self) -> list[str]:
+        return list(self.game.edges)
+
+    def move(self, m: int) -> RegionMove:
+        """The move with id `m`, made on first read and shared after."""
+        mv = self._made.get(m)
+        if mv is None:
+            n = len(self._edges)
+            mv = self._made[m] = RegionMove(self.regions[m // n], self._edges[m % n])
+        return mv
+
+    @cached_property
+    def move_lists(self) -> list[tuple[RegionMove, ...]]:
+        """Each node's moves, in id order."""
+        return [tuple(map(self.move, ms)) for ms in self.move_ids]
 
     @cached_property
     def moves(self) -> dict[RegionNode, tuple[RegionMove, ...]]:
-        """Each node's moves, keyed by node: a view of `move_lists` built on
-        first read."""
+        """Each node's moves, keyed by node."""
         return dict(zip(self.nodes, self.move_lists))
 
     @cached_property
     def successor(self) -> dict[tuple[RegionNode, RegionMove], RegionNode]:
-        """The node each move leads to, keyed by (node, move): a view of
-        `succ_ids` built on first read."""
+        """The node each move leads to, keyed by (node, move)."""
         return {(node, mv): self.nodes[s]
                 for node, moves, succs in zip(self.nodes, self.move_lists, self.succ_ids)
                 for mv, s in zip(moves, succs)}
@@ -196,7 +246,7 @@ class RegionGame:
     def pred_ids(self) -> list[list[int]]:
         """Per node id, the id of the source of every move into it, one
         entry per move; built once and shared by both objectives."""
-        preds: list[list[int]] = [[] for _ in self.nodes]
+        preds: list[list[int]] = [[] for _ in self.succ_ids]
         for k, succs in enumerate(self.succ_ids):
             for s in succs:
                 preds[s].append(k)
@@ -270,17 +320,31 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     first time it is made; its time successor is computed once per build
     and each reset image once per (region, reset set), both kept as ids.
     Node ids and move lists sit in one table per location keyed by region
-    id, the walk holds each node as (location index, region id), and the
-    `RegionNode` objects are made once it ends; the move lists come back
-    aligned with `nodes`, with the node-keyed `moves` a view.  `scale`
-    records the factor the clocks were multiplied by to reach integer
-    bounds, so concretized delays can be divided back down.
+    id, the walk holds each node as (location index, region id) and each
+    move as its id, and no node or move object is made.  `scale` records
+    the factor the clocks were multiplied by to reach integer bounds, so
+    concretized delays can be divided back down.  The cyclic garbage
+    collector is paused while the graph is built (see the module
+    docstring).
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build(g, scale)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build(g: Game, scale: int) -> RegionGame:
     if g.flavor is not Flavor.TIMED:
         raise InvalidGame("region construction requires a timed-flavor game")
     bounds = _clock_bounds(g)
     locs = list(g.locations)
     index = {lid: li for li, lid in enumerate(locs)}
+    # a move's id is its region id times `n_edges` plus its edge's index
+    edge_index = {eid: ei for ei, eid in enumerate(g.edges)}
+    n_edges = len(edge_index)
     r0 = region_of((ZERO,) * len(g.vars), bounds)
     # each distinct region, numbered in the order it is first made
     regions: list[Region] = [r0]
@@ -297,27 +361,27 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
 
     # per location index, region id -> the id of the node there
     ids: list[dict[int, int]] = [{} for _ in locs]
-    # per location index, region id -> the moves of the node there and
+    # per location index, region id -> the move ids of the node there and
     # their successor ids
-    lists: list[dict[int, tuple[tuple[RegionMove, ...], tuple[int, ...]]]] = [
+    lists: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = [
         {} for _ in locs]
     # per reset set, region id -> the id of its image
     images: dict[tuple[int, ...], dict[int, int]] = {}
-    # per location index, its edges as (edge id, target index, target's id
-    # table, integer guard triples, reset indices, their image table)
+    # per location index, its edges as (edge index, target index, target's
+    # id table, integer guard triples, reset indices, their image table)
     flat = []
     for lid in locs:
         edges = []
         for e in g.edges_from(lid):
             reset = tuple(i for i, _ in g.resets[e.id])
-            edges.append((e.id, index[e.dst], ids[index[e.dst]],
+            edges.append((edge_index[e.id], index[e.dst], ids[index[e.dst]],
                           tuple((i, int(lo), int(hi)) for i, lo, hi in g.guards[e.id]),
                           reset, images.setdefault(reset, {})))
         flat.append(edges)
     # per node id, its (location index, region id)
     keys = [(index[g.init], 0)]
     ids[index[g.init]][0] = 0
-    move_lists: list[tuple[RegionMove, ...]] = []
+    move_ids: list[tuple[int, ...]] = []
     succ_ids: list[tuple[int, ...]] = []
     # `keys` grows while it is walked, which visits nodes breadth-first
     for li, rid in keys:
@@ -330,9 +394,10 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
             fired, tail = [], ((), ())
             while True:
                 region = regions[r]
-                own: list[RegionMove] = []
+                first_move = r * n_edges
+                own: list[int] = []
                 own_ids: list[int] = []
-                for eid, dst, dst_ids, guard, reset, image in edges:
+                for ei, dst, dst_ids, guard, reset, image in edges:
                     if not region_satisfies(region, guard):
                         continue
                     s = image.get(r)
@@ -341,7 +406,7 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
                     k = dst_ids.setdefault(s, len(keys))
                     if k == len(keys):
                         keys.append((dst, s))
-                    own.append(RegionMove(region, eid))
+                    own.append(first_move + ei)
                     own_ids.append(k)
                 fired.append((r, own, own_ids))
                 nxt = later[r]
@@ -357,25 +422,46 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
                 if own:
                     tail = (*own, *tail[0]), (*own_ids, *tail[1])
                 listed[r] = tail
-        moves, node_ids = listed[rid]
-        move_lists.append(moves)
-        succ_ids.append(node_ids)
-    nodes = [RegionNode(locs[li], regions[r]) for li, r in keys]
-    return RegionGame(g, scale, bounds, nodes, move_lists, nodes[0], succ_ids,
-                      [li for li, _ in keys])
+        node_moves, node_succs = listed[rid]
+        move_ids.append(node_moves)
+        succ_ids.append(node_succs)
+    return RegionGame(g, scale, bounds, regions, [li for li, _ in keys],
+                      [r for _, r in keys], move_ids, succ_ids)
 
 
 @dataclass
 class SolveResult:
-    """`strategy` holds player one's moves on winning nodes; `spoiler` holds
-    player two's moves on the other nodes, the certificate of a loss."""
+    """A solve of `rg`, on ids: `wins[k]` whether player one wins from
+    node k, `strategy_ids` player one's move id on winning nodes and
+    `spoiler_ids` player two's on the others, the certificate of a loss,
+    each keyed by node id in the order the solve chose them.  `winning`,
+    `strategy` and `spoiler`, on nodes and moves, are views built on first
+    read and keep that order."""
 
-    winning: frozenset
-    strategy: dict[RegionNode, RegionMove]
-    spoiler: dict[RegionNode, RegionMove] = field(default_factory=dict)
+    rg: RegionGame
+    wins: list[bool]
+    strategy_ids: dict[int, int]
+    spoiler_ids: dict[int, int] = field(default_factory=dict)
+
+    @cached_property
+    def winning(self) -> frozenset:
+        return frozenset(n for n, w in zip(self.rg.nodes, self.wins) if w)
+
+    @cached_property
+    def strategy(self) -> dict[RegionNode, RegionMove]:
+        return self._on_nodes(self.strategy_ids)
+
+    @cached_property
+    def spoiler(self) -> dict[RegionNode, RegionMove]:
+        return self._on_nodes(self.spoiler_ids)
+
+    def _on_nodes(self, chosen: dict[int, int]) -> dict[RegionNode, RegionMove]:
+        nodes, move = self.rg.nodes, self.rg.move
+        return {nodes[k]: move(m) for k, m in chosen.items()}
 
     def wins_from_init(self, rg: RegionGame) -> bool:
-        return rg.init in self.winning
+        """Whether player one wins from node 0 of `rg`, the graph solved."""
+        return self.wins[0]
 
 
 JoinTime = tuple[int, int]
@@ -388,10 +474,11 @@ def _locations(rg: RegionGame, keep) -> list[bool]:
 
 
 def _attractor(rg: RegionGame, player: Player, seed: list[int]
-               ) -> tuple[list[Optional[JoinTime]], dict[RegionNode, RegionMove]]:
+               ) -> tuple[list[Optional[JoinTime]], dict[int, int]]:
     """The join time of every node from which `player` forces a visit to the
-    nodes with ids `seed` (None for the others), and each attracted `player`
-    node's move into the set when it joined.
+    nodes with ids `seed` (None for the others), and the id of each
+    attracted `player` node's move into the set when it joined, keyed by
+    node id.
 
     A join time is the (pass, index) at which a sweep that visits `rg.nodes`
     in order, pass after pass until one adds nothing, would add the node;
@@ -404,14 +491,14 @@ def _attractor(rg: RegionGame, player: Player, seed: list[int]
     join-time order.  Every move of an attracted opponent node also leads to
     a node that joined earlier.
     """
-    nodes, succ_ids, preds = rg.nodes, rg.succ_ids, rg.pred_ids
+    succ_ids, preds = rg.succ_ids, rg.pred_ids
     ours = _locations(rg, lambda loc: loc.owner is player)
     mine = [ours[li] for li in rg.node_locs]
     # per opponent node, its moves not yet attracted
     outside = [len(succs) for succs in succ_ids]
-    queued = [False] * len(nodes)
-    joined: list[Optional[JoinTime]] = [None] * len(nodes)
-    moves: dict[RegionNode, RegionMove] = {}
+    queued = [False] * len(succ_ids)
+    joined: list[Optional[JoinTime]] = [None] * len(succ_ids)
+    moves: dict[int, int] = {}
     # (pass, index, id): a seed's index is -1, any other node's is its id
     heap = [(1, -1, k) for k in seed]
     for k in seed:
@@ -420,7 +507,7 @@ def _attractor(rg: RegionGame, player: Player, seed: list[int]
         p, i, k = heapq.heappop(heap)
         if i >= 0 and mine[k]:
             m = next(m for m, s in enumerate(succ_ids[k]) if joined[s] is not None)
-            moves[nodes[k]] = rg.move_lists[k][m]
+            moves[k] = rg.move_ids[k][m]
         joined[k] = (p, i)
         for j in preds[k]:
             if queued[j]:
@@ -435,17 +522,18 @@ def _attractor(rg: RegionGame, player: Player, seed: list[int]
 
 
 def _stay_out(rg: RegionGame, player: Player, joined: list[Optional[JoinTime]]
-              ) -> dict[RegionNode, RegionMove]:
+              ) -> dict[int, int]:
     """For each `player` node that never joined the opponent's attractor,
-    its first move that stays outside; only deadlocked nodes have none."""
+    the id of its first move that stays outside, keyed by node id; only
+    deadlocked nodes have none."""
     ours = _locations(rg, lambda loc: loc.owner is player)
-    out: dict[RegionNode, RegionMove] = {}
+    out: dict[int, int] = {}
     for k, li in enumerate(rg.node_locs):
         if joined[k] is not None or not ours[li]:
             continue
         for m, s in enumerate(rg.succ_ids[k]):
             if joined[s] is None:
-                out[rg.nodes[k]] = rg.move_lists[k][m]
+                out[k] = rg.move_ids[k][m]
                 break
     return out
 
@@ -458,8 +546,8 @@ def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
     target = _locations(rg, lambda loc: loc.obs in target_obs)
     joined, strategy = _attractor(
         rg, Player.ONE, [k for k, li in enumerate(rg.node_locs) if target[li]])
-    winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is not None)
-    return SolveResult(winning, strategy, _stay_out(rg, Player.TWO, joined))
+    return SolveResult(rg, [t is not None for t in joined], strategy,
+                       _stay_out(rg, Player.TWO, joined))
 
 
 def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
@@ -470,5 +558,5 @@ def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
     unsafe = _locations(rg, lambda loc: loc.obs not in safe_obs)
     joined, spoiler = _attractor(
         rg, Player.TWO, [k for k, li in enumerate(rg.node_locs) if unsafe[li]])
-    winning = frozenset(n for n, t in zip(rg.nodes, joined) if t is None)
-    return SolveResult(winning, _stay_out(rg, Player.ONE, joined), spoiler)
+    return SolveResult(rg, [t is None for t in joined],
+                       _stay_out(rg, Player.ONE, joined), spoiler)

@@ -737,7 +737,9 @@ class TestStrategyRoundTrip:
     `_strategy_table`, both through the relation from the file's game to its
     timed stage.  The reader gives back the strategy in the order the file
     lists it, region-graph order; the attractor records its moves in join
-    order, which differs on a few of these games."""
+    order, which differs on a few of these games.  A file lists only nodes
+    with a move, so the table's winning nodes are those: a reach target or
+    a safe deadlock wins without an entry."""
 
     def test_timed_files_read_back_as_solved(self):
         for seed, g, target, safe in oracle_pool():
@@ -746,10 +748,15 @@ class TestStrategyRoundTrip:
                 chain = hg.build_chain(g)
                 sf = cli.parse_strategy(json.loads(cli.strategy_to_bytes(
                     cli.strategy_file_for_source(g, chain, rg, result, objective))))
-                got, _, table = cli._strategy_table(sf, chain)
+                got, table_rg, table = cli._strategy_table(sf, chain)
                 assert got == objective, seed
                 assert list(table.strategy.items()) == \
                     _file_order(rg, result), seed
+                assert table.winning == set(result.strategy), seed
+                assert table.wins_from_init(table_rg) == \
+                    (rg.init in result.strategy), seed
+                assert result.wins_from_init(rg) >= \
+                    table.wins_from_init(table_rg), seed
 
     def test_source_files_read_back_and_pull_back_alike(self, run, game_file,
                                                         tmp_path):

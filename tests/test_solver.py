@@ -1,8 +1,10 @@
 """Region abstraction and attractor solving on the timed fragment."""
 
+import gc
 import math
 import pickle
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -305,6 +307,35 @@ class TestRegionGame:
         assert a.successor == b.successor
 
 
+def _timed_with_half_bound():
+    """`small_timed` with a guard bound of 1/2, which regions cannot take."""
+    g = small_timed()
+    t0 = replace(g.edges["t0"], guard=hg.Guard({"x": hg.Interval(F(0), F(1, 2))}))
+    return replace(g, edges={**g.edges, "t0": t0})
+
+
+class TestCollectorPause:
+    """The build pauses the cyclic collector and leaves it as it found it,
+    whether the build returns or raises."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("make,invalid", [
+        (small_timed, False), (worked_example, True),
+        (_timed_with_half_bound, True)])
+    def test_build_restores_the_collector(self, enabled, make, invalid):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if invalid:
+                with pytest.raises(hg.InvalidGame):
+                    hg.build_region_graph(make())
+            else:
+                hg.build_region_graph(make())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
 class TestAttractors:
     def test_p2_escape_flips_the_verdict(self):
         trapped = hg.solve_reachability(
@@ -562,3 +593,30 @@ class TestKernel:
                 seed = [k for k, n in enumerate(rg.nodes) if joined.get(n) == (1, -1)]
                 assert solver._attractor(rg, player, seed)[0] == \
                     [joined.get(n) for n in rg.nodes]
+
+    def test_views_are_built_only_when_read(self):
+        solve = {"reach": hg.solve_reachability, "safe": hg.solve_safety}
+        for i in range(2):
+            g, *texts = gen.ladder_case(i)
+            objectives = [parse_objective(text) for text in texts]
+            rg = hg.build_region_graph(g)
+            results = [solve[o.kind](rg, o.obs) for o in objectives]
+            wins = [r.wins_from_init(rg) for r in results]
+            assert [v for v in ("nodes", "init", "node_ids", "move_lists",
+                                "moves", "successor") if v in vars(rg)] == []
+            assert rg._made == {}
+            assert [v for r in results for v in ("winning", "strategy", "spoiler")
+                    if v in vars(r)] == []
+            # read, they are the reference build and sweep
+            init, _, nodes, moves, _ = _reference_graph(g)
+            assert (rg.init, rg.nodes, list(rg.moves.items())) == (init, nodes, moves)
+            for o, r, won in zip(objectives, results, wins):
+                winning, strategy, spoiler, _ = _sweep_solve(rg, o.kind, o.obs)
+                assert (r.winning, won) == (winning, init in winning)
+                assert list(r.strategy.items()) == list(strategy.items())
+                assert list(r.spoiler.items()) == list(spoiler.items())
+            # one move object per move id, shared by every view
+            made = {id(mv) for mvs in rg.move_lists for mv in mvs}
+            assert len(made) == len({m for ms in rg.move_ids for m in ms})
+            assert all(id(mv) in made for r in results
+                       for mv in (*r.strategy.values(), *r.spoiler.values()))

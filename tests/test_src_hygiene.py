@@ -7,7 +7,8 @@ its own definition.  Both catch what a simplification leaves behind: an
 import whose last use went, or a helper nothing calls any more.  Every
 module also compiles with warnings as errors: a SyntaxWarning such as the
 one for `x is 0` would otherwise only show on a command's stderr.  The
-lowering constructions import neither `bisim` nor `chain`.
+lowering constructions import neither `bisim` nor `chain`, and only the
+solver imports `gc`.
 """
 
 import ast
@@ -83,18 +84,31 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+def _import_parts(tree: ast.Module) -> set[str]:
+    """Every part of every dotted name an import anywhere in the module
+    names, nested imports included."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {part for a in node.names for part in a.name.split(".")}
+    return imported
+
+
 @pytest.mark.parametrize("module", ["to_stopwatch.py", "to_updatable.py",
                                     "to_timed.py"])
 def test_constructions_import_no_relation(module):
     # `chain.LOWERINGS` is the one place that pairs a construction with its
     # relation, so the construction modules import neither side of it
-    imported = set()
-    for node in ast.walk(MODULES[module]):
-        if isinstance(node, ast.ImportFrom):
-            imported |= set((node.module or "").split("."))
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported |= {part for a in node.names for part in a.name.split(".")}
-    assert imported & {"bisim", "chain"} == set()
+    assert _import_parts(MODULES[module]) & {"bisim", "chain"} == set()
+
+
+def test_only_the_solver_imports_gc():
+    # the region build pauses the cyclic collector and restores it; no
+    # other module switches or tunes it
+    assert [module for module, tree in MODULES.items()
+            if "gc" in _import_parts(tree)] == ["solver.py"]
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
