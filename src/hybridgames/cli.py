@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -266,93 +266,25 @@ def load_game(path: str) -> Game:
 # Strategy files
 
 
-@dataclass
-class StrategyEntry:
-    location: str
-    region: Region
-    edge: str
-    succ: Region
-    timed_location: Optional[str] = None
-
-
-@dataclass
-class StrategyFile:
-    game: str
-    kind: str
-    scale: int
-    entries: list[StrategyEntry] = field(default_factory=list)
-
-
 def _region_doc(r: Region) -> dict:
-    return {"ints": [i for i in r.ints], "fracs": list(r.fracs)}
+    return {"ints": list(r.ints), "fracs": list(r.fracs)}
 
 
-def _parse_region(doc, path: str, nvars: Optional[int]) -> Region:
+def _parse_region(doc, path: str, nvars: int) -> Region:
+    """A region over `nvars` clocks."""
     _require_keys(doc, path, {"ints", "fracs"})
-    ints = doc["ints"]
-    fracs = doc["fracs"]
-    if not (isinstance(ints, list)
+    ints, fracs = doc["ints"], doc["fracs"]
+    if not (isinstance(ints, list) and len(ints) == nvars
             and all(v is None or type(v) is int for v in ints)):
         raise ParseError(f"bad region at {path}.ints")
-    if not (isinstance(fracs, list) and len(fracs) == len(ints)
+    if not (isinstance(fracs, list) and len(fracs) == nvars
             and all(type(v) is int for v in fracs)):
         raise ParseError(f"bad region at {path}.fracs")
-    if nvars is not None and len(ints) != nvars:
-        raise ParseError(f"bad region at {path}.ints")
     return Region(tuple(ints), tuple(fracs))
 
 
-def emit_strategy(sf: StrategyFile) -> dict:
-    entries = []
-    for ent in sf.entries:
-        note = {"succ": _region_doc(ent.succ)}
-        if ent.timed_location is not None:
-            note["timed_location"] = ent.timed_location
-        entries.append({
-            "location": ent.location,
-            "region": _region_doc(ent.region),
-            "edge": ent.edge,
-            "note": note,
-        })
-    return {"game": sf.game, "kind": sf.kind, "scale": sf.scale,
-            "entries": entries}
-
-
-def parse_strategy(doc: dict) -> StrategyFile:
-    """Parse a strategy document; region widths must agree across the file."""
-    _require_keys(doc, "$", {"game", "kind", "scale", "entries"})
-    game = _string(doc["game"], "$.game")
-    kind = _string(doc["kind"], "$.kind")
-    if type(doc["scale"]) is not int or doc["scale"] < 1:
-        raise ParseError("expected a positive integer at $.scale")
-    if not isinstance(doc["entries"], list):
-        raise ParseError("expected an array at $.entries")
-    nvars = None
-    entries = []
-    for i, body in enumerate(doc["entries"]):
-        path = f"$.entries[{i}]"
-        _require_keys(body, path, {"location", "region", "edge", "note"})
-        if nvars is None and isinstance(body.get("region"), dict) \
-                and isinstance(body["region"].get("ints"), list):
-            nvars = len(body["region"]["ints"])
-        note = body["note"]
-        _require_keys(note, f"{path}.note", {"succ"}, {"timed_location"})
-        timed_location = None
-        if "timed_location" in note:
-            timed_location = _string(note["timed_location"],
-                                     f"{path}.note.timed_location")
-        entries.append(StrategyEntry(
-            _string(body["location"], f"{path}.location"),
-            _parse_region(body["region"], f"{path}.region", nvars),
-            _string(body["edge"], f"{path}.edge"),
-            _parse_region(note["succ"], f"{path}.note.succ", nvars),
-            timed_location,
-        ))
-    return StrategyFile(game, kind, doc["scale"], entries)
-
-
-def strategy_to_bytes(sf: StrategyFile) -> bytes:
-    return (json.dumps(emit_strategy(sf), indent=2, sort_keys=True) + "\n").encode()
+def strategy_to_bytes(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -399,60 +331,82 @@ def _objective_over(text: str, g: Game) -> Objective:
 
 
 def strategy_file_for_source(g: Game, chain: Chain, rg: RegionGame,
-                             result: SolveResult, objective: Objective) -> StrategyFile:
-    """The file for `g` of `result`, solved on `rg` of g's timed stage;
-    `chain` is g's chain.  Entries name g's locations and edges through the
-    relation from `g` to its timed stage, and a note names the timed
-    location only when that stage is another game.  The name stays because
-    the benchmark calls this writer by it."""
+                             result: SolveResult, objective: Objective) -> dict:
+    """The strategy file for `g` of `result`, solved on `rg` of g's timed
+    stage, as the JSON document `strategy_to_bytes` writes; `chain` is g's
+    chain.  Entries name g's locations and edges through the relation from
+    `g` to its timed stage, in region-graph order, and a note names the
+    timed location only when that stage is another game.  The name stays
+    because the benchmark calls this writer by it."""
     w = chain.end_to_end
-    sf = StrategyFile(game_hash(g), objective.text, rg.scale)
+    entries = []
     for node in rg.nodes:
         mv = result.strategy.get(node)
         if mv is None:
             continue
-        sf.entries.append(StrategyEntry(
-            w.loc_back[node.loc].render(), node.region, w.edge_back[mv.edge],
-            mv.region, node.loc.render() if chain.timed is not g else None))
-    return sf
+        note = {"succ": _region_doc(mv.region)}
+        if chain.timed is not g:
+            note["timed_location"] = node.loc.render()
+        entries.append({"location": w.loc_back[node.loc].render(),
+                        "region": _region_doc(node.region),
+                        "edge": w.edge_back[mv.edge], "note": note})
+    return {"game": game_hash(g), "kind": objective.text, "scale": rg.scale,
+            "entries": entries}
 
 
-def _strategy_table(sf: StrategyFile, chain: Chain
-                    ) -> tuple[Objective, RegionGame, SolveResult]:
-    """Read what `strategy_file_for_source` writes for `chain.isr`: the
-    file's objective, the region graph of the chain's timed stage at the
-    file's scale, and the region strategy in file order, its winning nodes
-    those with an entry.  Each entry must name a node and one of its moves,
-    no node twice, and a timed location must stand for its entry's location
-    as an id, whatever its spelling."""
-    objective = _objective_over(sf.kind, chain.isr)
-    w = chain.end_to_end
-    noted = chain.timed is not chain.isr
-    scaled, factor = scale_to_integers(chain.timed)
-    if factor != sf.scale:
+def _strategy_table(doc, chain: Chain) -> tuple[Objective, RegionGame, SolveResult]:
+    """Read a strategy file for `chain.isr`, the JSON document `doc`, in one
+    pass: the file's objective, the region graph of the chain's timed stage
+    at the file's scale, and a `SolveResult` on it whose verdicts are the
+    game's, solved for that objective, and whose strategy is the file's
+    moves in file order.  The file must carry the game's hash, and each
+    region one integer per clock of the game.  Each entry must name a node
+    and one of its moves, no node twice, and a timed location must stand
+    for its entry's location as an id, whatever its spelling.  Whether the
+    file's moves win is not checked: a tool may write any legal table."""
+    _require_keys(doc, "$", {"game", "kind", "scale", "entries"})
+    expected, found = game_hash(chain.isr), _string(doc["game"], "$.game")
+    if found != expected:
+        raise GameError("strategy file does not match the game "
+                        f"(expected {expected}, file says {found})")
+    objective = _objective_over(_string(doc["kind"], "$.kind"), chain.isr)
+    if type(doc["scale"]) is not int or doc["scale"] < 1:
+        raise ParseError("expected a positive integer at $.scale")
+    if not isinstance(doc["entries"], list):
+        raise ParseError("expected an array at $.entries")
+    rg, solved = solve_timed_game(chain.timed, objective)
+    if rg.scale != doc["scale"]:
         raise GameError("strategy file scale does not match the game")
-    rg = build_region_graph(scaled, scale=factor)
+    w, nvars = chain.end_to_end, len(chain.timed.vars)
+    noted = chain.timed is not chain.isr
     strategy = {}
-    for i, ent in enumerate(sf.entries):
+    for i, body in enumerate(doc["entries"]):
         path = f"$.entries[{i}]"
-        if (ent.timed_location is None) == noted:
+        _require_keys(body, path, {"location", "region", "edge", "note"})
+        note = body["note"]
+        _require_keys(note, f"{path}.note", {"succ"}, {"timed_location"})
+        if ("timed_location" in note) != noted:
             raise ParseError(f"{'missing' if noted else 'unexpected'} "
                              f"timed_location at {path}.note")
-        loc = _locid(ent.location, f"{path}.location")
-        tloc = loc if ent.timed_location is None else \
-            _locid(ent.timed_location, f"{path}.note.timed_location")
-        k = rg.node_ids.get(RegionNode(tloc, ent.region))
-        mv = RegionMove(ent.succ, w.edge_fwd.get((tloc, ent.edge)))
-        if k is None or mv not in rg.move_lists[k]:
+        loc = _locid(body["location"], f"{path}.location")
+        tloc = _locid(note["timed_location"], f"{path}.note.timed_location") \
+            if noted else loc
+        node = RegionNode(tloc, _parse_region(body["region"], f"{path}.region", nvars))
+        edge = _string(body["edge"], f"{path}.edge")
+        mv = RegionMove(_parse_region(note["succ"], f"{path}.note.succ", nvars),
+                        w.edge_fwd.get((tloc, edge)))
+        k = rg.node_ids.get(node)
+        m = None if k is None else \
+            next((m for m in rg.move_ids[k] if rg.move(m) == mv), None)
+        if m is None:
             raise ParseError(f"no such region move in the game at {path}")
         if w.loc_back[tloc] != loc:
             raise ParseError("timed_location stands for another location at "
                              f"{path}.location")
         if k in strategy:
             raise ParseError(f"second entry for one region node at {path}")
-        strategy[k] = rg.move_ids[k][rg.move_lists[k].index(mv)]
-    wins = [k in strategy for k in range(len(rg.succ_ids))]
-    return objective, rg, SolveResult(rg, wins, strategy)
+        strategy[k] = m
+    return objective, rg, SolveResult(rg, solved.wins, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +462,9 @@ def cmd_solve(args) -> int:
     objective = _objective_over(args.objective, chain.isr)
     rg, result = solve_timed_game(chain.timed, objective)
     winning = result.wins_from_init(rg)
-    sf = strategy_file_for_source(chain.isr, chain, rg, result, objective)
+    doc = strategy_file_for_source(chain.isr, chain, rg, result, objective)
     if args.out is not None or winning:
-        _write_out(strategy_to_bytes(sf), args.out)
+        _write_out(strategy_to_bytes(doc), args.out)
     print(f"{'winning' if winning else 'losing'} for player one: "
           f"{objective.text}", file=sys.stderr)
     return 0 if winning else 1
@@ -521,12 +475,9 @@ def cmd_pull_back(args) -> int:
     if chain.isr.flavor is Flavor.TIMED:
         raise UsageError("pull-back needs a game with something above the "
                          "timed stage")
-    sf = parse_strategy(_load_json(args.strategy))
-    timed_hash = game_hash(chain.timed)
-    if sf.game != timed_hash:
-        raise GameError("strategy file does not match this game's timed stage "
-                        f"(expected {timed_hash}, file says {sf.game})")
-    objective, rg, table = _strategy_table(sf, build_chain(chain.timed))
+    # the file is the timed stage's, so it is read against that stage's chain
+    objective, rg, table = _strategy_table(_load_json(args.strategy),
+                                           build_chain(chain.timed))
     out = strategy_file_for_source(chain.isr, chain, rg, table, objective)
     _write_out(strategy_to_bytes(out), args.out)
     return 0
@@ -535,11 +486,7 @@ def cmd_pull_back(args) -> int:
 def cmd_simulate(args) -> int:
     chain = build_chain(load_game(args.game))
     g = chain.isr
-    sf = parse_strategy(_load_json(args.strategy))
-    if sf.game != game_hash(g):
-        raise GameError("strategy file was produced for a different game")
-    # the hash ties the file to `g`, so the file's stage is g's stage
-    _, rg, table = _strategy_table(sf, chain)
+    _, rg, table = _strategy_table(_load_json(args.strategy), chain)
     sigma = pull_back_strategy(chain, positional_strategy(rg, table))
     opponent = random_strategy(g, args.seed)
     run = play(g, sigma, opponent, args.steps)

@@ -24,8 +24,8 @@ edges plus its edge's index in `game.edges`, so the region graph is lists
 of ints aligned with node ids: each node's location index and region id,
 its move ids, and each move's successor id.  A solve records per node id
 a verdict and a move id.  `RegionNode`s, `RegionMove`s and the dicts
-keyed by them are views built on first read, each distinct move made
-once; only strategy files, `positional_strategy` and tests read them.
+keyed by them are views built on first read; the build and both solves
+never read them.
 The attractor is one worklist over join times, linear in moves up to a
 heap (Liu & Smolka, "Simple linear-time algorithms for minimal fixed
 points", ICALP 1998), that tests owners and observations per location
@@ -180,10 +180,9 @@ class RegionGame:
     clocks sit in region m // E and takes edge m % E, E being the number
     of edges and each edge numbered by its place in `game.edges`.
 
-    `nodes`, `init`, `move_lists`, `moves` and `successor` are views of
+    `nodes`, `init`, `node_ids`, `moves` and `successor` are views of
     these lists, built on first read, so a solve that only reads ids
-    never builds them; `move` makes each distinct move once and shares
-    it between views."""
+    never builds them."""
 
     game: Game
     scale: int
@@ -193,8 +192,6 @@ class RegionGame:
     node_regions: list[int]
     move_ids: list[tuple[int, ...]]
     succ_ids: list[tuple[int, ...]]
-    _made: dict[int, RegionMove] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
 
     @cached_property
     def nodes(self) -> list[RegionNode]:
@@ -218,28 +215,22 @@ class RegionGame:
         return list(self.game.edges)
 
     def move(self, m: int) -> RegionMove:
-        """The move with id `m`, made on first read and shared after."""
-        mv = self._made.get(m)
-        if mv is None:
-            n = len(self._edges)
-            mv = self._made[m] = RegionMove(self.regions[m // n], self._edges[m % n])
-        return mv
-
-    @cached_property
-    def move_lists(self) -> list[tuple[RegionMove, ...]]:
-        """Each node's moves, in id order."""
-        return [tuple(map(self.move, ms)) for ms in self.move_ids]
+        """The move with id `m`."""
+        n = len(self._edges)
+        return RegionMove(self.regions[m // n], self._edges[m % n])
 
     @cached_property
     def moves(self) -> dict[RegionNode, tuple[RegionMove, ...]]:
         """Each node's moves, keyed by node."""
-        return dict(zip(self.nodes, self.move_lists))
+        return {node: tuple(map(self.move, ms))
+                for node, ms in zip(self.nodes, self.move_ids)}
 
     @cached_property
     def successor(self) -> dict[tuple[RegionNode, RegionMove], RegionNode]:
         """The node each move leads to, keyed by (node, move)."""
-        return {(node, mv): self.nodes[s]
-                for node, moves, succs in zip(self.nodes, self.move_lists, self.succ_ids)
+        nodes = self.nodes
+        return {(node, mv): nodes[s]
+                for (node, moves), succs in zip(self.moves.items(), self.succ_ids)
                 for mv, s in zip(moves, succs)}
 
     @cached_property
@@ -251,12 +242,6 @@ class RegionGame:
             for s in succs:
                 preds[s].append(k)
         return preds
-
-    def owner(self, node: RegionNode) -> Player:
-        return self.game.owner(node.loc)
-
-    def obs(self, node: RegionNode) -> str:
-        return self.game.locations[node.loc].obs
 
     def node_of(self, q: Configuration) -> RegionNode:
         """The node of an unscaled timed configuration."""

@@ -101,23 +101,30 @@ class TestDocuments:
 class TestStrategyDocuments:
     def _solved(self):
         g = small_timed()
-        rg, result = cli.solve_timed_game(
-            g, cli.parse_objective("reach:done"))
-        return g, cli.strategy_file_for_source(
-            g, hg.build_chain(g), rg, result, cli.parse_objective("reach:done"))
-
-    def test_roundtrip(self):
-        _, sf = self._solved()
-        doc = json.loads(cli.strategy_to_bytes(sf))
-        back = cli.parse_strategy(doc)
-        assert cli.strategy_to_bytes(back) == cli.strategy_to_bytes(sf)
+        objective = cli.parse_objective("reach:done")
+        rg, result = cli.solve_timed_game(g, objective)
+        doc = cli.strategy_file_for_source(g, hg.build_chain(g), rg, result,
+                                           objective)
+        return g, json.loads(cli.strategy_to_bytes(doc))
 
     def test_region_width_must_be_consistent(self):
-        _, sf = self._solved()
-        doc = json.loads(cli.strategy_to_bytes(sf))
+        g, doc = self._solved()
         doc["entries"][0]["region"]["ints"] = [0]  # one clock short
         with pytest.raises(cli.ParseError, match="region"):
-            cli.parse_strategy(doc)
+            cli._strategy_table(doc, hg.build_chain(g))
+
+    def test_region_width_is_the_games_clock_count(self, run, game_file,
+                                                   tmp_path):
+        # a region one clock short in entry 0 is the region at fault, not
+        # the entries that have the game's width
+        g, doc = self._solved()
+        assert len(g.vars) == 2
+        doc["entries"][0]["region"] = {"ints": [0], "fracs": [0]}
+        strat = tmp_path / "strat.json"
+        strat.write_text(json.dumps(doc))
+        code, out, err = run("simulate", game_file(g), "--strategy", str(strat))
+        assert code == 1 and out == ""
+        assert err == "error: bad region at $.entries[0].region.ints\n"
 
     def test_objective_strings(self):
         obj = cli.parse_objective("safe:b,a")
@@ -425,7 +432,7 @@ class TestPipelines:
                    "--out", strat)[0] == 0
         code, _, err = run("simulate", other, "--strategy", strat)
         assert code == 1
-        assert "different game" in err
+        assert err == _hash_refusal(small_timed(), worked_example())
 
     def test_pull_back_rejects_wrong_stage_hash(self, run, game_file, tmp_path):
         src = game_file(worked_example())
@@ -435,7 +442,8 @@ class TestPipelines:
                    "--out", strat)[0] == 0
         code, _, err = run("pull-back", src, "--strategy", strat)
         assert code == 1
-        assert "does not match" in err
+        assert err == _hash_refusal(hg.build_chain(worked_example()).timed,
+                                    worked_example())
 
     def test_losing_source_file_simulates_with_player_one_halting(
             self, run, tmp_path):
@@ -686,9 +694,10 @@ class TestPipelines:
         scaled, factor = hg.scale_to_integers(cli.load_game(timed))
         rg = hg.build_region_graph(scaled, scale=factor)
         first = doc["entries"][0]
+        width = len(scaled.vars)
         node = hg.RegionNode(hg.parse_locid(first["location"]),
-                             cli._parse_region(first["region"], "$", None))
-        chosen = hg.RegionMove(cli._parse_region(first["note"]["succ"], "$", None),
+                             cli._parse_region(first["region"], "$", width))
+        chosen = hg.RegionMove(cli._parse_region(first["note"]["succ"], "$", width),
                                first["edge"])
         other = next(mv for mv in rg.moves[node] if mv != chosen)
         doc["entries"].append({"location": first["location"],
@@ -723,6 +732,13 @@ class TestPipelines:
         assert f"duplicate key {key!r}" in err
 
 
+def _hash_refusal(expected, found):
+    """What `pull-back` and `simulate` print for a file of game `found` read
+    against game `expected`."""
+    return (f"error: strategy file does not match the game (expected "
+            f"{cli.game_hash(expected)}, file says {cli.game_hash(found)})\n")
+
+
 def _objectives(target, safe):
     return [cli.Objective("reach", target), cli.Objective("safe", safe)]
 
@@ -737,26 +753,24 @@ class TestStrategyRoundTrip:
     `_strategy_table`, both through the relation from the file's game to its
     timed stage.  The reader gives back the strategy in the order the file
     lists it, region-graph order; the attractor records its moves in join
-    order, which differs on a few of these games.  A file lists only nodes
-    with a move, so the table's winning nodes are those: a reach target or
-    a safe deadlock wins without an entry."""
+    order, which differs on a few of these games.  The table's verdicts are
+    the game's, so a reach target or a safe deadlock wins without an
+    entry."""
 
     def test_timed_files_read_back_as_solved(self):
         for seed, g, target, safe in oracle_pool():
             for objective in _objectives(target, safe):
                 rg, result = cli.solve_timed_game(g, objective)
                 chain = hg.build_chain(g)
-                sf = cli.parse_strategy(json.loads(cli.strategy_to_bytes(
-                    cli.strategy_file_for_source(g, chain, rg, result, objective))))
-                got, table_rg, table = cli._strategy_table(sf, chain)
+                doc = json.loads(cli.strategy_to_bytes(
+                    cli.strategy_file_for_source(g, chain, rg, result, objective)))
+                got, table_rg, table = cli._strategy_table(doc, chain)
                 assert got == objective, seed
                 assert list(table.strategy.items()) == \
                     _file_order(rg, result), seed
-                assert table.winning == set(result.strategy), seed
+                assert table.winning == result.winning, seed
                 assert table.wins_from_init(table_rg) == \
-                    (rg.init in result.strategy), seed
-                assert result.wins_from_init(rg) >= \
-                    table.wins_from_init(table_rg), seed
+                    result.wins_from_init(rg), seed
 
     def test_source_files_read_back_and_pull_back_alike(self, run, game_file,
                                                         tmp_path):
@@ -773,8 +787,7 @@ class TestStrategyRoundTrip:
                 write = cli.strategy_file_for_source
                 direct = cli.strategy_to_bytes(
                     write(g, chain, rg, result, objective))
-                got, _, table = cli._strategy_table(
-                    cli.parse_strategy(json.loads(direct)), chain)
+                got, _, table = cli._strategy_table(json.loads(direct), chain)
                 assert got == objective, s
                 assert list(table.strategy.items()) == \
                     _file_order(rg, result), s

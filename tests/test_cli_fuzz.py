@@ -29,11 +29,10 @@ def _documents() -> dict:
     return {
         "source": cli.emit_game(g),
         "timed-game": cli.emit_game(chain.timed),
-        "timed-strategy": cli.emit_strategy(
-            cli.strategy_file_for_source(
-                chain.timed, hg.build_chain(chain.timed), rg, result, objective)),
-        "pulled-strategy": cli.emit_strategy(
-            cli.strategy_file_for_source(g, chain, rg, result, objective)),
+        "timed-strategy": cli.strategy_file_for_source(
+            chain.timed, hg.build_chain(chain.timed), rg, result, objective),
+        "pulled-strategy": cli.strategy_file_for_source(
+            g, chain, rg, result, objective),
     }
 
 
