@@ -45,8 +45,6 @@ from .semantics import play
 from .solver import (
     Region,
     RegionGame,
-    RegionMove,
-    RegionNode,
     SolveResult,
     build_region_graph,
     solve_reachability,
@@ -335,20 +333,18 @@ def strategy_file_for_source(g: Game, chain: Chain, rg: RegionGame,
     """The strategy file for `g` of `result`, solved on `rg` of g's timed
     stage, as the JSON document `strategy_to_bytes` writes; `chain` is g's
     chain.  Entries name g's locations and edges through the relation from
-    `g` to its timed stage, in region-graph order, and a note names the
+    `g` to its timed stage, in node-id order, and a note names the
     timed location only when that stage is another game.  The name stays
     because the benchmark calls this writer by it."""
-    w = chain.end_to_end
+    w, locs = chain.end_to_end, list(rg.game.locations)
     entries = []
-    for node in rg.nodes:
-        mv = result.strategy.get(node)
-        if mv is None:
-            continue
+    for k, m in sorted(result.strategy.items()):
+        tloc, mv = locs[rg.node_locs[k]], rg.move(m)
         note = {"succ": _region_doc(mv.region)}
         if chain.timed is not g:
-            note["timed_location"] = node.loc.render()
-        entries.append({"location": w.loc_back[node.loc].render(),
-                        "region": _region_doc(node.region),
+            note["timed_location"] = tloc.render()
+        entries.append({"location": w.loc_back[tloc].render(),
+                        "region": _region_doc(rg.regions[rg.node_regions[k]]),
                         "edge": w.edge_back[mv.edge], "note": note})
     return {"game": game_hash(g), "kind": objective.text, "scale": rg.scale,
             "entries": entries}
@@ -391,11 +387,11 @@ def _strategy_table(doc, chain: Chain) -> tuple[Objective, RegionGame, SolveResu
         loc = _locid(body["location"], f"{path}.location")
         tloc = _locid(note["timed_location"], f"{path}.note.timed_location") \
             if noted else loc
-        node = RegionNode(tloc, _parse_region(body["region"], f"{path}.region", nvars))
+        region = _parse_region(body["region"], f"{path}.region", nvars)
         edge = _string(body["edge"], f"{path}.edge")
-        mv = RegionMove(_parse_region(note["succ"], f"{path}.note.succ", nvars),
-                        w.edge_fwd.get((tloc, edge)))
-        k = rg.node_ids.get(node)
+        mv = (_parse_region(note["succ"], f"{path}.note.succ", nvars),
+              w.edge_fwd.get((tloc, edge)))
+        k = rg.node_ids.get((tloc, region))
         m = None if k is None else \
             next((m for m in rg.move_ids[k] if rg.move(m) == mv), None)
         if m is None:
@@ -461,7 +457,7 @@ def cmd_solve(args) -> int:
     chain = build_chain(load_game(args.game))
     objective = _objective_over(args.objective, chain.isr)
     rg, result = solve_timed_game(chain.timed, objective)
-    winning = result.wins_from_init(rg)
+    winning = result.wins[0]
     doc = strategy_file_for_source(chain.isr, chain, rg, result, objective)
     if args.out is not None or winning:
         _write_out(strategy_to_bytes(doc), args.out)

@@ -18,14 +18,16 @@ works on those ids from then on: one table per location maps a region id
 to its node id and move list, and each region's time successor and reset
 images are computed once and kept as ids.
 
-Build and solves work on ids alone.  A node's id is its index in
-discovery order and a move's id is its region id times the number of
-edges plus its edge's index in `game.edges`, so the region graph is lists
-of ints aligned with node ids: each node's location index and region id,
-its move ids, and each move's successor id.  A solve records per node id
-a verdict and a move id.  `RegionNode`s, `RegionMove`s and the dicts
-keyed by them are views built on first read; the build and both solves
-never read them.
+The package reads region graphs and solves on ids alone.  A node's id
+is its index in discovery order and a move's id is its region id times
+the number of edges plus its edge's index in `game.edges`, so the region
+graph is lists of ints aligned with node ids: each node's location index
+and region id, its move ids, and each move's successor id.  A solve, the
+region strategy the strategy files hold and the positional strategy
+plays, records per node id a verdict and a move id; `move(m)` names a
+move as its (region, edge) pair.  The node list and the dicts keyed by
+nodes and moves are views built on first read for readers outside the
+package; no other module of the package reads them.
 The attractor is one worklist over join times, linear in moves up to a
 heap (Liu & Smolka, "Simple linear-time algorithms for minimal fixed
 points", ICALP 1998), that tests owners and observations per location
@@ -178,11 +180,13 @@ class RegionGame:
     `move_ids[k]` holds the ids of its moves and `succ_ids[k]` the id of
     each one's successor, aligned with it.  Move id m waits until the
     clocks sit in region m // E and takes edge m % E, E being the number
-    of edges and each edge numbered by its place in `game.edges`.
+    of edges and each edge numbered by its place in `game.edges`;
+    `move(m)` names it as a `RegionMove`.  `node_ids` maps a (location,
+    region) pair to its node id, and `node_of` a configuration.
 
-    `nodes`, `init`, `node_ids`, `moves` and `successor` are views of
-    these lists, built on first read, so a solve that only reads ids
-    never builds them."""
+    `nodes`, `moves` and `successor` are views of these lists on
+    `RegionNode`s and `RegionMove`s, built on first read, for readers
+    outside the package."""
 
     game: Game
     scale: int
@@ -196,19 +200,15 @@ class RegionGame:
     @cached_property
     def nodes(self) -> list[RegionNode]:
         """The nodes in id order."""
+        return [RegionNode(*key) for key in self.node_ids]
+
+    @cached_property
+    def node_ids(self) -> dict[tuple[LocId, Region], int]:
+        """Each node's id, keyed by its (location, region) pair, which
+        hashes and compares equal to its `RegionNode`."""
         locs, regions = list(self.game.locations), self.regions
-        return [RegionNode(locs[li], regions[r])
-                for li, r in zip(self.node_locs, self.node_regions)]
-
-    @cached_property
-    def init(self) -> RegionNode:
-        """Node 0."""
-        return RegionNode(self.game.init, self.regions[self.node_regions[0]])
-
-    @cached_property
-    def node_ids(self) -> dict[RegionNode, int]:
-        """Each node's id, keyed by node."""
-        return {node: k for k, node in enumerate(self.nodes)}
+        return {(locs[li], regions[r]): k
+                for k, (li, r) in enumerate(zip(self.node_locs, self.node_regions))}
 
     @cached_property
     def _edges(self) -> list[str]:
@@ -243,10 +243,11 @@ class RegionGame:
                 preds[s].append(k)
         return preds
 
-    def node_of(self, q: Configuration) -> RegionNode:
-        """The node of an unscaled timed configuration."""
+    def node_of(self, q: Configuration) -> Optional[int]:
+        """The id of an unscaled timed configuration's node, or None when
+        its (location, region) is not a node of the graph."""
         scaled_val = tuple(v * self.scale for v in q.val)
-        return RegionNode(q.loc, region_of(scaled_val, self.bounds))
+        return self.node_ids.get((q.loc, region_of(scaled_val, self.bounds)))
 
     def concretize_move(self, q: Configuration, mv: RegionMove) -> Move:
         """An exact delay (in unscaled units) realizing a symbolic move from
@@ -416,33 +417,20 @@ def _build(g: Game, scale: int) -> RegionGame:
 
 @dataclass
 class SolveResult:
-    """A solve of `rg`, on ids: `wins[k]` whether player one wins from
-    node k, `strategy_ids` player one's move id on winning nodes and
-    `spoiler_ids` player two's on the others, the certificate of a loss,
-    each keyed by node id in the order the solve chose them.  `winning`,
-    `strategy` and `spoiler`, on nodes and moves, are views built on first
-    read and keep that order."""
+    """A solve of `rg`, the region strategy, on ids: `wins[k]` whether
+    player one wins from node k, `strategy` player one's move id on winning
+    nodes and `spoiler` player two's on the others, the certificate of a
+    loss, each keyed by node id in the order the solve chose them.
+    `winning` is the set of winning node ids."""
 
     rg: RegionGame
     wins: list[bool]
-    strategy_ids: dict[int, int]
-    spoiler_ids: dict[int, int] = field(default_factory=dict)
+    strategy: dict[int, int]
+    spoiler: dict[int, int] = field(default_factory=dict)
 
     @cached_property
-    def winning(self) -> frozenset:
-        return frozenset(n for n, w in zip(self.rg.nodes, self.wins) if w)
-
-    @cached_property
-    def strategy(self) -> dict[RegionNode, RegionMove]:
-        return self._on_nodes(self.strategy_ids)
-
-    @cached_property
-    def spoiler(self) -> dict[RegionNode, RegionMove]:
-        return self._on_nodes(self.spoiler_ids)
-
-    def _on_nodes(self, chosen: dict[int, int]) -> dict[RegionNode, RegionMove]:
-        nodes, move = self.rg.nodes, self.rg.move
-        return {nodes[k]: move(m) for k, m in chosen.items()}
+    def winning(self) -> frozenset[int]:
+        return frozenset(k for k, w in enumerate(self.wins) if w)
 
     def wins_from_init(self, rg: RegionGame) -> bool:
         """Whether player one wins from node 0 of `rg`, the graph solved."""

@@ -69,16 +69,15 @@ def pull_back_strategy(chain: Chain, sigma_t: StrategyFn) -> StrategyFn:
 
 def positional_strategy(rg: RegionGame, result: SolveResult) -> StrategyFn:
     """Play a solved region strategy on the (unscaled) timed game: look up
-    the current configuration's node, concretize the stored symbolic move.
-    Configurations outside the winning set get None."""
+    the current configuration's node id, concretize the move id stored for
+    it.  Configurations outside the winning set get None."""
 
     def strat(run: Run) -> Optional[Move]:
         q = run.last()
-        node = rg.node_of(q)
-        mv = result.strategy.get(node)
-        if mv is None:
+        m = result.strategy.get(rg.node_of(q))
+        if m is None:
             return None
-        return rg.concretize_move(q, mv)
+        return rg.concretize_move(q, rg.move(m))
 
     return strat
 

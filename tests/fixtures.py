@@ -1,5 +1,7 @@
 """Validation fixtures: twenty games that must pass and twenty that must
-each be rejected with a specific violation kind."""
+each be rejected with a specific violation kind; and the node-keyed form of
+a region strategy, for the tests that compare one against a reference
+computed on nodes."""
 
 from __future__ import annotations
 
@@ -26,6 +28,12 @@ from gamegen import gen_isr_game
 # Each lowering stage's relation name by the flavor it lowers to, read from
 # the one table that pairs a construction with its relation.
 STAGE_NAME = {flavor: name for flavor, _, name in LOWERINGS}
+
+
+def on_nodes(rg, chosen: dict[int, int]) -> dict:
+    """`chosen`, move ids keyed by node id as a solve records them, as
+    moves keyed by node in the same order."""
+    return {rg.nodes[k]: rg.move(m) for k, m in chosen.items()}
 
 
 def _replace_edge(g: Game, eid: str, **changes) -> Game:

@@ -695,11 +695,10 @@ class TestPipelines:
         rg = hg.build_region_graph(scaled, scale=factor)
         first = doc["entries"][0]
         width = len(scaled.vars)
-        node = hg.RegionNode(hg.parse_locid(first["location"]),
-                             cli._parse_region(first["region"], "$", width))
-        chosen = hg.RegionMove(cli._parse_region(first["note"]["succ"], "$", width),
-                               first["edge"])
-        other = next(mv for mv in rg.moves[node] if mv != chosen)
+        k = rg.node_ids[(hg.parse_locid(first["location"]),
+                         cli._parse_region(first["region"], "$", width))]
+        chosen = (cli._parse_region(first["note"]["succ"], "$", width), first["edge"])
+        other = next(mv for mv in map(rg.move, rg.move_ids[k]) if mv != chosen)
         doc["entries"].append({"location": first["location"],
                                "region": first["region"], "edge": other.edge,
                                "note": {"succ": cli._region_doc(other.region)}})
@@ -743,16 +742,11 @@ def _objectives(target, safe):
     return [cli.Objective("reach", target), cli.Objective("safe", safe)]
 
 
-def _file_order(rg, result):
-    """The strategy's items in region-graph order, the order files list them."""
-    return [(n, result.strategy[n]) for n in rg.nodes if n in result.strategy]
-
-
 class TestStrategyRoundTrip:
     """Every file is written by `strategy_file_for_source` and read back by
     `_strategy_table`, both through the relation from the file's game to its
     timed stage.  The reader gives back the strategy in the order the file
-    lists it, region-graph order; the attractor records its moves in join
+    lists it, node-id order; the attractor records its moves in join
     order, which differs on a few of these games.  The table's verdicts are
     the game's, so a reach target or a safe deadlock wins without an
     entry."""
@@ -767,7 +761,7 @@ class TestStrategyRoundTrip:
                 got, table_rg, table = cli._strategy_table(doc, chain)
                 assert got == objective, seed
                 assert list(table.strategy.items()) == \
-                    _file_order(rg, result), seed
+                    sorted(result.strategy.items()), seed
                 assert table.winning == result.winning, seed
                 assert table.wins_from_init(table_rg) == \
                     result.wins_from_init(rg), seed
@@ -790,7 +784,7 @@ class TestStrategyRoundTrip:
                 got, _, table = cli._strategy_table(json.loads(direct), chain)
                 assert got == objective, s
                 assert list(table.strategy.items()) == \
-                    _file_order(rg, result), s
+                    sorted(result.strategy.items()), s
                 strat = tmp_path / "timed-strat.json"
                 strat.write_bytes(cli.strategy_to_bytes(
                     write(chain.timed, hg.build_chain(chain.timed), rg, result,

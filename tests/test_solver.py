@@ -17,6 +17,7 @@ from hybridgames import cli, solver
 from hybridgames.cli import parse_objective
 from hybridgames.samples import small_timed, worked_example
 
+from fixtures import on_nodes
 from gamegen import branching_pool, oracle_pool
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -229,7 +230,7 @@ class TestRegionGame:
     def test_loop_with_reset_stays_put(self):
         rg = hg.build_region_graph(_loop_game(reset_clock=True))
         assert len(rg.nodes) == 1
-        node = rg.init
+        node = rg.nodes[0]
         moves = rg.moves[node]
         assert len(moves) == 1
         assert rg.successor[(node, moves[0])] == node
@@ -250,27 +251,30 @@ class TestRegionGame:
         rg = hg.build_region_graph(g, scale=2)
         # concrete value 1/2 corresponds to scaled clock 1
         q = hg.Configuration(g.init, (F(1, 2),))
-        assert rg.node_of(q).region == R([1], [0])
+        assert rg.nodes[rg.node_of(q)] == (g.init, R([1], [0]))
+        assert rg.node_of(hg.initial_config(g)) == 0
+        # scaled clock 1/2 sits in a region no node sits in
+        assert rg.node_of(hg.Configuration(g.init, (F(1, 4),))) is None
 
     def test_concretize_hits_requested_region(self):
         g = _loop_game(reset_clock=False)
         rg = hg.build_region_graph(g)
         q = hg.initial_config(g)
-        mv = rg.moves[rg.init][0]
+        mv = rg.move(rg.move_ids[0][0])
         assert mv.region == R([1], [0])
         assert rg.concretize_move(q, mv) == hg.Move("t", F(1))
 
     def test_concretize_divides_by_scale(self):
         g = _loop_game(reset_clock=False)
         rg = hg.build_region_graph(g, scale=2)
-        got = rg.concretize_move(hg.initial_config(g), rg.moves[rg.init][0])
+        got = rg.concretize_move(hg.initial_config(g), rg.move(rg.move_ids[0][0]))
         assert got.delay == F(1, 2)
 
     def test_concretize_rejects_past_regions(self):
         g = _loop_game(reset_clock=False)
         rg = hg.build_region_graph(g)
         late = hg.Configuration(g.init, (F(2),))
-        mv = rg.moves[rg.init][0]
+        mv = rg.move(rg.move_ids[0][0])
         with pytest.raises(hg.NoRealization):
             rg.concretize_move(late, mv)
 
@@ -283,7 +287,7 @@ class TestRegionGame:
                 q = hg.Configuration(g.init, val)
                 w = tuple(v * rg.scale for v in val)
                 probes = _probes(w, rg.bounds)
-                for r in hg.time_closure(rg.node_of(q).region, rg.bounds):
+                for r in hg.time_closure(hg.region_of(w, rg.bounds), rg.bounds):
                     first = next(t for t in probes
                                  if hg.region_of(tuple(x + t for x in w), rg.bounds) == r)
                     got = rg.concretize_move(q, hg.RegionMove(r, edge))
@@ -356,8 +360,9 @@ class TestAttractors:
         res = hg.solve_reachability(rg, frozenset({"done"}))
         assert res.wins_from_init(rg)
         # strategy defined exactly on winning player-one nodes off target
-        for node in res.strategy:
-            assert node in res.winning
+        for k in res.strategy:
+            assert k in res.winning
+            node = rg.nodes[k]
             assert rg.game.owner(node.loc) is hg.Player.ONE
             assert _obs(rg, node) != "done"
 
@@ -394,12 +399,12 @@ class TestAttractors:
             assert "done" in hg.trace_of(g, run)
 
 
-def _spoiled_graph(rg, result, stop):
+def _spoiled_graph(rg, spoiler, stop):
     """The region nodes reachable from init when player two follows the
-    spoiler and player one may take any move, each mapped to its successors;
-    nodes satisfying `stop` are not expanded."""
+    node-keyed `spoiler` and player one may take any move, each mapped to
+    its successors; nodes satisfying `stop` are not expanded."""
     graph = {}
-    todo = [rg.init]
+    todo = [rg.nodes[0]]
     while todo:
         node = todo.pop()
         if node in graph:
@@ -410,8 +415,8 @@ def _spoiled_graph(rg, result, stop):
         if rg.game.owner(node.loc) is hg.Player.ONE:
             moves = rg.moves[node]
         else:
-            assert node in result.spoiler or not rg.moves[node]
-            moves = [result.spoiler[node]] if node in result.spoiler else []
+            assert node in spoiler or not rg.moves[node]
+            moves = [spoiler[node]] if node in spoiler else []
         graph[node] = [rg.successor[(node, mv)] for mv in moves]
         todo.extend(graph[node])
     return graph
@@ -427,19 +432,20 @@ def _check_spoilers(games):
         reach = hg.solve_reachability(rg, target)
         safety = hg.solve_safety(rg, safe)
         for result in (reach, safety):
-            for node, mv in result.spoiler.items():
-                assert rg.game.owner(node.loc) is hg.Player.TWO
-                assert node not in result.winning
-                assert mv in rg.moves[node]
+            for k, m in result.spoiler.items():
+                assert rg.game.owner(rg.nodes[k].loc) is hg.Player.TWO
+                assert k not in result.winning
+                assert m in rg.move_ids[k]
 
         if not reach.wins_from_init(rg):
             losses["reach"] += 1
-            found = _spoiled_graph(rg, reach, lambda n: False)
+            found = _spoiled_graph(rg, on_nodes(rg, reach.spoiler), lambda n: False)
             assert not any(_obs(rg, n) in target for n in found)
 
         if not safety.wins_from_init(rg):
             losses["safe"] += 1
-            graph = _spoiled_graph(rg, safety, lambda n: _obs(rg, n) not in safe)
+            graph = _spoiled_graph(rg, on_nodes(rg, safety.spoiler),
+                                   lambda n: _obs(rg, n) not in safe)
             assert all(graph[n] for n in graph if _obs(rg, n) in safe), \
                 "a play halts safely"
             # Kahn's order covers every node only when the graph is
@@ -576,7 +582,7 @@ class TestKernel:
     def test_build_matches_the_reference_build(self):
         for g in (small_timed(), *(g for g, _ in _kernel_cases())):
             rg = hg.build_region_graph(g)
-            got = (rg.init, rg.bounds, rg.nodes, list(rg.moves.items()), rg.succ_ids)
+            got = (rg.nodes[0], rg.bounds, rg.nodes, list(rg.moves.items()), rg.succ_ids)
             assert got == _reference_graph(g)
 
     def test_join_times_reproduce_the_pass_sweep(self):
@@ -589,9 +595,9 @@ class TestKernel:
             for kind, obs in objectives:
                 got = solve[kind](rg, obs)
                 winning, strategy, spoiler, joined = _sweep_solve(rg, kind, obs)
-                assert got.winning == winning
-                assert list(got.strategy.items()) == list(strategy.items())
-                assert list(got.spoiler.items()) == list(spoiler.items())
+                assert {rg.nodes[k] for k in got.winning} == winning
+                assert list(on_nodes(rg, got.strategy).items()) == list(strategy.items())
+                assert list(on_nodes(rg, got.spoiler).items()) == list(spoiler.items())
                 # every node's (pass, index), not only which nodes join, so
                 # an attractor that joins a node a pass late shows
                 player = hg.Player.ONE if kind == "reach" else hg.Player.TWO
@@ -600,22 +606,29 @@ class TestKernel:
                     [joined.get(n) for n in rg.nodes]
 
     def test_views_are_built_only_when_read(self):
+        # what the benchmark reads of an untraced solve: the sizes of the
+        # winning set and the strategy, the verdict at node 0, the strategy
+        # file and a positional decision
         solve = {"reach": hg.solve_reachability, "safe": hg.solve_safety}
         for i in range(2):
             g, *texts = gen.ladder_case(i)
             objectives = [parse_objective(text) for text in texts]
+            chain = hg.build_chain(g)
             rg = hg.build_region_graph(g)
             results = [solve[o.kind](rg, o.obs) for o in objectives]
-            wins = [r.wins_from_init(rg) for r in results]
-            assert [v for v in ("nodes", "init", "node_ids", "moves",
-                                "successor") if v in vars(rg)] == []
-            assert [v for r in results for v in ("winning", "strategy", "spoiler")
-                    if v in vars(r)] == []
+            wins = []
+            for o, r in zip(objectives, results):
+                assert len(r.strategy) <= len(r.winning) == sum(r.wins)
+                wins.append(r.wins_from_init(rg))
+                cli.strategy_file_for_source(g, chain, rg, r, o)
+                move = hg.positional_strategy(rg, r)(hg.Run(hg.initial_config(g)))
+                assert (move is None) == (0 not in r.strategy)
+            assert [v for v in ("nodes", "moves", "successor") if v in vars(rg)] == []
             # read, they are the reference build and sweep
             init, _, nodes, moves, _ = _reference_graph(g)
-            assert (rg.init, rg.nodes, list(rg.moves.items())) == (init, nodes, moves)
+            assert (rg.nodes[0], rg.nodes, list(rg.moves.items())) == (init, nodes, moves)
             for o, r, won in zip(objectives, results, wins):
                 winning, strategy, spoiler, _ = _sweep_solve(rg, o.kind, o.obs)
-                assert (r.winning, won) == (winning, init in winning)
-                assert list(r.strategy.items()) == list(strategy.items())
-                assert list(r.spoiler.items()) == list(spoiler.items())
+                assert ({rg.nodes[k] for k in r.winning}, won) == (winning, init in winning)
+                assert list(on_nodes(rg, r.strategy).items()) == list(strategy.items())
+                assert list(on_nodes(rg, r.spoiler).items()) == list(spoiler.items())

@@ -7,8 +7,9 @@ its own definition.  Both catch what a simplification leaves behind: an
 import whose last use went, or a helper nothing calls any more.  Every
 module also compiles with warnings as errors: a SyntaxWarning such as the
 one for `x is 0` would otherwise only show on a command's stderr.  The
-lowering constructions import neither `bisim` nor `chain`, and only the
-solver imports `gc`.
+lowering constructions import neither `bisim` nor `chain`, only the
+solver imports `gc`, and only the solver reads the region graph's
+node-keyed views.
 """
 
 import ast
@@ -109,6 +110,22 @@ def test_only_the_solver_imports_gc():
     # other module switches or tunes it
     assert [module for module, tree in MODULES.items()
             if "gc" in _import_parts(tree)] == ["solver.py"]
+
+
+# the region graph's named tuples and the views keyed by them, kept for
+# readers outside the package
+REGION_TUPLES = {"RegionNode", "RegionMove"}
+REGION_VIEWS = {"nodes", "moves", "successor", "strategy_ids"}
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__.py",
+                                                          "solver.py"}))
+def test_reads_region_graphs_on_ids(module):
+    # outside the solver, the package reads a region graph and a solve on
+    # node and move ids: it names neither tuple and reads no view
+    tree = MODULES[module]
+    attrs = {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+    assert sorted((_referenced(tree) & REGION_TUPLES) | (attrs & REGION_VIEWS)) == []
 
 
 @pytest.mark.parametrize("module", sorted(MODULES))
