@@ -48,9 +48,13 @@ from .semantics import (
     step,
     trace_of,
 )
-from .to_stopwatch import to_stopwatch
-from .to_updatable import annotate_resets, pinned_values, to_updatable
-from .to_timed import to_timed
+from .lowering import (
+    annotate_resets,
+    pinned_values,
+    to_stopwatch,
+    to_timed,
+    to_updatable,
+)
 from .chain import (
     LOWERINGS,
     Chain,
@@ -95,7 +99,6 @@ from .granular import (
     PairMismatch,
     granular_reach_winner,
     granular_safe_winner,
-    granular_winners,
     granular_witness_check,
 )
 from .strategy import (

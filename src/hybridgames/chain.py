@@ -14,10 +14,8 @@ from typing import NamedTuple
 
 from .bisim import BisimWitness, compose, identity_witness, stage_witness
 from .core import Flavor, Game, InvalidHistory, MoveNotEnabled, require_valid
+from .lowering import annotate_resets, to_stopwatch, to_timed, to_updatable
 from .semantics import Move, Run, initial_config, step
-from .to_stopwatch import to_stopwatch
-from .to_timed import to_timed
-from .to_updatable import annotate_resets, to_updatable
 
 
 @dataclass(frozen=True)

@@ -407,21 +407,22 @@ class Violation:
         return f"{self.kind.value} at {self.where}{var}{detail}"
 
 
-def _validate_flavor(g: Game, out: list[Violation]) -> None:
-    if g.flavor in (Flavor.STOPWATCH, Flavor.ANNOTATED_STOPWATCH):
+def _validate_flavor(g: Game, flavor: Flavor, out: list[Violation]) -> None:
+    """Append every violation of `flavor`'s own rules by g."""
+    if flavor in (Flavor.STOPWATCH, Flavor.ANNOTATED_STOPWATCH):
         allowed = {ZERO, ONE}
         for loc in g.locations.values():
             for var, slope in loc.flow.items():
                 if slope not in allowed:
                     out.append(Violation(ViolationKind.FLOW_OUT_OF_FLAVOR, loc.id.render(), var,
                                          f"slope {format_rational(slope)} not in {{0,1}}"))
-    if g.flavor in (Flavor.UPDATABLE, Flavor.TIMED):
+    if flavor in (Flavor.UPDATABLE, Flavor.TIMED):
         for loc in g.locations.values():
             for var, slope in loc.flow.items():
                 if slope != ONE:
                     out.append(Violation(ViolationKind.FLOW_OUT_OF_FLAVOR, loc.id.render(), var,
                                          f"slope {format_rational(slope)} is not 1"))
-    if g.flavor is Flavor.TIMED:
+    if flavor is Flavor.TIMED:
         for e in g.edges.values():
             for var, val in e.reset.assignments.items():
                 if val != ZERO:
@@ -432,7 +433,7 @@ def _validate_flavor(g: Game, out: list[Violation]) -> None:
                 got = "absent" if e.reset_set is None else "{" + ",".join(sorted(e.reset_set)) + "}"
                 out.append(Violation(ViolationKind.RESET_SET_MISMATCH, e.id, None,
                                      f"reset set {got} does not match reset domain"))
-    if g.flavor is Flavor.ANNOTATED_STOPWATCH:
+    if flavor is Flavor.ANNOTATED_STOPWATCH:
         pins: dict[LocId, dict[str, Optional[Fraction]]] = {}
         for loc in g.locations.values():
             ann = loc.id.last_annotation()
@@ -549,7 +550,7 @@ def validate_game(g: Game) -> list[Violation]:
                         f"slope changes {format_rational(src_flow[var])} -> "
                         f"{format_rational(dst_flow[var])} without a reset"))
 
-    _validate_flavor(g, out)
+    _validate_flavor(g, g.flavor, out)
     return out
 
 
@@ -563,28 +564,20 @@ def require_valid(g: Game) -> Game:
 
 
 def classify_flavor(g: Game) -> Flavor:
-    """Return the most specific flavor whose structural invariants hold.
+    """Return the most specific flavor whose rules the game keeps.
 
-    The input must validate cleanly under its declared flavor.  Bookkeeping
-    fields (reset sets, annotations) do not influence classification; only
-    slopes and reset values do, except that a stopwatch-slope game whose every
-    location carries a frozen-value annotation classifies as annotated.
+    The input must validate cleanly under its declared flavor.  The flavors
+    are tried from timed up to stopwatch, under the same rules validation
+    applies; a reset set is bookkeeping, so a missing or stale one does not
+    count against a flavor.
     """
     require_valid(g)
-    slopes = {slope for loc in g.locations.values() for slope in loc.flow.values()}
-    if slopes <= {ONE}:
-        reset_values = {val for e in g.edges.values() for val in e.reset.assignments.values()}
-        if reset_values <= {ZERO}:
-            return Flavor.TIMED
-        return Flavor.UPDATABLE
-    if slopes <= {ZERO, ONE}:
-        annotated = all(
-            (loc.id.last_annotation() is not None
-             and loc.id.last_annotation().kind == FROZEN_KIND)
-            for loc in g.locations.values())
-        if annotated and g.locations:
-            return Flavor.ANNOTATED_STOPWATCH
-        return Flavor.STOPWATCH
+    for flavor in (Flavor.TIMED, Flavor.UPDATABLE, Flavor.ANNOTATED_STOPWATCH,
+                   Flavor.STOPWATCH):
+        out: list[Violation] = []
+        _validate_flavor(g, flavor, out)
+        if all(v.kind is ViolationKind.RESET_SET_MISMATCH for v in out):
+            return flavor
     return Flavor.ISR
 
 

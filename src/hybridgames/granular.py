@@ -145,15 +145,6 @@ def granular_safe_winner(g: Game, safe_obs: frozenset,
     return _safe_wins(g, _grid_graph(g, max_configs), safe_obs)
 
 
-def granular_winners(g: Game, target_obs: frozenset, safe_obs: frozenset,
-                     max_configs: int = 200_000) -> tuple[bool, bool]:
-    """Whether player one wins reachability of `target_obs` and safety in
-    `safe_obs`, as granular_reach_winner and granular_safe_winner decide
-    them, from one exploration of the grid."""
-    succ_map = _grid_graph(g, max_configs)
-    return _reach_wins(g, succ_map, target_obs), _safe_wins(g, succ_map, safe_obs)
-
-
 @dataclass
 class PairMismatch:
     q1: Configuration

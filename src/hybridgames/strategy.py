@@ -100,11 +100,11 @@ class InclusionReport:
         return not self.mismatches
 
 
-def check_trace_inclusion(g_low: Game, g_high: Game, sigma_low: StrategyFn,
+def check_trace_inclusion(chain: Chain, sigma_low: StrategyFn,
                           sigma_high: StrategyFn, k: int, trials: int,
-                          seed: int = 0, *, chain: Chain) -> InclusionReport:
-    """Sampled k-bounded trace inclusion through a chain linking g_low (its
-    source) to g_high (its timed stage).
+                          seed: int = 0) -> InclusionReport:
+    """Sampled k-bounded trace inclusion from the chain's source game, played
+    by sigma_low, into its timed stage, played by sigma_high.
 
     Each play of sigma_low against a random opponent is lifted through the
     chain.  The mirrored timed run must produce the identical observation
@@ -112,8 +112,7 @@ def check_trace_inclusion(g_low: Game, g_high: Game, sigma_low: StrategyFn,
     player-one ply is the move sigma_high picks on the lifted prefix, and a
     play that halts early at a player-one position halts under sigma_high too.
     """
-    if g_low is not chain.isr or g_high is not chain.timed:
-        raise InvalidHistory("chain does not link the two games")
+    g_low, g_high = chain.isr, chain.timed
     report = InclusionReport(trials)
     for i in range(trials):
         opponent = random_strategy(g_low, seed + 7919 * i)

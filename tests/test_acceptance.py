@@ -198,8 +198,8 @@ def test_07_end_to_end_synthesis():
             run = hg.play(g, sigma, hg.random_strategy(g, seed), bound)
             if target not in hg.trace_of(g, run):
                 losses.append((name, seed))
-        rep = hg.check_trace_inclusion(g, chain.timed, sigma, sigma_t,
-                                       k=bound, trials=100, chain=chain)
+        rep = hg.check_trace_inclusion(chain, sigma, sigma_t, k=bound,
+                                       trials=100)
         if not rep.passed:
             losses.append((name, "mirror"))
     for name, seed in losses[:5]:

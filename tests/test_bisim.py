@@ -1,13 +1,13 @@
 """Witness checking: sampled local bisimulation and the chain report."""
 
 import dataclasses
-import importlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import hybridgames as hg
+import hybridgames.chain as chain_module
 from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine, _match
 from hybridgames.samples import worked_example
 
@@ -49,8 +49,7 @@ def test_witness_rejects_unrelated_pair():
 def off_by_one_offsets(monkeypatch):
     """Make the offset stage's valuation map subtract one too many, so its
     relation excludes every lifted pair."""
-    chain = importlib.import_module("hybridgames.chain")
-    real = chain.stage_witness
+    real = chain_module.stage_witness
 
     def shifted(name, g1, g2):
         w = real(name, g1, g2)
@@ -62,7 +61,7 @@ def off_by_one_offsets(monkeypatch):
             l2: Affine(a.scale, tuple(b - 1 for b in a.shift))
             for l2, a in maps.items()})
 
-    monkeypatch.setattr(chain, "stage_witness", shifted)
+    monkeypatch.setattr(chain_module, "stage_witness", shifted)
 
 
 def test_ownership_mismatch_raises():
@@ -79,42 +78,37 @@ def test_ownership_mismatch_raises():
 
 def replace_lowering(monkeypatch, real, fake):
     """Build the chain with `fake` where `chain.LOWERINGS` has `real`."""
-    chain = importlib.import_module("hybridgames.chain")
-    monkeypatch.setattr(chain, "LOWERINGS", tuple(
+    monkeypatch.setattr(chain_module, "LOWERINGS", tuple(
         (flavor, fake if construct is real else construct, name)
-        for flavor, construct, name in chain.LOWERINGS))
+        for flavor, construct, name in chain_module.LOWERINGS))
 
 
 def rewrite_hands_l1_to_player_one(monkeypatch):
     """Make the guard-rewrite construction give l1 (player two's) to player
     one, so its relation pairs configurations of different owners."""
-    to_updatable = importlib.import_module("hybridgames.to_updatable").to_updatable
-
     def flipped(g_ann):
-        g_u = to_updatable(g_ann)
+        g_u = hg.to_updatable(g_ann)
         locations = {lid: dataclasses.replace(loc, owner=hg.Player.ONE)
                      if lid.base == "l1" else loc
                      for lid, loc in g_u.locations.items()}
         return dataclasses.replace(g_u, locations=locations)
 
-    replace_lowering(monkeypatch, to_updatable, flipped)
+    replace_lowering(monkeypatch, hg.to_updatable, flipped)
 
 
 def widen_stopwatch_guards(monkeypatch):
     """Make the slope-normalization construction widen every guard by one on
     both sides, so its game has moves whose source counterparts are not
     enabled."""
-    to_stopwatch = importlib.import_module("hybridgames.to_stopwatch").to_stopwatch
-
     def widened(g):
-        g_s = to_stopwatch(g)
+        g_s = hg.to_stopwatch(g)
         edges = {eid: dataclasses.replace(e, guard=hg.Guard(
                      {x: hg.Interval(i.lo - 1, i.hi + 1)
                       for x, i in e.guard.conjuncts.items()}))
                  for eid, e in g_s.edges.items()}
         return dataclasses.replace(g_s, edges=edges)
 
-    replace_lowering(monkeypatch, to_stopwatch, widened)
+    replace_lowering(monkeypatch, hg.to_stopwatch, widened)
 
 
 def test_ownership_mismatch_fails_only_its_stages(monkeypatch):

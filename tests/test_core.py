@@ -16,6 +16,8 @@ import hybridgames as hg
 from hybridgames import cli
 from hybridgames.samples import broken_initialization, small_timed, worked_example
 
+from gamegen import gen_isr_game
+
 rationals = st.fractions(max_denominator=64)
 nonzero = rationals.filter(lambda f: f != 0)
 
@@ -237,6 +239,25 @@ class TestClassification:
         assert hg.flavor_within(hg.classify_flavor(ch.updatable),
                                 hg.Flavor.UPDATABLE)
         assert hg.classify_flavor(ch.timed) is hg.Flavor.TIMED
+
+    def test_pin_off_the_reset_classifies_as_stopwatch(self):
+        # the game test_pin_must_follow_the_reset refuses as annotated, which
+        # is a valid stopwatch game
+        doc = TestValidation._annotated_with("l3{f:x=1}", "l3{f:x=5}")
+        doc["flavor"] = "stopwatch"
+        g = cli.parse_game(doc)
+        assert hg.validate_game(g) == []
+        assert hg.classify_flavor(g) is hg.Flavor.STOPWATCH
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stage_games_keep_the_rules_of_their_classified_flavor(seed):
+    # whatever flavor classify names, validation under it finds at most
+    # stale reset sets, which are bookkeeping
+    for g in hg.build_chain(gen_isr_game(seed)).games():
+        classified = dataclasses.replace(g, flavor=hg.classify_flavor(g))
+        assert {v.kind for v in hg.validate_game(classified)} <= \
+            {hg.ViolationKind.RESET_SET_MISMATCH}
 
 
 def test_scale_to_integers_clears_denominators():

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 import hybridgames as hg
-from hybridgames import granular
 from hybridgames.samples import small_timed, worked_example
 
 from fixtures import STAGE_NAME
@@ -111,18 +110,6 @@ class TestGranularWinners:
                 hg.solve_reachability(rg, frozenset({obs})).wins_from_init(rg)
             assert hg.granular_safe_winner(g, safe) == \
                 hg.solve_safety(rg, safe).wins_from_init(rg)
-
-    def test_both_winners_from_one_exploration(self, monkeypatch):
-        g = worked_example()
-        explored = []
-        explore = granular._grid_graph
-        monkeypatch.setattr(granular, "_grid_graph",
-                            lambda *args: explored.append(args) or explore(*args))
-        for obs in sorted(g.obs):
-            target, safe = frozenset({obs}), frozenset(g.obs) - {obs}
-            assert hg.granular_winners(g, target, safe) == \
-                (hg.granular_reach_winner(g, target), hg.granular_safe_winner(g, safe))
-        assert len(explored) == 3 * len(g.obs)
 
     def test_third_bound_is_on_the_grid(self):
         # no delay on a half-unit grid reaches x == 1/3

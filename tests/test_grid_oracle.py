@@ -55,7 +55,7 @@ def explored_grid(g: hg.Game, max_configs: int = 200_000) -> dict:
 
 
 def oracle_winners(g: hg.Game, graph: dict, target, safe) -> tuple[bool, bool]:
-    """The oracle's winners, as `granular_winners` decides them, on the
+    """The oracle's reachability and safety winners, both read off the one
     exploration `graph` of g's grid."""
     return (granular._reach_wins(g, graph, target),
             granular._safe_wins(g, graph, safe))

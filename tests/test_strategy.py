@@ -65,8 +65,7 @@ def test_pulled_back_strategy_wins_the_source_game():
 def test_pull_back_preserves_traces_against_live_opponents():
     _, sigma_t = _solved_timed_strategy()
     sigma = hg.pull_back_strategy(CH, sigma_t)
-    report = hg.check_trace_inclusion(
-        G, CH.timed, sigma, sigma_t, k=10, trials=20, chain=CH)
+    report = hg.check_trace_inclusion(CH, sigma, sigma_t, k=10, trials=20)
     assert report.passed, report.mismatches
     assert report.trials == 20
     assert report.mismatches == []
@@ -78,17 +77,16 @@ def test_inclusion_checks_plays_against_the_timed_strategy():
     # outcomes of sigma_high
     _, sigma_t = _solved_timed_strategy()
     sigma = hg.pull_back_strategy(CH, sigma_t)
-    idle = hg.check_trace_inclusion(
-        G, CH.timed, sigma, lambda run: None, k=10, trials=20, chain=CH)
+    idle = hg.check_trace_inclusion(CH, sigma, lambda run: None, k=10,
+                                    trials=20)
     assert [m.reason for m in idle.mismatches] == \
         ["ply 0 is not the move sigma_high picks"] * 20
-    wild = hg.check_trace_inclusion(
-        G, CH.timed, hg.random_strategy(G, 1), sigma_t, k=10, trials=20,
-        chain=CH)
+    wild = hg.check_trace_inclusion(CH, hg.random_strategy(G, 1), sigma_t,
+                                    k=10, trials=20)
     assert wild.mismatches
     assert all("sigma_high picks" in m.reason for m in wild.mismatches)
-    halt = hg.check_trace_inclusion(
-        G, CH.timed, lambda run: None, sigma_t, k=10, trials=20, chain=CH)
+    halt = hg.check_trace_inclusion(CH, lambda run: None, sigma_t, k=10,
+                                    trials=20)
     assert [m.reason for m in halt.mismatches] == \
         ["sigma_high moves where the play halts"] * 20
 
