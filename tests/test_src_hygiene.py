@@ -11,9 +11,18 @@ lowering constructions import neither `bisim` nor `chain`, only the
 solver imports `gc`, and only the solver reads the region graph's
 node-keyed views.  One check imports the package: no name it exports
 hides a module of the same name.
+
+`lowering.py` holds the constructions of what were three modules.  The
+per-module checks also run on each of those parts under the name of the
+module it was, so each construction keeps a case of its own.  A part's
+imports are the shared ones cut down to the names it reads, so on a part
+the unused-import half of the import check holds by construction and the
+other half does the work: every name a module or part reads is bound.
 """
 
 import ast
+import builtins
+import copy
 import importlib
 import inspect
 import warnings
@@ -22,8 +31,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hybridgames"
-MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+SOURCES = {path.name: path.read_text(encoding="utf-8")
            for path in sorted(SRC.glob("*.py"))}
+MODULES = {name: ast.parse(text) for name, text in SOURCES.items()}
 
 
 def _imported(tree: ast.Module) -> list[str]:
@@ -65,14 +75,79 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__.py"}))
+def _unbound(tree: ast.Module, outside: set[str]) -> list[str]:
+    """The names read in `tree` that nothing in it, `outside` or the
+    builtins binds.  Scopes are not told apart, so a name bound in one
+    function and read in another passes."""
+    bound = set(dir(builtins)) | {"__file__"} | outside
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
+            bound.add(sub.id)
+        elif isinstance(sub, ast.arg):
+            bound.add(sub.arg)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef, ast.ExceptHandler)):
+            bound.add(sub.name)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in sub.names}
+    return sorted({sub.id for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Name)
+                   and isinstance(sub.ctx, ast.Load)} - bound)
+
+
+# the top-level defs of lowering.py, by the module each came from
+LOWERING_PARTS = {
+    "to_stopwatch.py": {"to_stopwatch"},
+    "to_updatable.py": {"unfold", "annotate_resets", "pinned_values",
+                        "to_updatable"},
+    "to_timed.py": {"to_timed", "_shift"},
+}
+
+
+def _part(module: str) -> ast.Module:
+    """The part of lowering.py that `module` names: its defs, after the
+    import statements cut down to the names the defs read."""
+    body = MODULES["lowering.py"].body
+    defs = [stmt for stmt in body if _defined(stmt) & LOWERING_PARTS[module]]
+    read = set().union(*map(_referenced, defs))
+    imports = []
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names = [a for a in stmt.names
+                     if (a.asname or a.name).split(".")[0] in read]
+            if names:
+                imports.append(copy.copy(stmt))
+                imports[-1].names = names
+    return ast.Module(imports + defs, [])
+
+
+def _unit(module: str) -> ast.Module:
+    """A module's tree, or the tree of a part of lowering.py."""
+    return _part(module) if module in LOWERING_PARTS else MODULES[module]
+
+
+def test_lowering_parts_cover_the_module():
+    parts = [name for names in LOWERING_PARTS.values() for name in names]
+    defined = [name for stmt in MODULES["lowering.py"].body
+               if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+               for name in _defined(stmt)]
+    assert sorted(parts) == sorted(defined)
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__.py"}
+                                           | set(LOWERING_PARTS)))
 def test_every_import_is_used(module):
-    tree = MODULES[module]
+    tree = _unit(module)
     used = set()
     for stmt in tree.body:
         if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
             used |= _referenced(stmt)
     assert [name for name in _imported(tree) if name not in used] == []
+    # a part reads the names lowering.py's other parts define
+    outside = ({name for stmt in MODULES["lowering.py"].body
+                for name in _defined(stmt)}
+               if module in LOWERING_PARTS else set())
+    assert _unbound(tree, outside) == []
 
 
 def test_every_private_name_is_referenced():
@@ -100,10 +175,11 @@ def _import_parts(tree: ast.Module) -> set[str]:
     return imported
 
 
-def test_constructions_import_no_relation():
+@pytest.mark.parametrize("module", sorted(LOWERING_PARTS))
+def test_constructions_import_no_relation(module):
     # `chain.LOWERINGS` is the one place that pairs a construction with its
-    # relation, so the construction module imports neither side of it
-    assert _import_parts(MODULES["lowering.py"]) & {"bisim", "chain"} == set()
+    # relation, so no construction imports either side of it
+    assert _import_parts(_part(module)) & {"bisim", "chain"} == set()
 
 
 def test_every_module_imports_as_itself():
@@ -133,18 +209,23 @@ REGION_VIEWS = {"nodes", "moves", "successor"}
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__.py",
-                                                          "solver.py"}))
+                                                          "solver.py"}
+                                           | set(LOWERING_PARTS)))
 def test_reads_region_graphs_on_ids(module):
     # outside the solver, the package reads a region graph and a solve on
     # node and move ids: it names neither tuple and reads no view
-    tree = MODULES[module]
+    tree = _unit(module)
     attrs = {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
     assert sorted((_referenced(tree) & REGION_TUPLES) | (attrs & REGION_VIEWS)) == []
 
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("module", sorted(set(MODULES) | set(LOWERING_PARTS)))
 def test_compiles_without_warnings(module):
-    path = SRC / module
+    # a part compiles from the lines of its defs in lowering.py
+    source = ("\n\n".join(ast.get_source_segment(SOURCES["lowering.py"], stmt)
+                          for stmt in _part(module).body
+                          if not isinstance(stmt, (ast.Import, ast.ImportFrom)))
+              if module in LOWERING_PARTS else SOURCES[module])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        compile(source, str(SRC / module), "exec")
