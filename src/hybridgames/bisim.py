@@ -19,7 +19,6 @@ counterexample that replays).
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -195,10 +194,18 @@ class MoveSampler:
     endpoint are sampled (a probe of lo+1 and lo+2 stands in for the missing
     endpoints of an unbounded ray), plus `extra` random in-window delays with
     denominators at most 8.
+
+    The probe moves of each list of enabled edges are built once and kept,
+    with the list, for the sampler's lifetime: a verify_chain call hands its
+    sampler one list per (game, configuration), so a probe move sampled again
+    is the same object and memo keys holding it compare by identity.  The
+    extras are drawn afresh on every call.
     """
 
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     extra: int = 1
+    _probe_moves: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def delays(self, w: DelayWindow) -> list[Fraction]:
         out = list(w.probes)
@@ -210,7 +217,17 @@ class MoveSampler:
 
     def moves_in(self, windows: list[tuple[Edge, DelayWindow]]) -> list[Move]:
         """The sampled moves of already computed enabled edges."""
-        return [Move(e.id, t) for e, w in windows for t in self.delays(w)]
+        # Keyed by the list's id; the entry holds the list, so the id is not
+        # reused while the entry lives.
+        entry = self._probe_moves.get(id(windows))
+        if entry is None:
+            entry = self._probe_moves[id(windows)] = (
+                windows, [[Move(e.id, t) for t in w.probes] for e, w in windows])
+        out = []
+        for (e, w), probes in zip(windows, entry[1]):
+            out += probes
+            out += [Move(e.id, t) for t in self.delays(w)[len(probes):]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -260,6 +277,18 @@ def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
     return None
 
 
+def _mirror(w: BisimWitness, q2: Configuration, move: Move,
+            forward: bool) -> Optional[Move]:
+    """The move of the opposite clause that steps the same two moves: the
+    counterpart of `move`, when the counterpart's own counterpart is `move`
+    again, else None."""
+    other = w.move_forward(q2, move) if forward else w.move_backward(move)
+    if other is None:
+        return None
+    back = w.move_backward(other) if forward else w.move_forward(q2, other)
+    return other if back == move else None
+
+
 # Marks a clause outcome not yet computed (None is the outcome of a match).
 _UNSEEN = object()
 
@@ -268,14 +297,20 @@ class _Memo:
     """What one verify_chain call, or one check_local_bisim call given no
     memo, has computed, each table a pure function of its key: the enabled
     edges of a (game, configuration), the successor of a (game,
-    configuration, move) or the text of its MoveNotEnabled, and per witness
-    each matching clause's outcome.  Games and witnesses are keyed by id, so
-    a memo must not outlive the call that holds them."""
+    configuration, move) or the text of its MoveNotEnabled, and per
+    (witness, q1, q2) pair one table of clause outcomes keyed by (move,
+    direction).  Each clause is decided at most once: a passing clause also
+    answers its mirror, the other direction's clause on its counterpart
+    move, when each move is the other's counterpart, since both step the
+    same two moves and test the same membership.  A failure answers only
+    itself, so every counterexample is computed by its own clause.  Games
+    and witnesses are keyed by id, so a memo must not outlive the call that
+    holds them."""
 
     def __init__(self) -> None:
         self.windows: dict = {}
         self.steps: dict = {}
-        self.clauses: defaultdict[int, dict] = defaultdict(dict)
+        self.clauses: dict = {}
 
     def enabled(self, g: Game, q: Configuration) -> list[tuple[Edge, DelayWindow]]:
         key = (id(g), q)
@@ -297,13 +332,25 @@ class _Memo:
             raise MoveNotEnabled(out)
         return out
 
-    def match(self, w: BisimWitness, q1: Configuration, q2: Configuration,
-              move: Move, forward: bool) -> Optional[str]:
-        table = self.clauses[id(w)]
-        key = (q1, q2, move, forward)
+    def clauses_at(self, w: BisimWitness, q1: Configuration,
+                   q2: Configuration) -> dict:
+        """The clause table of one related pair under one witness."""
+        key = (id(w), q1, q2)
+        table = self.clauses.get(key)
+        if table is None:
+            table = self.clauses[key] = {}
+        return table
+
+    def match(self, table: dict, w: BisimWitness, q1: Configuration,
+              q2: Configuration, move: Move, forward: bool) -> Optional[str]:
+        key = (move, forward)
         out = table.get(key, _UNSEEN)
         if out is _UNSEEN:
             out = table[key] = _match(w, q1, q2, move, forward, self.step)
+            if out is None:
+                mirror = _mirror(w, q2, move, forward)
+                if mirror is not None:
+                    table[mirror, not forward] = None
         return out
 
 
@@ -316,7 +363,9 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
     g2 moves backward for player two), then the other side's, so a Pass
     certifies sampled bisimulation rather than one-way simulation.  The
     first unmatched move ends the check.  A `memo` (verify_chain's) only
-    saves recomputing; the sampler draws the same delays either way.
+    saves recomputing: its table for this pair, fetched once, decides each
+    clause at most once, a passing clause answering its mirror, and the
+    sampler draws the same delays either way.
     """
     sampler = sampler or MoveSampler()
     memo = memo or _Memo()
@@ -336,11 +385,12 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
 
     checked = 0
     owner_forward = own1 is Player.ONE
+    table = memo.clauses_at(w, q1, q2)
     for forward in (owner_forward, not owner_forward):
         g, q = (w.g1, q1) if forward else (w.g2, q2)
         for move in sampler.moves_in(memo.enabled(g, q)):
             checked += 1
-            problem = memo.match(w, q1, q2, move, forward)
+            problem = memo.match(table, w, q1, q2, move, forward)
             if problem:
                 cex = Counterexample(w.name, "forward" if forward else "backward",
                                      q1, q2, move, problem)
@@ -401,8 +451,9 @@ _MAX_FAILURES = 5
 
 
 def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainReport:
-    """Build the whole lowering chain of an ISR game and check every stage
-    witness (and the composed end-to-end witness) on sampled reachable pairs.
+    """Build the whole lowering chain of a game, which enters it at its own
+    flavor, and check every stage witness (and the composed end-to-end
+    witness) on sampled reachable pairs.
     A pair whose owners differ fails its stage with an "owner" counterexample.
 
     Reachable pairs come from random plays of the source game, lifted through

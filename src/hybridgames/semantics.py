@@ -57,7 +57,8 @@ class Move:
     delay: Fraction
 
     def __hash__(self) -> int:
-        # Moves key the witness checker's memo tables as fresh objects:
+        # Moves key the witness checker's memo tables, often as fresh
+        # objects (counterparts, seeded draws; probe moves are shared):
         # hashing the delay's two integers skips Fraction.__hash__'s modular
         # inverse, and equal delays, an int included, share both integers.
         return hash((self.edge, self.delay.numerator, self.delay.denominator))

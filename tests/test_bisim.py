@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import hybridgames as hg
+import hybridgames.bisim as bisim_module
 import hybridgames.chain as chain_module
 from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine, _match
 from hybridgames.samples import worked_example
@@ -109,6 +110,29 @@ def widen_stopwatch_guards(monkeypatch):
         return dataclasses.replace(g_s, edges=edges)
 
     replace_lowering(monkeypatch, hg.to_stopwatch, widened)
+
+
+def with_copy_of_e1(g_s, guard):
+    """The stopwatch stage g_s with an edge `e1b` added right after e1 out
+    of player two's l1: a copy of e1, provenance included, with `guard`.
+    The relation's forward map then sends e1 to e1b, and e1's own backward
+    clause has no mirror, since its counterpart's counterpart is e1b."""
+    edges = {}
+    for eid, e in g_s.edges.items():
+        edges[eid] = e
+        if eid == "e1":
+            edges["e1b"] = dataclasses.replace(e, id="e1b", guard=guard)
+    return dataclasses.replace(g_s, edges=edges)
+
+
+def add_copy_of_e1(monkeypatch):
+    """Make the slope-normalization construction add an exact copy of e1
+    that shares its provenance."""
+    def with_copy(g):
+        g_s = hg.to_stopwatch(g)
+        return with_copy_of_e1(g_s, g_s.edges["e1"].guard)
+
+    replace_lowering(monkeypatch, hg.to_stopwatch, with_copy)
 
 
 def test_ownership_mismatch_fails_only_its_stages(monkeypatch):
@@ -341,6 +365,41 @@ class TestMemoAgainstOracle:
     def test_off_by_one_offsets(self, monkeypatch):
         off_by_one_offsets(monkeypatch)
         assert not assert_same_report(G).passed
+
+    def test_shared_provenance_is_no_mirror(self, monkeypatch):
+        add_copy_of_e1(monkeypatch)
+        checked = []
+        real = bisim_module.check_local_bisim
+
+        def recorded(w, q1, q2, *rest):
+            checked.append((w, q1, q2))
+            return real(w, q1, q2, *rest)
+
+        monkeypatch.setattr(bisim_module, "check_local_bisim", recorded)
+        assert assert_same_report(G).passed
+        # player two's pairs at l1 check e1's backward clause, which has no
+        # mirror, before e1's forward clause
+        assert any(w.g1.owner(q1.loc) is hg.Player.TWO
+                   and "e1b" in w.g2.edges and q2.loc.base == "l1"
+                   for w, q1, q2 in checked)
+
+    def test_inexact_mirror_answers_nothing(self):
+        # e1b holds the first half of e1's window, so e1's forward clause
+        # fails late in the window, where e1's backward clause passed
+        g_s = with_copy_of_e1(hg.to_stopwatch(G),
+                              hg.Guard({"x": hg.Interval(F(-2), F(-1))}))
+        w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], G, g_s)
+        q = hg.Configuration(hg.LocId("l1"), (F(3),))
+        assert G.owner(q.loc) is hg.Player.TWO
+        got = hg.check_local_bisim(w, q, hg.rescale_config(G, q),
+                                   hg.MoveSampler(random.Random(5)))
+        want = unmemoised_check_local_bisim(w, q, hg.rescale_config(G, q),
+                                            hg.MoveSampler(random.Random(5)))
+        assert got == want
+        assert (got.counterexample.direction, got.counterexample.move,
+                got.reason) == ("forward", hg.Move("e1", F(3)),
+                                "counterpart not enabled (delay 3 outside"
+                                " the window of edge e1b)")
 
 
 class TestMoveSampler:
