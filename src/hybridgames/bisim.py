@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .core import (OFFSET_KIND, ONE, ZERO, Annotation, Edge, Game, LocId,
-                   MoveNotEnabled, OwnershipMismatch, Player, interned)
+from .core import (OFFSET_KIND, ONE, ZERO, Annotation, Edge, Game,
+                   InvalidHistory, LocId, MoveNotEnabled, OwnershipMismatch,
+                   Player, interned)
 from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
 
 
@@ -193,19 +194,12 @@ class MoveSampler:
     For every enabled edge the low endpoint, the midpoint and the high
     endpoint are sampled (a probe of lo+1 and lo+2 stands in for the missing
     endpoints of an unbounded ray), plus `extra` random in-window delays with
-    denominators at most 8.
-
-    The probe moves of each list of enabled edges are built once and kept,
-    with the list, for the sampler's lifetime: a verify_chain call hands its
-    sampler one list per (game, configuration), so a probe move sampled again
-    is the same object and memo keys holding it compare by identity.  The
-    extras are drawn afresh on every call.
+    denominators at most 8.  The sampler holds only its rng and `extra`, so
+    one sampler may serve any number of calls.
     """
 
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     extra: int = 1
-    _probe_moves: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def delays(self, w: DelayWindow) -> list[Fraction]:
         out = list(w.probes)
@@ -216,18 +210,9 @@ class MoveSampler:
         return out
 
     def moves_in(self, windows: list[tuple[Edge, DelayWindow]]) -> list[Move]:
-        """The sampled moves of already computed enabled edges."""
-        # Keyed by the list's id; the entry holds the list, so the id is not
-        # reused while the entry lives.
-        entry = self._probe_moves.get(id(windows))
-        if entry is None:
-            entry = self._probe_moves[id(windows)] = (
-                windows, [[Move(e.id, t) for t in w.probes] for e, w in windows])
-        out = []
-        for (e, w), probes in zip(windows, entry[1]):
-            out += probes
-            out += [Move(e.id, t) for t in self.delays(w)[len(probes):]]
-        return out
+        """The sampled moves of already computed enabled edges, every edge's
+        delays drawn before any move is returned."""
+        return [Move(e.id, t) for e, w in windows for t in self.delays(w)]
 
 
 @dataclass(frozen=True)
@@ -277,35 +262,24 @@ def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
     return None
 
 
-def _mirror(w: BisimWitness, q2: Configuration, move: Move,
-            forward: bool) -> Optional[Move]:
-    """The move of the opposite clause that steps the same two moves: the
-    counterpart of `move`, when the counterpart's own counterpart is `move`
-    again, else None."""
-    other = w.move_forward(q2, move) if forward else w.move_backward(move)
-    if other is None:
-        return None
-    back = w.move_backward(other) if forward else w.move_forward(q2, other)
-    return other if back == move else None
-
-
 # Marks a clause outcome not yet computed (None is the outcome of a match).
 _UNSEEN = object()
 
 
 class _Memo:
     """What one verify_chain call, or one check_local_bisim call given no
-    memo, has computed, each table a pure function of its key: the enabled
-    edges of a (game, configuration), the successor of a (game,
-    configuration, move) or the text of its MoveNotEnabled, and per
-    (witness, q1, q2) pair one table of clause outcomes keyed by (move,
-    direction).  Each clause is decided at most once: a passing clause also
-    answers its mirror, the other direction's clause on its counterpart
-    move, when each move is the other's counterpart, since both step the
-    same two moves and test the same membership.  A failure answers only
-    itself, so every counterexample is computed by its own clause.  Games
-    and witnesses are keyed by id, so a memo must not outlive the call that
-    holds them."""
+    memo, has computed, each table a pure function of a key of builtins and
+    configurations: the enabled edges of a (game, configuration), the
+    successor of a (game, configuration, edge, delay) or the text of its
+    MoveNotEnabled, and per (witness, q1, q2) one table of clause outcomes
+    keyed by (g1 edge, g2 edge, delay), an edge None where a move has no
+    counterpart; a delay is its numerator and denominator.  A forward and a
+    backward clause share a key exactly when each move is the other's
+    counterpart, so both step the same two moves.  Sharing a failure is
+    safe: both moves were sampled, so neither step raises, and the one
+    failure left, "successors not related", replays from either clause.
+    Games and witnesses are keyed by id, so a memo must not outlive the
+    call that holds them."""
 
     def __init__(self) -> None:
         self.windows: dict = {}
@@ -320,7 +294,7 @@ class _Memo:
         return out
 
     def step(self, g: Game, q: Configuration, move: Move) -> Configuration:
-        key = (id(g), q, move)
+        key = (id(g), q, move.edge, move.delay.numerator, move.delay.denominator)
         out = self.steps.get(key)
         if out is None:
             try:
@@ -343,14 +317,12 @@ class _Memo:
 
     def match(self, table: dict, w: BisimWitness, q1: Configuration,
               q2: Configuration, move: Move, forward: bool) -> Optional[str]:
-        key = (move, forward)
+        e1, e2 = ((move.edge, w.edge_fwd.get((q2.loc, move.edge))) if forward
+                  else (w.edge_back.get(move.edge), move.edge))
+        key = (e1, e2, move.delay.numerator, move.delay.denominator)
         out = table.get(key, _UNSEEN)
         if out is _UNSEEN:
             out = table[key] = _match(w, q1, q2, move, forward, self.step)
-            if out is None:
-                mirror = _mirror(w, q2, move, forward)
-                if mirror is not None:
-                    table[mirror, not forward] = None
         return out
 
 
@@ -364,8 +336,8 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
     certifies sampled bisimulation rather than one-way simulation.  The
     first unmatched move ends the check.  A `memo` (verify_chain's) only
     saves recomputing: its table for this pair, fetched once, decides each
-    clause at most once, a passing clause answering its mirror, and the
-    sampler draws the same delays either way.
+    pair of counterpart moves at most once, whichever direction steps them
+    first, and the sampler draws the same delays either way.
     """
     sampler = sampler or MoveSampler()
     memo = memo or _Memo()
@@ -494,7 +466,7 @@ def _sample_lifted_configs(chain, samples: int, depth: int, rng: random.Random,
                            memo: _Memo) -> list[tuple[Configuration, ...]]:
     """Up to `samples` reachable lifted configurations, one per game of the
     chain in `Chain.games()` order, by random play of the source game (each
-    play at most `depth` moves)."""
+    play at most `depth` moves, ended by a move that does not lift)."""
     from .chain import initial_lifted, lift_step
 
     out = []
@@ -509,6 +481,9 @@ def _sample_lifted_configs(chain, samples: int, depth: int, rng: random.Random,
                 break
             e, w = options[rng.randrange(len(options))]
             t = w.draw(rng, max_den=6, ray=3)
-            lifted = lift_step(chain, lifted, Move(e.id, t))
+            try:
+                lifted = lift_step(chain, lifted, Move(e.id, t))
+            except InvalidHistory:
+                break
             out.append(tuple(run.last() for run in lifted))
     return out

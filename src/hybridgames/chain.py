@@ -91,7 +91,9 @@ def initial_lifted(chain: Chain) -> LiftedRun:
 
 
 def lift_step(chain: Chain, lifted: LiftedRun, move: Move) -> LiftedRun:
-    """Advance every stage by the counterparts of one source move."""
+    """Advance every stage by the counterparts of one source move;
+    InvalidHistory when the source move, a stage's counterpart or that
+    counterpart's step is missing or not enabled."""
     try:
         q = step(chain.isr, lifted.source.last(), move)
     except MoveNotEnabled as exc:
@@ -104,7 +106,10 @@ def lift_step(chain: Chain, lifted: LiftedRun, move: Move) -> LiftedRun:
             raise InvalidHistory(
                 f"no {w.name} counterpart of {move.edge} at {q.loc.render()}")
         move = counterpart
-        runs.append(run.extended(move, step(w.g2, q, move)))
+        try:
+            runs.append(run.extended(move, step(w.g2, q, move)))
+        except MoveNotEnabled as exc:
+            raise InvalidHistory(f"{w.name} step not enabled: {exc}") from exc
     return LiftedRun(*runs)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
+import hybridgames.chain as chain_module
 from hybridgames.chain import LOWERINGS, build_chain
 from hybridgames.core import (
     Edge,
@@ -34,6 +35,13 @@ def on_nodes(rg, chosen: dict[int, int]) -> dict:
     """`chosen`, move ids keyed by node id as a solve records them, as
     moves keyed by node in the same order."""
     return {rg.nodes[k]: rg.move(m) for k, m in chosen.items()}
+
+
+def replace_lowering(monkeypatch, real, fake) -> None:
+    """Build the chain with `fake` where `chain.LOWERINGS` has `real`."""
+    monkeypatch.setattr(chain_module, "LOWERINGS", tuple(
+        (flavor, fake if construct is real else construct, name)
+        for flavor, construct, name in chain_module.LOWERINGS))
 
 
 def _replace_edge(g: Game, eid: str, **changes) -> Game:

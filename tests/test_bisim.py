@@ -12,7 +12,7 @@ import hybridgames.chain as chain_module
 from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine, _match
 from hybridgames.samples import worked_example
 
-from fixtures import STAGE_NAME
+from fixtures import STAGE_NAME, replace_lowering
 from gamegen import gen_isr_game
 
 G = worked_example()
@@ -77,13 +77,6 @@ def test_ownership_mismatch_raises():
         hg.check_local_bisim(w, q, q)
 
 
-def replace_lowering(monkeypatch, real, fake):
-    """Build the chain with `fake` where `chain.LOWERINGS` has `real`."""
-    monkeypatch.setattr(chain_module, "LOWERINGS", tuple(
-        (flavor, fake if construct is real else construct, name)
-        for flavor, construct, name in chain_module.LOWERINGS))
-
-
 def rewrite_hands_l1_to_player_one(monkeypatch):
     """Make the guard-rewrite construction give l1 (player two's) to player
     one, so its relation pairs configurations of different owners."""
@@ -125,12 +118,12 @@ def with_copy_of_e1(g_s, guard):
     return dataclasses.replace(g_s, edges=edges)
 
 
-def add_copy_of_e1(monkeypatch):
-    """Make the slope-normalization construction add an exact copy of e1
-    that shares its provenance."""
+def add_copy_of_e1(monkeypatch, guard=None):
+    """Make the slope-normalization construction add a copy of e1 that
+    shares its provenance, with `guard`, else e1's own."""
     def with_copy(g):
         g_s = hg.to_stopwatch(g)
-        return with_copy_of_e1(g_s, g_s.edges["e1"].guard)
+        return with_copy_of_e1(g_s, guard or g_s.edges["e1"].guard)
 
     replace_lowering(monkeypatch, hg.to_stopwatch, with_copy)
 
@@ -292,7 +285,8 @@ def unmemoised_check_local_bisim(w, q1, q2, sampler):
 
 def unmemoised_verify_chain(g, samples, depth, seed=0):
     """verify_chain as it was before its memo, kept as the oracle: the same
-    sampled plays and the same seeded sampler, every pair checked by
+    sampled plays, each ended by a move that does not lift through every
+    stage, and the same seeded sampler, every pair checked by
     unmemoised_check_local_bisim."""
     chain = hg.build_chain(g)
     witnesses = hg.stage_witnesses(chain)
@@ -310,7 +304,10 @@ def unmemoised_verify_chain(g, samples, depth, seed=0):
                 break
             e, w = options[rng.randrange(len(options))]
             move = hg.Move(e.id, w.draw(rng, max_den=6, ray=3))
-            lifted = hg.lift_step(chain, lifted, move)
+            try:
+                lifted = hg.lift_step(chain, lifted, move)
+            except hg.InvalidHistory:
+                break
             sampled.append(tuple(run.last() for run in lifted))
 
     stages = [hg.StageResult(w.name) for w, _, _ in witnesses]
@@ -383,6 +380,19 @@ class TestMemoAgainstOracle:
                    and "e1b" in w.g2.edges and q2.loc.base == "l1"
                    for w, q1, q2 in checked)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_counterpart_not_enabled_ends_the_play(self, monkeypatch, seed):
+        # e1b holds the first half of e1's window, so a sampled play that
+        # moves e1 late in the window has no enabled slope-stage lift
+        add_copy_of_e1(monkeypatch, hg.Guard({"x": hg.Interval(F(-2), F(-1))}))
+        rep = assert_same_report(G, seed=seed)
+        witnesses = hg.stage_witnesses(hg.build_chain(G))
+        assert [s.passed for s in rep.stages] == [
+            False, True, True, True, True, False]
+        for (w, _, _), stage in zip(witnesses, rep.stages):
+            for cex in stage.failures:
+                assert hg.replay_counterexample(w, cex)
+
     def test_inexact_mirror_answers_nothing(self):
         # e1b holds the first half of e1's window, so e1's forward clause
         # fails late in the window, where e1's backward clause passed
@@ -419,6 +429,14 @@ class TestMoveSampler:
         w = hg.DelayWindow(F(1), None)
         got = self.sampler.delays(w)
         assert {F(1), F(2), F(3)} <= set(got)
+
+    def test_keeps_no_per_call_state(self):
+        w = hg.identity_witness(G)
+        configs = sampled_configs(G, seeds=range(10))
+        assert len(configs) == 90
+        for q in configs:
+            assert hg.check_local_bisim(w, q, q, self.sampler).passed
+        assert set(vars(self.sampler)) == {"rng", "extra"}
 
     def test_moves_pair_edges_with_window_samples(self):
         q = hg.Configuration(hg.LocId("l1"), (F(3),))

@@ -1,11 +1,14 @@
 """Strategy construction and pull-back along the transformation chain."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
 import hybridgames as hg
 from hybridgames.samples import small_timed, worked_example
+
+from fixtures import replace_lowering
 
 G = worked_example()
 CH = hg.build_chain(G)
@@ -113,22 +116,44 @@ def _bad_history(kind):
     start = hg.initial_config(G)
     if kind == "start":
         return hg.Run(hg.Configuration(start.loc, (F(1),)))
+    if kind == "stage":
+        run = hg.Run(start)
+        for move in (hg.Move("e0", F(1)), hg.Move("e1", F(3))):
+            run = run.extended(move, hg.step(G, run.last(), move))
+        return run
     move = hg.Move("e0", F(1)) if kind == "replay" else hg.Move("e0", F(5))
     # l1 with x = 3 follows e0 at delay 1; x = 2 does not
     return hg.Run(start).extended(move, hg.Configuration(hg.LocId("l1"), (F(2),)))
 
 
+def _chain_with_narrowed_e1(monkeypatch):
+    """The chain of G whose slope stage holds e1 to the first half of its
+    window, so e1 at delay 3 from l1 with x = 3 lifts to a stage step that
+    is not enabled."""
+    def narrowed(g):
+        g_s = hg.to_stopwatch(g)
+        e1 = dataclasses.replace(g_s.edges["e1"],
+                                 guard=hg.Guard({"x": hg.Interval(F(-2), F(-1))}))
+        return dataclasses.replace(g_s, edges={**g_s.edges, "e1": e1})
+
+    replace_lowering(monkeypatch, hg.to_stopwatch, narrowed)
+    return hg.build_chain(G)
+
+
 @pytest.mark.parametrize("kind,reason", [
     ("start", "does not start at the initial configuration"),
     ("replay", "configurations do not replay"),
-    ("disabled", "source move not enabled")])
-def test_lift_run_refuses_a_history_the_source_cannot_play(kind, reason):
+    ("disabled", "source move not enabled"),
+    ("stage", "slope-normalization step not enabled")])
+def test_lift_run_refuses_a_history_the_source_cannot_play(monkeypatch, kind,
+                                                           reason):
     run = _bad_history(kind)
+    chain = _chain_with_narrowed_e1(monkeypatch) if kind == "stage" else CH
     with pytest.raises(hg.InvalidHistory, match=reason):
-        hg.lift_run(CH, run)
+        hg.lift_run(chain, run)
     _, sigma_t = _solved_timed_strategy()
     with pytest.raises(hg.InvalidHistory, match=reason):
-        hg.pull_back_strategy(CH, sigma_t)(run)
+        hg.pull_back_strategy(chain, sigma_t)(run)
 
 
 def test_pull_back_refuses_a_timed_edge_with_no_source_counterpart():

@@ -16,9 +16,10 @@ changed.  The counted call sites:
 - `bisim.step`, called by `bisim._Memo.step` on a memo miss, while
   `verify_chain` checks a `certify` game (`_match`'s default `step`
   argument is bound at definition time and is not seen);
-- `bisim._match`, called by `bisim._Memo.match` once per matching clause
-  it decides, in the same `verify_chain` call (a clause whose mirror
-  passed is answered without one).
+- `bisim._match`, called by `bisim._Memo.match` once per clause key it
+  decides, in the same `verify_chain` call (a clause whose g1 edge, g2
+  edge and delay the opposite direction's clause already stepped is
+  answered without one).
 
 The committed figures are in `work_counts.json`.  A change that moves one
 rewrites the file with `PYTHONPATH=src python tests/test_work_counts.py`,
