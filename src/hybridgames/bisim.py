@@ -262,6 +262,24 @@ def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
     return None
 
 
+def _prologue(w: BisimWitness, q1: Configuration,
+              q2: Configuration) -> Optional[Counterexample]:
+    """What a pair must pass before any move is tried: the relation, then
+    the owners (a mismatch raises OwnershipMismatch), then the labels.  The
+    counterexample of the first failure, else None."""
+    if not w.contains(q1, q2):
+        return Counterexample(w.name, "relation", q1, q2, _NO_MOVE,
+                              "pair not in the relation")
+    own1, own2 = w.g1.owner(q1.loc), w.g2.owner(q2.loc)
+    if own1 is not own2:
+        raise OwnershipMismatch(
+            f"{q1.loc.render()} owned by {own1.name}, {q2.loc.render()} by {own2.name}")
+    if w.g1.locations[q1.loc].obs != w.g2.locations[q2.loc].obs:
+        return Counterexample(w.name, "label", q1, q2, _NO_MOVE,
+                              "observations differ")
+    return None
+
+
 # Marks a clause outcome not yet computed (None is the outcome of a match).
 _UNSEEN = object()
 
@@ -273,7 +291,9 @@ class _Memo:
     successor of a (game, configuration, edge, delay) or the text of its
     MoveNotEnabled, and per (witness, q1, q2) one table of clause outcomes
     keyed by (g1 edge, g2 edge, delay), an edge None where a move has no
-    counterpart; a delay is its numerator and denominator.  A forward and a
+    counterpart; a delay is its numerator and denominator.  A pair's table
+    exists only once its prologue has passed, and the prologue is a pure
+    function of the pair, so a pair with a table skips it.  A forward and a
     backward clause share a key exactly when each move is the other's
     counterpart, so both step the same two moves.  Sharing a failure is
     safe: both moves were sampled, so neither step raises, and the one
@@ -306,67 +326,55 @@ class _Memo:
             raise MoveNotEnabled(out)
         return out
 
-    def clauses_at(self, w: BisimWitness, q1: Configuration,
-                   q2: Configuration) -> dict:
-        """The clause table of one related pair under one witness."""
-        key = (id(w), q1, q2)
-        table = self.clauses.get(key)
-        if table is None:
-            table = self.clauses[key] = {}
-        return table
-
-    def match(self, table: dict, w: BisimWitness, q1: Configuration,
-              q2: Configuration, move: Move, forward: bool) -> Optional[str]:
-        e1, e2 = ((move.edge, w.edge_fwd.get((q2.loc, move.edge))) if forward
-                  else (w.edge_back.get(move.edge), move.edge))
-        key = (e1, e2, move.delay.numerator, move.delay.denominator)
-        out = table.get(key, _UNSEEN)
-        if out is _UNSEEN:
-            out = table[key] = _match(w, q1, q2, move, forward, self.step)
-        return out
-
 
 def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
                       sampler: Optional[MoveSampler] = None,
                       memo: Optional[_Memo] = None) -> Verdict:
     """Check the matching clauses at one related pair on sampled moves.
 
-    The owner's moves are matched first (g1 moves forward for player one,
-    g2 moves backward for player two), then the other side's, so a Pass
-    certifies sampled bisimulation rather than one-way simulation.  The
-    first unmatched move ends the check.  A `memo` (verify_chain's) only
-    saves recomputing: its table for this pair, fetched once, decides each
-    pair of counterpart moves at most once, whichever direction steps them
-    first, and the sampler draws the same delays either way.
+    The pair's prologue (relation, owners, labels) runs first.  Then the
+    owner's moves are matched (g1 moves forward for player one, g2 moves
+    backward for player two), then the other side's, so a Pass certifies
+    sampled bisimulation rather than one-way simulation.  For each side the
+    sampler draws every enabled edge's delays before any clause is decided,
+    as moves_in does; each edge's counterpart is then resolved once, and
+    the first unmatched move ends the check.  A `memo` (verify_chain's)
+    only saves recomputing: a pair whose clause table exists skips its
+    prologue, which passed when the table was made (a failing prologue
+    makes none, so it runs again on every visit), and the table decides
+    each pair of counterpart moves at most once, whichever direction steps
+    them first.  A Move is built only for a clause not yet decided or for a
+    counterexample.
     """
     sampler = sampler or MoveSampler()
     memo = memo or _Memo()
-    if not w.contains(q1, q2):
-        cex = Counterexample(w.name, "relation", q1, q2, _NO_MOVE,
-                             "pair not in the relation")
-        return Verdict(False, 0, cex, cex.reason)
-    own1 = w.g1.owner(q1.loc)
-    own2 = w.g2.owner(q2.loc)
-    if own1 is not own2:
-        raise OwnershipMismatch(
-            f"{q1.loc.render()} owned by {own1.name}, {q2.loc.render()} by {own2.name}")
-    if w.g1.locations[q1.loc].obs != w.g2.locations[q2.loc].obs:
-        cex = Counterexample(w.name, "label", q1, q2, _NO_MOVE,
-                             "observations differ")
-        return Verdict(False, 0, cex, "observations differ")
+    key = (id(w), q1, q2)
+    table = memo.clauses.get(key)
+    if table is None:
+        cex = _prologue(w, q1, q2)
+        if cex is not None:
+            return Verdict(False, 0, cex, cex.reason)
+        table = memo.clauses[key] = {}
 
     checked = 0
-    owner_forward = own1 is Player.ONE
-    table = memo.clauses_at(w, q1, q2)
+    owner_forward = w.g1.owner(q1.loc) is Player.ONE
     for forward in (owner_forward, not owner_forward):
         g, q = (w.g1, q1) if forward else (w.g2, q2)
-        for move in sampler.moves_in(memo.enabled(g, q)):
-            checked += 1
-            problem = memo.match(table, w, q1, q2, move, forward)
-            if problem:
-                cex = Counterexample(w.name, "forward" if forward else "backward",
-                                     q1, q2, move, problem)
-                return Verdict(False, checked, cex, problem)
+        drawn = [(e.id, sampler.delays(win)) for e, win in memo.enabled(g, q)]
+        for eid, delays in drawn:
+            other = w.edge_fwd.get((q2.loc, eid)) if forward else w.edge_back.get(eid)
+            e1, e2 = (eid, other) if forward else (other, eid)
+            for t in delays:
+                checked += 1
+                clause = (e1, e2, t.numerator, t.denominator)
+                problem = table.get(clause, _UNSEEN)
+                if problem is _UNSEEN:
+                    problem = table[clause] = _match(w, q1, q2, Move(eid, t),
+                                                     forward, memo.step)
+                if problem:
+                    cex = Counterexample(w.name, "forward" if forward else "backward",
+                                         q1, q2, Move(eid, t), problem)
+                    return Verdict(False, checked, cex, problem)
     return Verdict(True, checked)
 
 

@@ -90,6 +90,20 @@ def rewrite_hands_l1_to_player_one(monkeypatch):
     replace_lowering(monkeypatch, hg.to_updatable, flipped)
 
 
+def relabel_l0_in_updatable(monkeypatch):
+    """Make the guard-rewrite construction observe "mid" at every copy of
+    l0 (the initial location, observed "start"), so every sampled play
+    starts at a pair whose labels differ."""
+    def relabelled(g_ann):
+        g_u = hg.to_updatable(g_ann)
+        locations = {lid: dataclasses.replace(loc, obs="mid")
+                     if lid.base == "l0" else loc
+                     for lid, loc in g_u.locations.items()}
+        return dataclasses.replace(g_u, locations=locations)
+
+    replace_lowering(monkeypatch, hg.to_updatable, relabelled)
+
+
 def widen_stopwatch_guards(monkeypatch):
     """Make the slope-normalization construction widen every guard by one on
     both sides, so its game has moves whose source counterparts are not
@@ -287,7 +301,7 @@ def unmemoised_verify_chain(g, samples, depth, seed=0):
     """verify_chain as it was before its memo, kept as the oracle: the same
     sampled plays, each ended by a move that does not lift through every
     stage, and the same seeded sampler, every pair checked by
-    unmemoised_check_local_bisim."""
+    unmemoised_check_local_bisim.  Returns the report and the sampler."""
     chain = hg.build_chain(g)
     witnesses = hg.stage_witnesses(chain)
     rng = random.Random(seed)
@@ -328,14 +342,26 @@ def unmemoised_verify_chain(g, samples, depth, seed=0):
                 result.failures.append(verdict.counterexample)
     warnings = [] if sampled else [
         "no reachable configurations sampled; result is vacuous"]
-    return hg.ChainReport(stages, warnings, len(sampled))
+    return hg.ChainReport(stages, warnings, len(sampled)), sampler
 
 
 def assert_same_report(g, samples=25, depth=6, seed=0):
-    got = hg.verify_chain(g, samples=samples, depth=depth, seed=seed)
-    want = unmemoised_verify_chain(g, samples, depth, seed)
+    """verify_chain's report equals the oracle's, and its sampler ends in
+    the oracle's rng state, so both drew the same delays in the same order."""
+    samplers = []
+
+    def recorded(*args, **kwargs):
+        samplers.append(hg.MoveSampler(*args, **kwargs))
+        return samplers[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bisim_module, "MoveSampler", recorded)
+        got = hg.verify_chain(g, samples=samples, depth=depth, seed=seed)
+    want, sampler = unmemoised_verify_chain(g, samples, depth, seed)
     assert got == want  # every stage's pairs, moves checked and failures
     assert got.render() == want.render()
+    [used] = samplers
+    assert used.rng.getstate() == sampler.rng.getstate()
     return got
 
 
@@ -362,6 +388,17 @@ class TestMemoAgainstOracle:
     def test_off_by_one_offsets(self, monkeypatch):
         off_by_one_offsets(monkeypatch)
         assert not assert_same_report(G).passed
+
+    def test_label_mismatch_is_reported_on_every_visit(self, monkeypatch):
+        relabel_l0_in_updatable(monkeypatch)
+        rep = assert_same_report(G)
+        assert [s.passed for s in rep.stages] == [
+            True, True, False, False, True, False]
+        assert all(c.direction == "label" for s in rep.stages for c in s.failures)
+        # every play restarts at the initial pair, whose failed prologue is
+        # checked and reported again on each visit
+        failures = rep.stages[-1].failures
+        assert len({(c.q1, c.q2) for c in failures}) < len(failures)
 
     def test_shared_provenance_is_no_mirror(self, monkeypatch):
         add_copy_of_e1(monkeypatch)

@@ -16,10 +16,13 @@ changed.  The counted call sites:
 - `bisim.step`, called by `bisim._Memo.step` on a memo miss, while
   `verify_chain` checks a `certify` game (`_match`'s default `step`
   argument is bound at definition time and is not seen);
-- `bisim._match`, called by `bisim._Memo.match` once per clause key it
-  decides, in the same `verify_chain` call (a clause whose g1 edge, g2
+- `bisim._match`, called by `bisim.check_local_bisim` once per clause key
+  it decides, in the same `verify_chain` call (a clause whose g1 edge, g2
   edge and delay the opposite direction's clause already stepped is
-  answered without one).
+  answered without one);
+- `bisim._prologue`, called by `bisim.check_local_bisim` for a pair that
+  has no clause table yet, in the same call (a pair whose relation, owners
+  and labels passed once is not checked again).
 
 The committed figures are in `work_counts.json`.  A change that moves one
 rewrites the file with `PYTHONPATH=src python tests/test_work_counts.py`,
@@ -81,14 +84,16 @@ def count_control(monkeypatch, index: str) -> tuple[dict, int]:
 
 def count_certify(monkeypatch, index: str) -> tuple[dict, tuple]:
     """The counts, and the report with the arguments of every counted
-    `step` and `_match` call."""
+    `step`, `_match` and `_prologue` call."""
     g = gen.thirds_game(int(index))
     steps = _count(monkeypatch, bisim, "step")
     matches = _count(monkeypatch, bisim, "_match")
+    prologues = _count(monkeypatch, bisim, "_prologue")
     report = hg.verify_chain(g, samples=workloads.SAMPLES, depth=workloads.DEPTH,
                              seed=workloads.BISIM_SEED)
-    counts = {"memo_missed_step": len(steps), "match": len(matches)}
-    return counts, (report, steps, matches)
+    counts = {"memo_missed_step": len(steps), "match": len(matches),
+              "prologue": len(prologues)}
+    return counts, (report, steps, matches, prologues)
 
 
 COUNTERS = {"certify": count_certify, "control": count_control,
@@ -121,11 +126,13 @@ def exact_mirror(w, q2, move, forward):
 @pytest.mark.parametrize("index", sorted(COUNTS["certify"], key=int))
 def test_memo_missed_steps_per_certify_game(monkeypatch, index):
     unwrapped = bisim._match
-    got, (report, steps, matches) = count_certify(monkeypatch, index)
+    got, (report, steps, matches, prologues) = count_certify(monkeypatch, index)
     assert report.passed
     assert got == COUNTS["certify"][index]
     # the memo steps each (game, configuration, move) at most once
     assert len({(id(g), q, move) for g, q, move in steps}) == len(steps)
+    # each related pair's relation, owners and labels are checked at most once
+    assert len({(id(w), q1, q2) for w, q1, q2 in prologues}) == len(prologues)
     # each clause is decided at most once, and never after its mirror passed
     decided, answered = set(), set()
     for w, q1, q2, move, forward, _ in matches:
