@@ -44,11 +44,24 @@ class Affine:
         object.__setattr__(self, "shift", tuple(map(interned, self.shift)))
 
     def apply(self, val: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """Each a*x + b as one Fraction built from the numerators and
+        denominators through the public two-int constructor, which
+        normalises with one gcd (on Python 3.11 each Fraction operator
+        dispatches through a numbers.Rational check); a value whose scale
+        is ONE and shift ZERO is kept as it is."""
         out = []
         for a, x, b in zip(self.scale, val, self.shift):
-            if a is not ONE:
-                x = a * x
-            out.append(x if b is ZERO else x + b)
+            if a is ONE:
+                if b is ZERO:
+                    out.append(x)
+                    continue
+                n, d = x.numerator, x.denominator
+            else:
+                n, d = a.numerator * x.numerator, a.denominator * x.denominator
+            if b is not ZERO:
+                bd = b.denominator
+                n, d = n * bd + b.numerator * d, d * bd
+            out.append(Fraction(n, d))
         return tuple(out)
 
     def inverse(self) -> "Affine":
@@ -209,11 +222,6 @@ class MoveSampler:
                 out.append(t)
         return out
 
-    def moves_in(self, windows: list[tuple[Edge, DelayWindow]]) -> list[Move]:
-        """The sampled moves of already computed enabled edges, every edge's
-        delays drawn before any move is returned."""
-        return [Move(e.id, t) for e, w in windows for t in self.delays(w)]
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -336,9 +344,9 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
     owner's moves are matched (g1 moves forward for player one, g2 moves
     backward for player two), then the other side's, so a Pass certifies
     sampled bisimulation rather than one-way simulation.  For each side the
-    sampler draws every enabled edge's delays before any clause is decided,
-    as moves_in does; each edge's counterpart is then resolved once, and
-    the first unmatched move ends the check.  A `memo` (verify_chain's)
+    sampler draws every enabled edge's delays before any clause is decided;
+    each edge's counterpart is then resolved once, and the first unmatched
+    move ends the check.  A `memo` (verify_chain's)
     only saves recomputing: a pair whose clause table exists skips its
     prologue, which passed when the table was made (a failing prologue
     makes none, so it runs again on every visit), and the table decides

@@ -106,12 +106,18 @@ class DelayWindow:
     @cached_property
     def probes(self) -> tuple[Fraction, ...]:
         """The window's fixed sample points: lo, the midpoint and hi (lo
-        alone for a point), or lo, lo+1 and lo+2 on an unbounded ray."""
-        if self.hi is None:
-            return (self.lo, self.lo + 1, self.lo + 2)
-        if self.hi == self.lo:
-            return (self.lo,)
-        return (self.lo, (self.lo + self.hi) / 2, self.hi)
+        alone for a point), or lo, lo+1 and lo+2 on an unbounded ray.
+
+        Each sum is one Fraction built from the numerators and denominators
+        through the public two-int constructor, like `draw`'s delay."""
+        lo, hi = self.lo, self.hi
+        ln, ld = lo.numerator, lo.denominator
+        if hi is None:
+            return (lo, Fraction(ln + ld, ld), Fraction(ln + 2 * ld, ld))
+        if hi == lo:
+            return (lo,)
+        hd = hi.denominator
+        return (lo, Fraction(ln * hd + hi.numerator * ld, 2 * ld * hd), hi)
 
     def draw(self, rng: random.Random, max_den: int, ray: int) -> Fraction:
         """lo plus a random fraction, of denominator at most max_den, of the
@@ -146,8 +152,12 @@ def delay_window(g: Game, q: Configuration, edge_id: str) -> Optional[DelayWindo
     """Solve {t >= 0 | forall constrained x: v(x) + t*slope(x) in guard(x)}.
 
     Returns None when the set is empty.  The result is always a closed
-    interval or a closed unbounded ray intersected with t >= 0.  A unit
-    slope subtracts where another divides (Game.slopes shares ONE).
+    interval or a closed unbounded ray intersected with t >= 0.  A stopped
+    variable (Game.slopes shares ZERO) is only tested against its guard.
+    Each end (bound - v) / slope is one Fraction built from the numerators
+    and denominators through the public two-int constructor, which
+    normalises with one gcd: on Python 3.11 each Fraction operator
+    dispatches through a numbers.Rational check.
     """
     e = g.edges[edge_id]
     if e.src != q.loc:
@@ -163,13 +173,13 @@ def delay_window(g: Game, q: Configuration, edge_id: str) -> Optional[DelayWindo
                 return None
             continue
         # v + t*slope in [glo, ghi]; a negative slope swaps the endpoints.
-        if slope is ONE:
-            a, b = glo - v, ghi - v
-        else:
-            a = (glo - v) / slope
-            b = (ghi - v) / slope
-            if slope < 0:
-                a, b = b, a
+        vn, vd = v.numerator, v.denominator
+        sn, sd = slope.numerator, slope.denominator
+        ld, hd = glo.denominator, ghi.denominator
+        a = Fraction((glo.numerator * vd - vn * ld) * sd, ld * vd * sn)
+        b = Fraction((ghi.numerator * vd - vn * hd) * sd, hd * vd * sn)
+        if sn < 0:
+            a, b = b, a
         if a > lo:
             lo = a
         if hi is None or b < hi:
@@ -192,20 +202,36 @@ def enabled_edges(g: Game, q: Configuration) -> list[tuple[Edge, DelayWindow]]:
 def step(g: Game, q: Configuration, move: Move) -> Configuration:
     """Apply one move exactly; raises MoveNotEnabled when it is not legal.
 
-    A stopped variable keeps its value and a unit-slope one gains the
-    delay, with no multiplication (Game.slopes shares ZERO and ONE).  The
-    delay's sign and each guard bound are tested on numerators and
-    denominators (positive, so cross-multiplying keeps the order): on
-    Python 3.11 each Fraction comparison dispatches through a
-    numbers.Rational check.  The verdicts are those of `<` and `<=`."""
+    On Python 3.11 each Fraction operator dispatches through a
+    numbers.Rational check, so the step works on numerators and
+    denominators.  A zero delay or a stopped variable keeps the value, and
+    every other advance v + t*slope is one Fraction built through the public
+    two-int constructor, which normalises with one gcd; a unit slope
+    (Game.slopes shares ZERO and ONE) skips the slope's factors.  The
+    delay's sign and each guard bound are tested by cross-multiplying
+    (denominators are positive, so the order is kept).  The values are the
+    operators' and the verdicts those of `<` and `<=`."""
     e = g.edges.get(move.edge)
     if e is None or e.src != q.loc:
         raise MoveNotEnabled(f"edge {move.edge} is not available at {q.loc.render()}")
     t = move.delay
-    if t.numerator < 0:
+    tn, td = t.numerator, t.denominator
+    if tn < 0:
         raise MoveNotEnabled("negative delay")
-    new = [v if s is ZERO else v + t if s is ONE else v + t * s
-           for v, s in zip(q.val, g.slopes[q.loc])]
+    if tn == 0:
+        new = list(q.val)
+    else:
+        new = []
+        for v, s in zip(q.val, g.slopes[q.loc]):
+            if s is ZERO:
+                new.append(v)
+            elif s is ONE:
+                vd = v.denominator
+                new.append(Fraction(v.numerator * td + tn * vd, vd * td))
+            else:
+                vd, sd = v.denominator, s.denominator
+                new.append(Fraction(v.numerator * td * sd + tn * s.numerator * vd,
+                                    vd * td * sd))
     for i, lo, hi in g.guards[e.id]:
         x = new[i]
         xn, xd = x.numerator, x.denominator

@@ -1,7 +1,8 @@
 """Validation fixtures: twenty games that must pass and twenty that must
-each be rejected with a specific violation kind; and the node-keyed form of
+each be rejected with a specific violation kind; the node-keyed form of
 a region strategy, for the tests that compare one against a reference
-computed on nodes."""
+computed on nodes; and a sampler's moves, for the tests that replay
+`check_local_bisim` without its memo."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from hybridgames.core import (
     ViolationKind,
 )
 from hybridgames.samples import broken_initialization, small_timed, worked_example
+from hybridgames.semantics import Move
 
 from gamegen import gen_isr_game
 
@@ -35,6 +37,13 @@ def on_nodes(rg, chosen: dict[int, int]) -> dict:
     """`chosen`, move ids keyed by node id as a solve records them, as
     moves keyed by node in the same order."""
     return {rg.nodes[k]: rg.move(m) for k, m in chosen.items()}
+
+
+def moves_in(sampler, windows) -> list[Move]:
+    """The sampled moves of already computed enabled edges, every edge's
+    delays drawn through `sampler.delays` before any move is returned, the
+    rng order of `check_local_bisim`."""
+    return [Move(e.id, t) for e, w in windows for t in sampler.delays(w)]
 
 
 def replace_lowering(monkeypatch, real, fake) -> None:

@@ -12,7 +12,7 @@ import hybridgames.chain as chain_module
 from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine, _match
 from hybridgames.samples import worked_example
 
-from fixtures import STAGE_NAME, replace_lowering
+from fixtures import STAGE_NAME, moves_in, replace_lowering
 from gamegen import gen_isr_game
 
 G = worked_example()
@@ -287,7 +287,7 @@ def unmemoised_check_local_bisim(w, q1, q2, sampler):
     owner_forward = own1 is hg.Player.ONE
     for forward in (owner_forward, not owner_forward):
         g, q = (w.g1, q1) if forward else (w.g2, q2)
-        for move in sampler.moves_in(hg.enabled_edges(g, q)):
+        for move in moves_in(sampler, hg.enabled_edges(g, q)):
             checked += 1
             problem = _match(w, q1, q2, move, forward)
             if problem:
@@ -477,7 +477,7 @@ class TestMoveSampler:
 
     def test_moves_pair_edges_with_window_samples(self):
         q = hg.Configuration(hg.LocId("l1"), (F(3),))
-        moves = self.sampler.moves_in(hg.enabled_edges(G, q))
+        moves = moves_in(self.sampler, hg.enabled_edges(G, q))
         edges = {m.edge for m in moves}
         assert edges == {"e1", "e2"}
         for m in moves:

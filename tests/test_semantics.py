@@ -1,5 +1,6 @@
 """Concrete play: delay windows, steps, runs, strategy plumbing."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -348,3 +349,77 @@ class TestUnitSlopeFastPaths:
         scale, shift, x = zip(*triples)
         assert Affine(scale, shift).apply(x) == tuple(
             a * v + b for a, v, b in zip(scale, x, shift))
+
+
+def assert_same_fraction(got, expected):
+    """`got` is `expected`'s Fraction: equal, in lowest terms, with a
+    positive denominator."""
+    assert type(got) is F and got == expected
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+
+DELAYS = st.one_of(st.just(F(0)), st.fractions(0, 6, max_denominator=6))
+
+
+@st.composite
+def one_guard_windows(draw):
+    """A slope, a value and a guard on one variable whose delay window is a
+    point, a bounded interval or a ray, with that window built by the
+    operators."""
+    kind = draw(st.sampled_from(("point", "bounded", "ray")))
+    v = draw(RATIONALS)
+    if kind == "ray":
+        # a stopped variable inside its guard leaves every delay enabled
+        guard = hg.Interval(v - draw(LENGTHS), v + draw(LENGTHS))
+        return F(0), v, guard, hg.DelayWindow(F(0), None)
+    slope = draw(st.sampled_from([s for s in SLOPES if s]))
+    lo = draw(LENGTHS)
+    hi = lo if kind == "point" else lo + draw(LENGTHS.filter(bool))
+    a, b = sorted([v + lo * slope, v + hi * slope])
+    return slope, v, hg.Interval(a, b), hg.DelayWindow(lo, hi)
+
+
+class TestIntegerBuiltArithmetic:
+    # step, delay_window, DelayWindow.probes and Affine.apply build each sum
+    # and quotient from numerators and denominators through Fraction's
+    # two-int constructor; each must give the operators' normalised value
+
+    @given(st.lists(st.tuples(st.sampled_from(SLOPES), RATIONALS), min_size=1,
+                    max_size=3), DELAYS)
+    def test_step_advance_is_the_operators(self, pairs, t):
+        slopes, val = zip(*pairs)
+        g = one_loop_game(slopes, {}, {})
+        got = hg.step(g, hg.Configuration(g.init, val), hg.Move("e", t)).val
+        for x, v, s in zip(got, val, slopes):
+            assert_same_fraction(x, v + t * s)
+
+    @given(one_guard_windows())
+    def test_window_ends_are_the_operators(self, case):
+        slope, v, guard, expected = case
+        g = one_loop_game([slope], {0: guard}, {})
+        got = hg.delay_window(g, hg.Configuration(g.init, (v,)), "e")
+        assert got == expected
+        assert_same_fraction(got.lo, (guard.hi - v) / slope if slope < 0
+                             else (guard.lo - v) / slope if slope else F(0))
+        if expected.hi is not None:
+            assert_same_fraction(got.hi, (guard.lo - v) / slope if slope < 0
+                                 else (guard.hi - v) / slope)
+
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=12),
+           st.one_of(st.none(), st.just(F(0)), LENGTHS))
+    def test_probes_are_the_operators(self, lo, length):
+        hi = None if length is None else lo + length
+        got = hg.DelayWindow(lo, hi).probes
+        expected = ((lo, lo + 1, lo + 2) if hi is None else (lo,) if hi == lo
+                    else (lo, (lo + hi) / 2, hi))
+        assert len(got) == len(expected)
+        for x, y in zip(got, expected):
+            assert_same_fraction(x, y)
+
+    @given(st.lists(st.tuples(st.sampled_from([s for s in SLOPES if s]),
+                              st.sampled_from(SHIFTS), RATIONALS),
+                    min_size=1, max_size=3))
+    def test_affine_apply_is_the_operators(self, triples):
+        scale, shift, x = zip(*triples)
+        for got, a, v, b in zip(Affine(scale, shift).apply(x), scale, x, shift):
+            assert_same_fraction(got, a * v + b)

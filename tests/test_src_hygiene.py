@@ -9,8 +9,10 @@ module also compiles with warnings as errors: a SyntaxWarning such as the
 one for `x is 0` would otherwise only show on a command's stderr.  The
 lowering constructions import neither `bisim` nor `chain`, only the
 solver imports `gc`, and only the solver reads the region graph's
-node-keyed views.  One check imports the package: no name it exports
-hides a module of the same name.
+node-keyed views.  No module reads a private `Fraction` attribute or passes
+the constructor's private keyword, which differ between Python releases.
+One check imports the package: no name it exports hides a module of the
+same name.
 
 `lowering.py` holds the constructions of what were three modules.  The
 per-module checks also run on each of those parts under the name of the
@@ -229,3 +231,23 @@ def test_compiles_without_warnings(module):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(source, str(SRC / module), "exec")
+
+
+# Fraction's private slots and the private ways to skip normalising: 3.12
+# replaced the constructor's keyword by a classmethod, and the package is
+# built for 3.10 to 3.13, so exact values go through the public two-int form
+FRACTION_PRIVATE = {"_numerator", "_denominator", "_normalize",
+                    "_from_coprime_ints"}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_reads_no_private_fraction_attribute(module):
+    found = set()
+    for sub in ast.walk(MODULES[module]):
+        if isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.keyword):
+            found.add(sub.arg)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    assert sorted(found & FRACTION_PRIVATE) == []

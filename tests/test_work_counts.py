@@ -22,7 +22,15 @@ changed.  The counted call sites:
   answered without one);
 - `bisim._prologue`, called by `bisim.check_local_bisim` for a pair that
   has no clause table yet, in the same call (a pair whose relation, owners
-  and labels passed once is not checked again).
+  and labels passed once is not checked again);
+- the arithmetic dunders of the `Fraction` class (`FRACTION_OPS`), in the
+  same call, once per `+`, `-`, `*` or `/` with a `Fraction` operand on
+  either side.  `semantics.step`'s advance, `semantics.delay_window`'s
+  window ends, `DelayWindow.probes` and `bisim.Affine.apply` build their
+  sums and quotients through the two-int constructor and are not seen;
+  what is left is the chain's construction (`lowering`, `core`) and the
+  witnesses' maps (`bisim`).  A class attribute is patched, so every
+  module's operators are counted.
 
 The committed figures are in `work_counts.json`.  A change that moves one
 rewrites the file with `PYTHONPATH=src python tests/test_work_counts.py`,
@@ -31,6 +39,7 @@ reviews its diff and states the before and after.
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -48,6 +57,10 @@ from spans import NullTracer  # noqa: E402
 FILE = Path(__file__).resolve().parent / "work_counts.json"
 COUNTS = json.loads(FILE.read_text(encoding="utf-8"))
 EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
 
 
 def _count(monkeypatch, module, name: str) -> list:
@@ -89,10 +102,11 @@ def count_certify(monkeypatch, index: str) -> tuple[dict, tuple]:
     steps = _count(monkeypatch, bisim, "step")
     matches = _count(monkeypatch, bisim, "_match")
     prologues = _count(monkeypatch, bisim, "_prologue")
+    ops = [_count(monkeypatch, Fraction, name) for name in FRACTION_OPS]
     report = hg.verify_chain(g, samples=workloads.SAMPLES, depth=workloads.DEPTH,
                              seed=workloads.BISIM_SEED)
-    counts = {"memo_missed_step": len(steps), "match": len(matches),
-              "prologue": len(prologues)}
+    counts = {"fraction_ops": sum(map(len, ops)), "memo_missed_step": len(steps),
+              "match": len(matches), "prologue": len(prologues)}
     return counts, (report, steps, matches, prologues)
 
 
