@@ -92,7 +92,6 @@ from .solver import (
     region_satisfies,
     solve_reachability,
     solve_safety,
-    time_closure,
     time_successor,
 )
 from .granular import (
@@ -104,7 +103,6 @@ from .granular import (
 from .strategy import (
     InclusionReport,
     check_trace_inclusion,
-    first_move_strategy,
     positional_strategy,
     pull_back_strategy,
     random_strategy,

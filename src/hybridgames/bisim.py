@@ -32,9 +32,8 @@ from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
 @dataclass(frozen=True)
 class Affine:
     """The diagonal valuation map v -> scale*v + shift, one exact pair per
-    variable; every scale is nonzero, so the map is invertible.  A scale of
-    1 is stored as the shared ONE and a shift of 0 as ZERO, so apply skips
-    them by identity."""
+    variable; every scale is nonzero.  A scale of 1 is stored as the shared
+    ONE and a shift of 0 as ZERO, so apply skips them by identity."""
 
     scale: tuple[Fraction, ...]
     shift: tuple[Fraction, ...]
@@ -63,10 +62,6 @@ class Affine:
                 n, d = n * bd + b.numerator * d, d * bd
             out.append(Fraction(n, d))
         return tuple(out)
-
-    def inverse(self) -> "Affine":
-        scale = tuple(1 / a for a in self.scale)
-        return Affine(scale, tuple(-b * s for b, s in zip(self.shift, scale)))
 
     def is_identity(self) -> bool:
         return all(a == 1 for a in self.scale) and not any(self.shift)
@@ -116,19 +111,6 @@ class BisimWitness:
         """Relation membership."""
         return (self.loc_back.get(q2.loc) == q1.loc
                 and self._image(q2.loc, q1.val) == q2.val)
-
-    def forward_configs(self, q1: Configuration) -> tuple[Configuration, ...]:
-        """Every g2 partner of a g1 configuration, one per g2 location that
-        stands for its location, ordered by rendered location id."""
-        locs = sorted((l2 for l2, l1 in self.loc_back.items() if l1 == q1.loc),
-                      key=LocId.render)
-        return tuple(Configuration(l2, self._image(l2, q1.val)) for l2 in locs)
-
-    def backward_config(self, q2: Configuration) -> Configuration:
-        """The g1 configuration a g2 configuration stands for."""
-        a = self.affine.get(q2.loc)
-        val = q2.val if a is None else a.inverse().apply(q2.val)
-        return Configuration(self.loc_back[q2.loc], val)
 
     def move_forward(self, q2: Configuration, m1: Move) -> Optional[Move]:
         """The g2 counterpart, from q2, of a g1 move."""

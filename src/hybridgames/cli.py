@@ -402,7 +402,7 @@ def _strategy_table(doc, chain: Chain) -> tuple[Objective, RegionGame, SolveResu
         if k in strategy:
             raise ParseError(f"second entry for one region node at {path}")
         strategy[k] = m
-    return objective, rg, SolveResult(rg, solved.wins, strategy)
+    return objective, rg, SolveResult(solved.wins, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +586,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # the class names what went wrong: a MemoryError has no text
+        text = f": {exc}" if str(exc) else ""
+        print(f"internal error: {type(exc).__name__}{text}", file=sys.stderr)
         return 3
 
 

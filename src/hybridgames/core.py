@@ -249,9 +249,6 @@ class LocId:
             raise ValueError("location id has no annotation to strip")
         return LocId(self.base, self.anns[:-1])
 
-    def root(self) -> "LocId":
-        return LocId(self.base)
-
     def last_annotation(self) -> Optional[Annotation]:
         return self.anns[-1] if self.anns else None
 

@@ -1,4 +1,7 @@
-"""Hand-built games used in the docs, the CLI walkthrough, and the tests."""
+"""The two hand-built games behind the shipped sample files: the worked
+example, which README's quick start builds and `sample_games/patrol.json`
+holds, and a small timed game, which `sample_games/dispatcher.json`
+holds."""
 
 from __future__ import annotations
 
@@ -59,16 +62,6 @@ def worked_example() -> Game:
         edges=edges,
         init=l0,
     )
-
-
-def broken_initialization() -> Game:
-    """The worked example with e0's reset removed: the flow of x changes
-    across e0, so validation must flag the missing assignment."""
-    g = worked_example()
-    e0 = g.edges["e0"]
-    edges = dict(g.edges)
-    edges["e0"] = Edge(e0.id, e0.src, e0.action, e0.guard, EMPTY_RESET, e0.dst)
-    return Game(g.flavor, g.vars, g.actions, g.obs, g.locations, edges, g.init)
 
 
 def small_timed() -> Game:

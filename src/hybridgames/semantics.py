@@ -47,9 +47,6 @@ class Configuration:
         # String hashes differ between processes: rebuild, never copy, _hash.
         return (Configuration, (self.loc, self.val))
 
-    def value(self, g: Game, var: str) -> Fraction:
-        return self.val[g.var_index(var)]
-
 
 @dataclass(frozen=True)
 class Move:
@@ -76,9 +73,6 @@ class Run:
     def configs(self) -> tuple[Configuration, ...]:
         return (self.start,) + tuple(s.config for s in self.steps)
 
-    def moves(self) -> tuple[Move, ...]:
-        return tuple(s.move for s in self.steps)
-
     def extended(self, move: Move, config: Configuration) -> "Run":
         return Run(self.start, self.steps + (Step(move, config),))
 
@@ -96,11 +90,6 @@ class DelayWindow:
 
     lo: Fraction
     hi: Optional[Fraction]
-
-    def contains(self, t: Fraction) -> bool:
-        if t < self.lo:
-            return False
-        return self.hi is None or t <= self.hi
 
     # cached_property writes __dict__ directly, past the frozen __setattr__.
     @cached_property

@@ -124,17 +124,6 @@ def time_successor(r: Region, bounds: tuple[int, ...]) -> Region:
                   tuple([0 if f == top else f for f in fracs]))
 
 
-def time_closure(r: Region, bounds: tuple[int, ...]) -> list[Region]:
-    """All regions reachable by letting time pass, the region itself first.
-
-    Time successors only move forward and end at the fully-above region,
-    which is its own successor."""
-    closure = [r]
-    while (nxt := time_successor(closure[-1], bounds)) != closure[-1]:
-        closure.append(nxt)
-    return closure
-
-
 def apply_reset(r: Region, reset_idxs: tuple[int, ...]) -> Region:
     """The region after setting the clocks `reset_idxs` to zero; the only
     region operation that can empty a fractional class, and each class it
@@ -417,13 +406,12 @@ def _build(g: Game, scale: int) -> RegionGame:
 
 @dataclass
 class SolveResult:
-    """A solve of `rg`, the region strategy, on ids: `wins[k]` whether
+    """A solved region game, the region strategy, on ids: `wins[k]` whether
     player one wins from node k, `strategy` player one's move id on winning
     nodes and `spoiler` player two's on the others, the certificate of a
     loss, each keyed by node id in the order the solve chose them.
     `winning` is the set of winning node ids."""
 
-    rg: RegionGame
     wins: list[bool]
     strategy: dict[int, int]
     spoiler: dict[int, int] = field(default_factory=dict)
@@ -433,7 +421,8 @@ class SolveResult:
         return frozenset(k for k, w in enumerate(self.wins) if w)
 
     def wins_from_init(self, rg: RegionGame) -> bool:
-        """Whether player one wins from node 0 of `rg`, the graph solved."""
+        """Whether player one wins from node 0, the initial node.  `rg` is
+        unused; it is kept only because the benchmark passes it."""
         return self.wins[0]
 
 
@@ -519,7 +508,7 @@ def solve_reachability(rg: RegionGame, target_obs: frozenset) -> SolveResult:
     target = _locations(rg, lambda loc: loc.obs in target_obs)
     joined, strategy = _attractor(
         rg, Player.ONE, [k for k, li in enumerate(rg.node_locs) if target[li]])
-    return SolveResult(rg, [t is not None for t in joined], strategy,
+    return SolveResult([t is not None for t in joined], strategy,
                        _stay_out(rg, Player.TWO, joined))
 
 
@@ -531,5 +520,5 @@ def solve_safety(rg: RegionGame, safe_obs: frozenset) -> SolveResult:
     unsafe = _locations(rg, lambda loc: loc.obs not in safe_obs)
     joined, spoiler = _attractor(
         rg, Player.TWO, [k for k, li in enumerate(rg.node_locs) if unsafe[li]])
-    return SolveResult(rg, [t is None for t in joined],
+    return SolveResult([t is None for t in joined],
                        _stay_out(rg, Player.ONE, joined), spoiler)

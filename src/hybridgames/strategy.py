@@ -30,21 +30,6 @@ def random_strategy(g: Game, seed: int) -> StrategyFn:
     return strat
 
 
-def first_move_strategy(g: Game) -> StrategyFn:
-    """Always the earliest delay of the lowest-numbered enabled edge; handy
-    as a deterministic opponent."""
-
-    def strat(run: Run) -> Optional[Move]:
-        q = run.last()
-        enabled = enabled_edges(g, q)
-        if not enabled:
-            return None
-        e, w = enabled[0]
-        return Move(e.id, w.lo)
-
-    return strat
-
-
 def pull_back_strategy(chain: Chain, sigma_t: StrategyFn) -> StrategyFn:
     """Turn a timed-stage strategy into one for the original game.
 

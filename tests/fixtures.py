@@ -1,17 +1,22 @@
 """Validation fixtures: twenty games that must pass and twenty that must
-each be rejected with a specific violation kind; the node-keyed form of
-a region strategy, for the tests that compare one against a reference
-computed on nodes; and a sampler's moves, for the tests that replay
-`check_local_bisim` without its memo."""
+each be rejected with a specific violation kind, among them
+`broken_initialization`; the node-keyed form of a region strategy, for the
+tests that compare one against a reference computed on nodes;
+`time_closure`, the reference the region build's time successors are
+checked against; `first_move_strategy`, a deterministic opponent;
+`in_window`, a delay window's membership test; and a sampler's moves, for
+the tests that replay `check_local_bisim` without its memo."""
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from typing import Optional
 
 import hybridgames.chain as chain_module
 from hybridgames.chain import LOWERINGS, build_chain
 from hybridgames.core import (
+    EMPTY_RESET,
     Edge,
     Flavor,
     Game,
@@ -23,8 +28,9 @@ from hybridgames.core import (
     Reset,
     ViolationKind,
 )
-from hybridgames.samples import broken_initialization, small_timed, worked_example
-from hybridgames.semantics import Move
+from hybridgames.samples import small_timed, worked_example
+from hybridgames.semantics import DelayWindow, Move, Run, StrategyFn, enabled_edges
+from hybridgames.solver import Region, time_successor
 
 from gamegen import gen_isr_game
 
@@ -37,6 +43,42 @@ def on_nodes(rg, chosen: dict[int, int]) -> dict:
     """`chosen`, move ids keyed by node id as a solve records them, as
     moves keyed by node in the same order."""
     return {rg.nodes[k]: rg.move(m) for k, m in chosen.items()}
+
+
+def time_closure(r: Region, bounds: tuple[int, ...]) -> list[Region]:
+    """All regions reachable by letting time pass, the region itself first.
+
+    Time successors only move forward and end at the fully-above region,
+    which is its own successor."""
+    closure = [r]
+    while (nxt := time_successor(closure[-1], bounds)) != closure[-1]:
+        closure.append(nxt)
+    return closure
+
+
+def first_move_strategy(g: Game) -> StrategyFn:
+    """Always the earliest delay of the lowest-numbered enabled edge; handy
+    as a deterministic opponent."""
+
+    def strat(run: Run) -> Optional[Move]:
+        enabled = enabled_edges(g, run.last())
+        if not enabled:
+            return None
+        e, w = enabled[0]
+        return Move(e.id, w.lo)
+
+    return strat
+
+
+def in_window(w: DelayWindow, t: Fraction) -> bool:
+    """Whether the delay `t` lies in the closed window `w`."""
+    return w.lo <= t and (w.hi is None or t <= w.hi)
+
+
+def broken_initialization() -> Game:
+    """The worked example with e0's reset removed: the flow of x changes
+    across e0, so validation must flag the missing assignment."""
+    return _replace_edge(worked_example(), "e0", reset=EMPTY_RESET)
 
 
 def moves_in(sampler, windows) -> list[Move]:
@@ -164,7 +206,7 @@ def invalid_fixtures() -> list[tuple[str, Game, ViolationKind]]:
                 ViolationKind.ANNOTATION_MISSING))
 
     pinned_l3 = next(l for l in annotated.locations
-                     if l.root() == LocId("l3"))
+                     if l.base == "l3")
     out.append(("pin-on-running-variable",
                 _replace_location(annotated, pinned_l3, flow={"x": Fraction(1)}),
                 ViolationKind.ANNOTATION_MISMATCH))

@@ -256,8 +256,8 @@ def visited_components(runs: list[Run]) -> tuple[set, set]:
     for run in runs:
         for q in run.configs():
             locs.add(q.loc)
-        for m in run.moves():
-            edges.add(m.edge)
+        for s in run.steps:
+            edges.add(s.move.edge)
     return edges, locs
 
 

@@ -97,7 +97,7 @@ def test_04_frozen_values_along_runs():
                 for var, slope in ann.locations[q.loc].flow.items():
                     if slope == 0:
                         checked += 1
-                        if pins[var] is None or q.value(ann, var) != pins[var]:
+                        if pins[var] is None or q.val[ann.var_index(var)] != pins[var]:
                             bad += 1
         s += 1
     _verdict("4 frozen values", bad == 0 and checked > 0,

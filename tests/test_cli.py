@@ -13,9 +13,9 @@ import pytest
 import hybridgames as hg
 from hybridgames import cli
 from hybridgames.chain import CHAIN_ORDER
-from hybridgames.samples import broken_initialization, small_timed, worked_example
+from hybridgames.samples import small_timed, worked_example
 
-from fixtures import valid_fixtures
+from fixtures import broken_initialization, valid_fixtures
 from gamegen import gen_isr_game, oracle_pool
 from test_bisim import off_by_one_offsets, rewrite_hands_l1_to_player_one
 
@@ -173,6 +173,18 @@ class TestExitCodes:
     def test_usage_error_is_exit_two(self, run):
         code, _, _ = run("transform")  # missing required arguments
         assert code == 2
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError(), "internal error: MemoryError\n"),
+        (KeyError("x"), "internal error: KeyError: 'x'\n"),
+    ])
+    def test_internal_error_names_its_exception(self, run, monkeypatch, exc,
+                                                line):
+        def fail(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_validate", fail)
+        code, out, err = run("validate", str(SAMPLES / "patrol.json"))
+        assert (code, out, err) == (3, "", line)
 
     def test_unknown_file_is_data_error(self, run, tmp_path):
         code, _, err = run("validate", str(tmp_path / "missing.json"))

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import hybridgames as hg
 from hybridgames import cli
-from hybridgames.samples import broken_initialization, small_timed, worked_example
+from hybridgames.samples import small_timed, worked_example
 
+from fixtures import broken_initialization
 from gamegen import gen_isr_game
 
 rationals = st.fractions(max_denominator=64)
@@ -119,7 +120,7 @@ class TestLocIds:
         lid = lid.annotated(hg.Annotation.of("g", {"x": F(-3, 2)}))
         assert lid.render() == "l3{f:x=1,y=_}{g:x=-3/2}"
         assert hg.parse_locid(lid.render()) == lid
-        assert lid.root() == hg.LocId("l3")
+        assert lid.base == "l3"
         assert lid.parent().render() == "l3{f:x=1,y=_}"
         assert lid.last_annotation().kind == "g"
 

@@ -17,7 +17,7 @@ from hybridgames import cli, solver
 from hybridgames.cli import parse_objective
 from hybridgames.samples import small_timed, worked_example
 
-from fixtures import on_nodes
+from fixtures import on_nodes, time_closure
 from gamegen import branching_pool, oracle_pool
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -80,7 +80,7 @@ class TestTimeSuccessor:
 
     def test_closure_enumerates_the_whole_future(self):
         b = (1,)
-        closure = hg.time_closure(hg.region_of((F(0),), b), b)
+        closure = time_closure(hg.region_of((F(0),), b), b)
         assert closure[0] == R([0], [0])
         assert len(closure) == 4
         assert closure[-1] == R([None], [-1])
@@ -92,7 +92,7 @@ class TestTimeSuccessor:
         b = (2, 2)
         start = hg.region_of(vals, b)
         later = hg.region_of((vals[0] + t, vals[1] + t), b)
-        assert later in hg.time_closure(start, b)
+        assert later in time_closure(start, b)
 
     @given(st.tuples(_clock_value, _clock_value, _clock_value), _clock_value)
     def test_future_points_of_three_clocks_stay_inside_the_closure(self, vals, t):
@@ -101,7 +101,7 @@ class TestTimeSuccessor:
         b = (2, 1, 3)
         start = hg.region_of(vals, b)
         later = hg.region_of(tuple(v + t for v in vals), b)
-        closure = hg.time_closure(start, b)
+        closure = time_closure(start, b)
         assert later in closure
         assert all(_canonical(r) for r in closure)
 
@@ -109,7 +109,7 @@ class TestTimeSuccessor:
         for i in range(8):
             rg = hg.build_region_graph(gen.ladder_case(i)[0])
             for node in rg.nodes:
-                for r in hg.time_closure(node.region, rg.bounds):
+                for r in time_closure(node.region, rg.bounds):
                     assert _canonical(r), (i, node, r)
 
 
@@ -242,7 +242,7 @@ class TestRegionGame:
     def test_moves_fire_inside_the_closure(self):
         rg = hg.build_region_graph(small_timed())
         for node, moves in rg.moves.items():
-            closure = hg.time_closure(node.region, rg.bounds)
+            closure = time_closure(node.region, rg.bounds)
             for mv in moves:
                 assert mv.region in closure
 
@@ -287,7 +287,7 @@ class TestRegionGame:
                 q = hg.Configuration(g.init, val)
                 w = tuple(v * rg.scale for v in val)
                 probes = _probes(w, rg.bounds)
-                for r in hg.time_closure(hg.region_of(w, rg.bounds), rg.bounds):
+                for r in time_closure(hg.region_of(w, rg.bounds), rg.bounds):
                     first = next(t for t in probes
                                  if hg.region_of(tuple(x + t for x in w), rg.bounds) == r)
                     got = rg.concretize_move(q, hg.RegionMove(r, edge))
@@ -562,7 +562,7 @@ def _reference_graph(g):
     nodes, ids, moves, succ_ids = [init], {init: 0}, {}, []
     for node in nodes:
         node_moves, node_succs = [], []
-        for r in hg.time_closure(node.region, bounds):
+        for r in time_closure(node.region, bounds):
             for e in g.edges_from(node.loc):
                 if not hg.region_satisfies(r, g.guards[e.id]):
                     continue

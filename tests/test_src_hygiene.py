@@ -12,7 +12,10 @@ solver imports `gc`, and only the solver reads the region graph's
 node-keyed views.  No module reads a private `Fraction` attribute or passes
 the constructor's private keyword, which differ between Python releases.
 One check imports the package: no name it exports hides a module of the
-same name.
+same name.  Every public def, class, method and property of the package
+is read outside its own definition by a module of the package, a file of
+`perfbench/` or README's code, so no surface is kept that only tests read;
+the entry points that only tests call are listed, each with its reason.
 
 `lowering.py` holds the constructions of what were three modules.  The
 per-module checks also run on each of those parts under the name of the
@@ -27,7 +30,9 @@ import builtins
 import copy
 import importlib
 import inspect
+import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,18 +54,23 @@ def _imported(tree: ast.Module) -> list[str]:
     return out
 
 
-def _referenced(node: ast.AST) -> set[str]:
-    """Every name read in `node`: bare names, attribute names and the
-    names of `from ... import` statements."""
-    out = set()
+def _reads(node: ast.AST) -> Counter:
+    """How often `node` reads each name: bare names, attribute names and
+    the names of `from ... import` statements."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             out.update(a.name for a in sub.names)
     return out
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name read in `node`."""
+    return set(_reads(node))
 
 
 def _defined(stmt: ast.stmt) -> set[str]:
@@ -231,6 +241,51 @@ def test_compiles_without_warnings(module):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(source, str(SRC / module), "exec")
+
+
+# the entry points that only tests call, each kept for what it is
+ONLY_TESTS_READ = {
+    "core.py:flavor_within",                # check 2 of the release gate
+    "bisim.py:replay_counterexample",       # the replay contract of a counterexample
+    "granular.py:granular_witness_check",   # check 5 of the release gate
+    "strategy.py:check_trace_inclusion",    # check 7 of the release gate
+    "samples.py:small_timed",               # the source of sample_games/dispatcher.json
+}
+
+
+def _public_members(tree: ast.Module):
+    """The module's public top-level defs and classes, and the public
+    methods and properties of its classes, as (qualified name, node)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for stmt in tree.body:
+        if isinstance(stmt, (*defs, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, defs) and not sub.name.startswith("_"):
+                    yield f"{stmt.name}.{sub.name}", sub
+
+
+def test_every_public_member_has_a_reader():
+    # `__init__.py` only re-exports, so it reads nothing; README is read
+    # for the names in its code blocks and inline code
+    root = SRC.parent.parent
+    reads = Counter()
+    for module, tree in MODULES.items():
+        if module != "__init__.py":
+            reads += _reads(tree)
+    for path in sorted((root / "perfbench").glob("*.py")):
+        reads += _reads(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    shown = set(re.findall(r"\w+", " ".join(
+        re.findall(r"```.*?```|`[^`\n]*`", readme, re.S))))
+    unread = []
+    for module, tree in MODULES.items():
+        for qualified, node in _public_members(tree):
+            name = qualified.rpartition(".")[2]
+            if name not in shown and reads[name] <= _reads(node)[name]:
+                unread.append(f"{module}:{qualified}")
+    assert sorted(unread) == sorted(ONLY_TESTS_READ)
 
 
 # Fraction's private slots and the private ways to skip normalising: 3.12

@@ -8,7 +8,7 @@ import pytest
 import hybridgames as hg
 from hybridgames.samples import small_timed, worked_example
 
-from fixtures import replace_lowering
+from fixtures import first_move_strategy, replace_lowering
 
 G = worked_example()
 CH = hg.build_chain(G)
@@ -22,7 +22,7 @@ def _solved_timed_strategy():
 
 
 def test_first_move_strategy_is_deterministic():
-    sigma = hg.first_move_strategy(G)
+    sigma = first_move_strategy(G)
     run = hg.Run(hg.initial_config(G))
     m1 = sigma(run)
     m2 = sigma(run)

@@ -54,8 +54,11 @@ def test_structure_untouched():
 def test_rescale_roundtrip(lid, x):
     q = hg.Configuration(lid, (x,))
     w = hg.stage_witness(STAGE_NAME[hg.Flavor.STOPWATCH], G, W)
-    assert w.forward_configs(q) == (hg.rescale_config(G, q),)
-    assert w.backward_config(hg.rescale_config(G, q)) == q
+    # the relation keeps the location, and relates q's image to q alone
+    assert [l2 for l2, l1 in w.loc_back.items() if l1 == lid] == [lid]
+    q_w = hg.rescale_config(G, q)
+    assert w.contains(q, q_w)
+    assert not w.contains(hg.Configuration(lid, (x + 1,)), q_w)
 
 
 @given(st.sampled_from(sorted(G.locations, key=str)),

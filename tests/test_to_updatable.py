@@ -174,9 +174,12 @@ def test_annotation_witness_accepts_sampled_pairs():
         run = hg.play(W, hg.random_strategy(W, seed),
                       hg.random_strategy(W, seed + 50), 8)
         for q in run.configs():
-            partners = w.forward_configs(q)
+            # annotating keeps every value
+            partners = [hg.Configuration(l_a, q.val)
+                        for l_a, l_w in w.loc_back.items() if l_w == q.loc]
             assert partners, "reachable stopwatch config has an annotation"
             for q_a in partners:
+                assert w.contains(q, q_a)
                 assert composed.contains(q, q_a)
                 verdict = hg.check_local_bisim(w, q, q_a)
                 assert verdict.passed, verdict.reason
