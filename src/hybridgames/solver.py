@@ -28,6 +28,14 @@ plays, records per node id a verdict and a move id; `move(m)` names a
 move as its (region, edge) pair.  The node list and the dicts keyed by
 nodes and moves are views built on first read for readers outside the
 package; no other module of the package reads them.
+
+Reading a configuration (`region_of`, `node_of`, `concretize_move`) puts
+its valuation over one common denominator as integer numerators, so a
+clock's integer and fractional parts are the quotient and remainder of
+one `divmod` and no `Fraction` operator runs; `concretize_move` takes its
+candidate delays over twice that denominator, so each midpoint is an
+integer, and builds only the delay it returns as a `Fraction`.
+
 The attractor is one worklist over join times, linear in moves up to a
 heap (Liu & Smolka, "Simple linear-time algorithms for minimal fixed
 points", ICALP 1998), that tests owners and observations per location
@@ -46,6 +54,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -72,30 +81,39 @@ class Region(NamedTuple):
 
 
 def region_of(val: tuple[Fraction, ...], bounds: tuple[int, ...]) -> Region:
-    """The region of an exact valuation (clocks must be nonnegative)."""
+    """The region of an exact valuation (clocks must be nonnegative), read
+    as integer numerators over the valuation's least common denominator."""
+    return _region(*_over_one_denominator(val, 1), bounds)
+
+
+def _over_one_denominator(val: tuple[Fraction, ...], scale: int
+                          ) -> tuple[list[int], int]:
+    """The numerators of `val` times `scale` over the least common
+    denominator `d` of `val`, and `d`."""
+    d = lcm(*[v.denominator for v in val])
+    return [v.numerator * (d // v.denominator) * scale for v in val], d
+
+
+def _region(nums: list[int], d: int, bounds: tuple[int, ...]) -> Region:
+    """The region of the valuation whose clocks are `nums` over `d`: a
+    clock's integer and fractional parts are the quotient and remainder of
+    one `divmod`, and the fractional ranks sort those remainders."""
     ints: list[Optional[int]] = []
-    frac_vals: list[Optional[Fraction]] = []
-    for v, m in zip(val, bounds):
-        if v < 0:
-            raise InvalidGame(f"negative clock value {v}")
-        if v > m:
+    rems: list[int] = []
+    for x, m in zip(nums, bounds):
+        # before the divmod, which would floor a negative numerator
+        if x < 0:
+            raise InvalidGame(f"negative clock value {Fraction(x, d)}")
+        if x > m * d:
             ints.append(None)
-            frac_vals.append(None)
+            rems.append(-1)
         else:
-            ip = v.numerator // v.denominator
+            ip, r = divmod(x, d)
             ints.append(ip)
-            frac_vals.append(v - ip)
-    positive = sorted({f for f in frac_vals if f is not None and f != 0})
-    rank = {f: j + 1 for j, f in enumerate(positive)}
-    fracs = []
-    for f in frac_vals:
-        if f is None:
-            fracs.append(-1)
-        elif f == 0:
-            fracs.append(0)
-        else:
-            fracs.append(rank[f])
-    return Region(tuple(ints), tuple(fracs))
+            rems.append(r)
+    rank = {r: j for j, r in enumerate(sorted(set(rems) - {-1, 0}), 1)}
+    rank[0], rank[-1] = 0, -1
+    return Region(tuple(ints), tuple([rank[r] for r in rems]))
 
 
 def time_successor(r: Region, bounds: tuple[int, ...]) -> Region:
@@ -234,9 +252,11 @@ class RegionGame:
 
     def node_of(self, q: Configuration) -> Optional[int]:
         """The id of an unscaled timed configuration's node, or None when
-        its (location, region) is not a node of the graph."""
-        scaled_val = tuple(v * self.scale for v in q.val)
-        return self.node_ids.get((q.loc, region_of(scaled_val, self.bounds)))
+        its (location, region) is not a node of the graph.  The valuation
+        is read as integers over its least common denominator, with the
+        graph's scale multiplied in."""
+        nums, d = _over_one_denominator(q.val, self.scale)
+        return self.node_ids.get((q.loc, _region(nums, d, self.bounds)))
 
     def concretize_move(self, q: Configuration, mv: RegionMove) -> Move:
         """An exact delay (in unscaled units) realizing a symbolic move from
@@ -246,26 +266,29 @@ class RegionGame:
         midpoints between consecutive candidates, scanned in increasing
         order; the first one landing in the requested region wins.  Failure
         indicates the move does not belong to this configuration's region and
-        is reported as NoRealization.
+        is reported as NoRealization.  The scaled valuation is read as
+        integers over its least common denominator `d`, and every candidate
+        is taken over `2d`, so each midpoint is an integer too; only the
+        returned delay is built as a `Fraction`.
         """
-        w = tuple(v * self.scale for v in q.val)
-        candidates = {ZERO}
-        for i, v in enumerate(w):
-            for k in range(self.bounds[i] + 2):
-                t = Fraction(k) - v
-                if t >= 0:
-                    candidates.add(t)
+        nums, d = _over_one_denominator(q.val, self.scale)
+        big, bounds = 2 * d, self.bounds
+        w = [2 * x for x in nums]
+        candidates = {0}
+        for x, m in zip(w, bounds):
+            # k * big - x for the integers k in 0..m + 1 that it is not
+            # negative for (a negative clock is refused at the probe 0)
+            candidates.update(range(-x % big, (m + 2) * big - x, big))
         ordered = sorted(candidates)
-        probes: list[Fraction] = []
+        probes: list[int] = []
         for a, b in zip(ordered, ordered[1:]):
             probes.append(a)
-            probes.append((a + b) / 2)
+            probes.append((a + b) // 2)
         probes.append(ordered[-1])
-        probes.append(ordered[-1] + 1)
+        probes.append(ordered[-1] + big)
         for t in probes:
-            landed = tuple(x + t for x in w)
-            if region_of(landed, self.bounds) == mv.region:
-                return Move(mv.edge, t / self.scale)
+            if _region([x + t for x in w], big, bounds) == mv.region:
+                return Move(mv.edge, Fraction(t, big * self.scale))
         raise NoRealization(
             f"no delay from {q.loc.render()} realizes the requested region")
 

@@ -4,8 +4,11 @@ each be rejected with a specific violation kind, among them
 tests that compare one against a reference computed on nodes;
 `time_closure`, the reference the region build's time successors are
 checked against; `first_move_strategy`, a deterministic opponent;
-`in_window`, a delay window's membership test; and a sampler's moves, for
-the tests that replay `check_local_bisim` without its memo."""
+`in_window`, a delay window's membership test; a sampler's moves, for
+the tests that replay `check_local_bisim` without its memo; and
+`region_of_ops`, `node_of_ops` and `concretize_ops`, the region reads
+written on `Fraction` operators, the oracle the solver's integer reads are
+checked against."""
 
 from __future__ import annotations
 
@@ -22,15 +25,25 @@ from hybridgames.core import (
     Game,
     Guard,
     Interval,
+    InvalidGame,
     LocId,
     Location,
+    NoRealization,
     Player,
     Reset,
     ViolationKind,
+    ZERO,
 )
 from hybridgames.samples import small_timed, worked_example
-from hybridgames.semantics import DelayWindow, Move, Run, StrategyFn, enabled_edges
-from hybridgames.solver import Region, time_successor
+from hybridgames.semantics import (
+    Configuration,
+    DelayWindow,
+    Move,
+    Run,
+    StrategyFn,
+    enabled_edges,
+)
+from hybridgames.solver import Region, RegionGame, RegionMove, time_successor
 
 from gamegen import gen_isr_game
 
@@ -54,6 +67,72 @@ def time_closure(r: Region, bounds: tuple[int, ...]) -> list[Region]:
     while (nxt := time_successor(closure[-1], bounds)) != closure[-1]:
         closure.append(nxt)
     return closure
+
+
+def region_of_ops(val: tuple[Fraction, ...], bounds: tuple[int, ...]) -> Region:
+    """The region of an exact valuation (clocks must be nonnegative)."""
+    ints: list[Optional[int]] = []
+    frac_vals: list[Optional[Fraction]] = []
+    for v, m in zip(val, bounds):
+        if v < 0:
+            raise InvalidGame(f"negative clock value {v}")
+        if v > m:
+            ints.append(None)
+            frac_vals.append(None)
+        else:
+            ip = v.numerator // v.denominator
+            ints.append(ip)
+            frac_vals.append(v - ip)
+    positive = sorted({f for f in frac_vals if f is not None and f != 0})
+    rank = {f: j + 1 for j, f in enumerate(positive)}
+    fracs = []
+    for f in frac_vals:
+        if f is None:
+            fracs.append(-1)
+        elif f == 0:
+            fracs.append(0)
+        else:
+            fracs.append(rank[f])
+    return Region(tuple(ints), tuple(fracs))
+
+
+def node_of_ops(rg: RegionGame, q: Configuration) -> Optional[int]:
+    """The id of an unscaled timed configuration's node, or None when
+    its (location, region) is not a node of the graph."""
+    scaled_val = tuple(v * rg.scale for v in q.val)
+    return rg.node_ids.get((q.loc, region_of_ops(scaled_val, rg.bounds)))
+
+
+def concretize_ops(rg: RegionGame, q: Configuration, mv: RegionMove) -> Move:
+    """An exact delay (in unscaled units) realizing a symbolic move from
+    an unscaled configuration.
+
+    Candidate delays are the distances to every relevant integer plus the
+    midpoints between consecutive candidates, scanned in increasing
+    order; the first one landing in the requested region wins.  Failure
+    indicates the move does not belong to this configuration's region and
+    is reported as NoRealization.
+    """
+    w = tuple(v * rg.scale for v in q.val)
+    candidates = {ZERO}
+    for i, v in enumerate(w):
+        for k in range(rg.bounds[i] + 2):
+            t = Fraction(k) - v
+            if t >= 0:
+                candidates.add(t)
+    ordered = sorted(candidates)
+    probes: list[Fraction] = []
+    for a, b in zip(ordered, ordered[1:]):
+        probes.append(a)
+        probes.append((a + b) / 2)
+    probes.append(ordered[-1])
+    probes.append(ordered[-1] + 1)
+    for t in probes:
+        landed = tuple(x + t for x in w)
+        if region_of_ops(landed, rg.bounds) == mv.region:
+            return Move(mv.edge, t / rg.scale)
+    raise NoRealization(
+        f"no delay from {q.loc.render()} realizes the requested region")
 
 
 def first_move_strategy(g: Game) -> StrategyFn:

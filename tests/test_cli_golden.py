@@ -1,9 +1,11 @@
 """Golden digests of the command line's artifacts on the shipped samples.
 
-Each case runs one subcommand on a `sample_games/*.json` file and pins its
-exit code and the sha256 of the bytes it writes: the `--out` file when the
-case passes one, else standard output.  A refactor that keeps the outputs
-byte-identical keeps every digest.
+Each case runs one subcommand on a `sample_games/*.json` file, or on the
+timed stage `transform` wrote from it, and pins its exit code and the
+sha256 of the bytes it writes: the `--out` file when the case passes one,
+else standard output.  A refactor that keeps the outputs byte-identical
+keeps every digest.  The `simulate` cases pin the delays the region
+strategy concretizes, each the first probe that lands in its region.
 
 After an intended output change, rewrite the digest file with
 `PYTHONPATH=src python tests/test_cli_golden.py` and review its diff.
@@ -59,6 +61,15 @@ def _cases(name: str, work: Path) -> dict:
                             work / "pulled.json")
     got["simulate"] = _run(["simulate", game, "--strategy", work / f"{reach}.json",
                             "--seed", "3", "--steps", "12"])
+    # both samples lose their safety objective from the initial node, so
+    # this play halts at once, on the initial node's missing entry
+    got[f"simulate {safe} --steps 40"] = _run(
+        ["simulate", game, "--strategy", work / f"{safe}.json",
+         "--seed", "3", "--steps", "40"])
+    # the timed stage played with its own strategy, with no pull-back between
+    got["simulate timed stage"] = _run(["simulate", work / "timed.json",
+                                        "--strategy", timed_strat,
+                                        "--seed", "3", "--steps", "12"])
     return got
 
 

@@ -17,7 +17,13 @@ from hybridgames import cli, solver
 from hybridgames.cli import parse_objective
 from hybridgames.samples import small_timed, worked_example
 
-from fixtures import on_nodes, time_closure
+from fixtures import (
+    concretize_ops,
+    node_of_ops,
+    on_nodes,
+    region_of_ops,
+    time_closure,
+)
 from gamegen import branching_pool, oracle_pool
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -42,6 +48,26 @@ def _canonical(r):
 _clock_value = st.fractions(min_value=0, max_value=3, max_denominator=8)
 
 
+@st.composite
+def _valuations(draw):
+    """(valuation, bounds) with up to four clocks, the empty one included:
+    integers below, on and above each bound, fractions of mixed
+    denominators, and clocks that take another clock's fractional part."""
+    bounds = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    val = []
+    for m in bounds:
+        whole = F(draw(st.integers(0, m + 2)))
+        kind = draw(st.sampled_from(("integer", "fraction", "shared")))
+        if kind == "fraction":
+            val.append(whole + draw(st.fractions(0, 1, max_denominator=12)))
+        elif kind == "shared" and val:
+            other = draw(st.sampled_from(val))
+            val.append(whole + other - math.floor(other))
+        else:
+            val.append(whole)
+    return tuple(val), bounds
+
+
 class TestRegionOf:
     def test_one_clock_landmarks(self):
         b = (1,)
@@ -57,6 +83,47 @@ class TestRegionOf:
     def test_equal_fractions_share_a_class(self):
         got = hg.region_of((F(1, 4), F(5, 4)), (2, 2))
         assert got == R([0, 1], [1, 1])
+
+    @given(_valuations())
+    @example(((), ()))
+    @example(((F(1, 2), F(1, 3), F(2, 3), F(5, 2)), (1, 1, 1, 2)))
+    @example(((F(0), F(1), F(2), F(5, 4)), (0, 1, 1, 1)))
+    def test_matches_the_operator_reads(self, case):
+        val, bounds = case
+        assert hg.region_of(val, bounds) == region_of_ops(val, bounds)
+
+    @given(_valuations(), st.data())
+    def test_a_negative_clock_is_named_as_the_operator_reads_name_it(self, case, data):
+        val, bounds = case
+        if not val:
+            return
+        i = data.draw(st.integers(0, len(val) - 1))
+        neg = data.draw(st.fractions(max_value=0, max_denominator=12).filter(bool))
+        val = (*val[:i], neg, *val[i + 1:])
+        with pytest.raises(hg.InvalidGame) as want:
+            region_of_ops(val, bounds)
+        with pytest.raises(hg.InvalidGame) as got:
+            hg.region_of(val, bounds)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_every_read_names_a_negative_clock_as_the_operator_reads(self, scale):
+        g = small_timed()
+        rg = hg.build_region_graph(g, scale=scale)
+        q = hg.Configuration(g.init, (F(1, 2), F(-1, 3)))
+        mv = rg.move(rg.move_ids[0][0])
+        reads = [(lambda: hg.region_of(q.val, rg.bounds),
+                  lambda: region_of_ops(q.val, rg.bounds)),
+                 (lambda: rg.node_of(q), lambda: node_of_ops(rg, q)),
+                 (lambda: rg.concretize_move(q, mv),
+                  lambda: concretize_ops(rg, q, mv))]
+        for read, oracle in reads:
+            with pytest.raises(hg.InvalidGame) as want:
+                oracle()
+            with pytest.raises(hg.InvalidGame) as got:
+                read()
+            assert str(got.value) == str(want.value)
+        assert str(want.value) == f"negative clock value {F(-1, 3) * scale}"
 
 
 class TestTimeSuccessor:
@@ -222,6 +289,18 @@ def _fractional_valuations(n):
     yield tuple(F(1, 2) + i % 2 for i in range(n))
 
 
+def _pool_graphs():
+    """(timed game, region graph) for the 30 `control` timed stages, scaled
+    as the benchmark's `run_control` scales them, then the 50 games of
+    `oracle_pool()`."""
+    for i in range(30):
+        timed = hg.build_chain(gen.pipeline_case(i)[0]).timed
+        scaled, factor = hg.scale_to_integers(timed)
+        yield timed, hg.build_region_graph(scaled, scale=factor)
+    for _, g, _, _ in oracle_pool():
+        yield g, hg.build_region_graph(g)
+
+
 class TestRegionGame:
     def test_loop_without_reset_splits_nodes(self):
         rg = hg.build_region_graph(_loop_game(reset_clock=False))
@@ -287,13 +366,42 @@ class TestRegionGame:
                 q = hg.Configuration(g.init, val)
                 w = tuple(v * rg.scale for v in val)
                 probes = _probes(w, rg.bounds)
-                for r in time_closure(hg.region_of(w, rg.bounds), rg.bounds):
+                for r in time_closure(region_of_ops(w, rg.bounds), rg.bounds):
                     first = next(t for t in probes
-                                 if hg.region_of(tuple(x + t for x in w), rg.bounds) == r)
+                                 if region_of_ops(tuple(x + t for x in w), rg.bounds) == r)
                     got = rg.concretize_move(q, hg.RegionMove(r, edge))
                     assert got == hg.Move(edge, first / rg.scale)
                     landed = tuple(x + got.delay * rg.scale for x in w)
-                    assert hg.region_of(landed, rg.bounds) == r
+                    assert region_of_ops(landed, rg.bounds) == r
+
+    def test_node_of_and_concretize_match_the_operator_reads_on_the_pools(self):
+        realized = refused = 0
+        for k, (g, rg) in enumerate(_pool_graphs()):
+            at = {}
+            locs = list(g.locations)
+            for node, li in enumerate(rg.node_locs):
+                at.setdefault(locs[li], []).append(node)
+            run = hg.play(g, hg.random_strategy(g, 2 * k),
+                          hg.random_strategy(g, 2 * k + 1), 6)
+            for q in run.configs():
+                node = rg.node_of(q)
+                assert node == node_of_ops(rg, q)
+                # every move listed at q's location: those of q's own
+                # closure are realized, those of past regions refused
+                for m in sorted({m for j in at[q.loc] for m in rg.move_ids[j]}):
+                    mv = rg.move(m)
+                    try:
+                        want = concretize_ops(rg, q, mv)
+                    except hg.NoRealization as refusal:
+                        with pytest.raises(hg.NoRealization) as got:
+                            rg.concretize_move(q, mv)
+                        assert str(got.value) == str(refusal)
+                        refused += 1
+                    else:
+                        assert rg.concretize_move(q, mv) == want
+                        realized += 1
+        # pinned, so a change that stops comparing some of them is seen
+        assert (realized, refused) == (4152, 5386)
 
     def test_region_values_survive_file_and_pickle_round_trips(self):
         # strategy files rebuild regions, nodes and moves as fresh values

@@ -30,7 +30,13 @@ changed.  The counted call sites:
   sums and quotients through the two-int constructor and are not seen;
   what is left is the chain's construction (`lowering`, `core`) and the
   witnesses' maps (`bisim`).  A class attribute is patched, so every
-  module's operators are counted.
+  module's operators are counted;
+- the same dunders while the `control` workload plays a game.
+  `solver.region_of`, `RegionGame.node_of` and
+  `RegionGame.concretize_move` read valuations as integers over one
+  denominator and are not seen; what is left is the chain's construction
+  (`lowering`'s guard maps through `core.Interval`, the composed
+  witnesses' scales in `bisim`) and `core.scale_to_integers`' guards.
 
 The committed figures are in `work_counts.json`.  A change that moves one
 rewrites the file with `PYTHONPATH=src python tests/test_work_counts.py`,
@@ -88,11 +94,13 @@ def count_control(monkeypatch, index: str) -> tuple[dict, int]:
     """The counts, and the number of failed checks of the game's outputs."""
     case = workloads.prepare("control", int(index) + 1)[int(index)]
     lifts = _count(monkeypatch, chain, "lift_step")
+    ops = [_count(monkeypatch, Fraction, name) for name in FRACTION_OPS]
     decisions = []
     _, failed = workloads.run_control(
         case, NullTracer(), EXPECTED["control"],
         lambda key, seconds: decisions.append(key))
-    return {"lift_step": len(lifts), "decisions": len(decisions)}, failed
+    return {"decisions": len(decisions), "fraction_ops": sum(map(len, ops)),
+            "lift_step": len(lifts)}, failed
 
 
 def count_certify(monkeypatch, index: str) -> tuple[dict, tuple]:
