@@ -13,7 +13,12 @@ The local check takes one related pair and verifies, on a sampled set of
 enabled moves, that labels agree and that each player's moves are matched by
 the translated move with related successors.  Checks are sampled, not
 exhaustive: a Pass is evidence, a Fail is definite (it carries a
-counterexample that replays).
+counterexample that replays).  A sampled delay travels from the sampler
+through the clause table to the step memo as its lowest-terms numerator and
+denominator, and a clause as its two edge ids and those ints; a `Fraction`
+and a `Move` are built only when a memo miss really steps a game or when a
+counterexample is recorded.  `verify_chain` runs with the cyclic garbage
+collector paused, as the region build does (see `solver`).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .core import (OFFSET_KIND, ONE, ZERO, Annotation, Edge, Game,
                    InvalidHistory, LocId, MoveNotEnabled, OwnershipMismatch,
                    Player, interned)
 from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
+from .solver import collector_paused
 
 
 @dataclass(frozen=True)
@@ -189,14 +195,17 @@ class MoveSampler:
     For every enabled edge the low endpoint, the midpoint and the high
     endpoint are sampled (a probe of lo+1 and lo+2 stands in for the missing
     endpoints of an unbounded ray), plus `extra` random in-window delays with
-    denominators at most 8.  The sampler holds only its rng and `extra`, so
-    one sampler may serve any number of calls.
+    denominators at most 8, each kept unless it equals an earlier one.  A
+    delay is its (numerator, denominator) pair in lowest terms, as
+    `DelayWindow` gives it, so that test compares tuples of ints.  The
+    sampler holds only its rng and `extra`, so one sampler may serve any
+    number of calls.
     """
 
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     extra: int = 1
 
-    def delays(self, w: DelayWindow) -> list[Fraction]:
+    def delays(self, w: DelayWindow) -> list[tuple[int, int]]:
         out = list(w.probes)
         for _ in range(self.extra):
             t = w.draw(self.rng, max_den=8, ray=2)
@@ -232,19 +241,31 @@ class Verdict:
     reason: str = ""
 
 
-def _match(w: BisimWitness, q1: Configuration, q2: Configuration, move: Move,
-           forward: bool, step: Callable = step) -> Optional[str]:
-    """The matching clause for one sampled move: a g1 move from q1 matched
-    by its g2 counterpart from q2 when `forward`, else a g2 move from q2 by
-    its g1 counterpart.  The mover's side steps first, through `step`."""
-    other = w.move_forward(q2, move) if forward else w.move_backward(move)
-    if other is None:
+def _edges(w: BisimWitness, q2: Configuration, eid: str,
+           forward: bool) -> tuple[Optional[str], Optional[str]]:
+    """The (g1 edge, g2 edge) of the clause whose mover takes `eid`, g1's
+    edge from q1 when `forward`, else g2's from q2; the counterpart is None
+    when it does not exist."""
+    if forward:
+        return eid, w.edge_fwd.get((q2.loc, eid))
+    return w.edge_back.get(eid), eid
+
+
+def _match(w: BisimWitness, q1: Configuration, q2: Configuration,
+           e1: Optional[str], e2: Optional[str], n: int, d: int, forward: bool,
+           step: Callable) -> Optional[str]:
+    """The matching clause for one sampled move of delay n/d: a g1 move on
+    e1 from q1 matched by the g2 move on e2 from q2 when `forward`, else
+    the other way round; the counterpart's edge is None when it has none.
+    The mover's side steps first, through `step(g, q, edge, n, d)`, a
+    memo's step."""
+    if e1 is None or e2 is None:
         return "no counterpart move"
     try:
         if forward:
-            q1n, q2n = step(w.g1, q1, move), step(w.g2, q2, other)
+            q1n, q2n = step(w.g1, q1, e1, n, d), step(w.g2, q2, e2, n, d)
         else:
-            q2n, q1n = step(w.g2, q2, move), step(w.g1, q1, other)
+            q2n, q1n = step(w.g2, q2, e2, n, d), step(w.g1, q1, e1, n, d)
     except MoveNotEnabled as exc:
         return f"counterpart not enabled ({exc})"
     if not w.contains(q1n, q2n):
@@ -281,15 +302,16 @@ class _Memo:
     successor of a (game, configuration, edge, delay) or the text of its
     MoveNotEnabled, and per (witness, q1, q2) one table of clause outcomes
     keyed by (g1 edge, g2 edge, delay), an edge None where a move has no
-    counterpart; a delay is its numerator and denominator.  A pair's table
-    exists only once its prologue has passed, and the prologue is a pure
-    function of the pair, so a pair with a table skips it.  A forward and a
-    backward clause share a key exactly when each move is the other's
-    counterpart, so both step the same two moves.  Sharing a failure is
-    safe: both moves were sampled, so neither step raises, and the one
-    failure left, "successors not related", replays from either clause.
-    Games and witnesses are keyed by id, so a memo must not outlive the
-    call that holds them."""
+    counterpart.  A delay is its numerator and denominator in lowest terms,
+    as the sampler gives it, and a step builds its `Move` only on a miss.
+    A pair's table exists only once its prologue has passed, and the
+    prologue is a pure function of the pair, so a pair with a table skips
+    it.  A forward and a backward clause share a key exactly when each move
+    is the other's counterpart, so both step the same two moves.  Sharing a
+    failure is safe: both moves were sampled, so neither step raises, and
+    the one failure left, "successors not related", replays from either
+    clause.  Games and witnesses are keyed by id, so a memo must not
+    outlive the call that holds them."""
 
     def __init__(self) -> None:
         self.windows: dict = {}
@@ -303,12 +325,13 @@ class _Memo:
             out = self.windows[key] = enabled_edges(g, q)
         return out
 
-    def step(self, g: Game, q: Configuration, move: Move) -> Configuration:
-        key = (id(g), q, move.edge, move.delay.numerator, move.delay.denominator)
+    def step(self, g: Game, q: Configuration, edge: str, n: int,
+             d: int) -> Configuration:
+        key = (id(g), q, edge, n, d)
         out = self.steps.get(key)
         if out is None:
             try:
-                out = step(g, q, move)
+                out = step(g, q, Move(edge, Fraction(n, d)))
             except MoveNotEnabled as exc:
                 out = str(exc)
             self.steps[key] = out
@@ -327,14 +350,14 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
     backward for player two), then the other side's, so a Pass certifies
     sampled bisimulation rather than one-way simulation.  For each side the
     sampler draws every enabled edge's delays before any clause is decided;
-    each edge's counterpart is then resolved once, and the first unmatched
-    move ends the check.  A `memo` (verify_chain's)
-    only saves recomputing: a pair whose clause table exists skips its
-    prologue, which passed when the table was made (a failing prologue
-    makes none, so it runs again on every visit), and the table decides
-    each pair of counterpart moves at most once, whichever direction steps
-    them first.  A Move is built only for a clause not yet decided or for a
-    counterexample.
+    each edge's counterpart is then resolved once and handed to `_match`
+    with each delay's numerator and denominator, and the first unmatched
+    move ends the check.  A `memo` (verify_chain's) only saves recomputing:
+    a pair whose clause table exists skips its prologue, which passed when
+    the table was made (a failing prologue makes none, so it runs again on
+    every visit), and the table decides each pair of counterpart moves at
+    most once, whichever direction steps them first.  A Move is built only
+    for a memo miss's step or for a counterexample.
     """
     sampler = sampler or MoveSampler()
     memo = memo or _Memo()
@@ -352,18 +375,17 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
         g, q = (w.g1, q1) if forward else (w.g2, q2)
         drawn = [(e.id, sampler.delays(win)) for e, win in memo.enabled(g, q)]
         for eid, delays in drawn:
-            other = w.edge_fwd.get((q2.loc, eid)) if forward else w.edge_back.get(eid)
-            e1, e2 = (eid, other) if forward else (other, eid)
-            for t in delays:
+            e1, e2 = _edges(w, q2, eid, forward)
+            for n, d in delays:
                 checked += 1
-                clause = (e1, e2, t.numerator, t.denominator)
+                clause = (e1, e2, n, d)
                 problem = table.get(clause, _UNSEEN)
                 if problem is _UNSEEN:
-                    problem = table[clause] = _match(w, q1, q2, Move(eid, t),
+                    problem = table[clause] = _match(w, q1, q2, e1, e2, n, d,
                                                      forward, memo.step)
                 if problem:
                     cex = Counterexample(w.name, "forward" if forward else "backward",
-                                         q1, q2, Move(eid, t), problem)
+                                         q1, q2, Move(eid, Fraction(n, d)), problem)
                     return Verdict(False, checked, cex, problem)
     return Verdict(True, checked)
 
@@ -371,14 +393,18 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
 def replay_counterexample(w: BisimWitness, cex: Counterexample) -> bool:
     """Re-execute a counterexample from scratch; True when it still violates
     a matching clause (unrelated pair, label or owner mismatch, missing or
-    unenabled counterpart, or unrelated successors)."""
+    unenabled counterpart, or unrelated successors), stepping through a
+    fresh memo."""
     if cex.direction == "relation":
         return not w.contains(cex.q1, cex.q2)
     if cex.direction == "label":
         return w.g1.locations[cex.q1.loc].obs != w.g2.locations[cex.q2.loc].obs
     if cex.direction == "owner":
         return w.g1.owner(cex.q1.loc) is not w.g2.owner(cex.q2.loc)
-    return _match(w, cex.q1, cex.q2, cex.move, cex.direction == "forward") is not None
+    forward, t = cex.direction == "forward", cex.move.delay
+    e1, e2 = _edges(w, cex.q2, cex.move.edge, forward)
+    return _match(w, cex.q1, cex.q2, e1, e2, t.numerator, t.denominator, forward,
+                  _Memo().step) is not None
 
 
 @dataclass
@@ -427,32 +453,36 @@ def verify_chain(g_isr: Game, samples: int, depth: int, seed: int = 0) -> ChainR
     A pair whose owners differ fails its stage with an "owner" counterexample.
 
     Reachable pairs come from random plays of the source game, lifted through
-    the chain so each stage sees genuinely related configurations.
+    the chain so each stage sees genuinely related configurations.  The
+    whole call, the chain's construction included, runs with the cyclic
+    garbage collector paused: it makes many tuples and no cycle.
     """
     from .chain import build_chain, stage_witnesses
 
-    chain = build_chain(g_isr)
-    witnesses = stage_witnesses(chain)
-    rng = random.Random(seed)
-    sampler = MoveSampler(rng=random.Random(seed + 1))
-    memo = _Memo()
+    with collector_paused():
+        chain = build_chain(g_isr)
+        witnesses = stage_witnesses(chain)
+        rng = random.Random(seed)
+        sampler = MoveSampler(rng=random.Random(seed + 1))
+        memo = _Memo()
 
-    stages = [StageResult(w.name) for w, _, _ in witnesses]
-    sampled = _sample_lifted_configs(chain, samples, depth, rng, memo)
-    for configs in sampled:
-        for (w, i, j), result in zip(witnesses, stages):
-            if len(result.failures) >= _MAX_FAILURES:
-                continue
-            try:
-                verdict = check_local_bisim(w, configs[i], configs[j], sampler, memo)
-            except OwnershipMismatch as exc:
-                cex = Counterexample(w.name, "owner", configs[i], configs[j],
-                                     _NO_MOVE, str(exc))
-                verdict = Verdict(False, 0, cex, cex.reason)
-            result.pairs += 1
-            result.moves_checked += verdict.checked
-            if not verdict.passed:
-                result.failures.append(verdict.counterexample)
+        stages = [StageResult(w.name) for w, _, _ in witnesses]
+        sampled = _sample_lifted_configs(chain, samples, depth, rng, memo)
+        for configs in sampled:
+            for (w, i, j), result in zip(witnesses, stages):
+                if len(result.failures) >= _MAX_FAILURES:
+                    continue
+                try:
+                    verdict = check_local_bisim(w, configs[i], configs[j], sampler,
+                                                memo)
+                except OwnershipMismatch as exc:
+                    cex = Counterexample(w.name, "owner", configs[i], configs[j],
+                                         _NO_MOVE, str(exc))
+                    verdict = Verdict(False, 0, cex, cex.reason)
+                result.pairs += 1
+                result.moves_checked += verdict.checked
+                if not verdict.passed:
+                    result.failures.append(verdict.counterexample)
 
     warnings = []
     if not sampled:
@@ -478,7 +508,7 @@ def _sample_lifted_configs(chain, samples: int, depth: int, rng: random.Random,
             if not options:
                 break
             e, w = options[rng.randrange(len(options))]
-            t = w.draw(rng, max_den=6, ray=3)
+            t = Fraction(*w.draw(rng, max_den=6, ray=3))
             try:
                 lifted = lift_step(chain, lifted, Move(e.id, t))
             except InvalidHistory:

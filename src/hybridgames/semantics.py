@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Optional
 
 from .core import (
@@ -86,6 +87,11 @@ class DelayWindow:
 
     `hi` is None for an unbounded ray [lo, oo).  Windows are never open and
     never empty; an empty delay set is represented by None at the call site.
+    The sampled delays, `probes` and `draw`, are each given as the
+    (numerator, denominator) pair of ints of the delay in lowest terms with
+    a positive denominator, so two equal delays give equal pairs and the
+    witness checker keys and compares them as tuples of ints; a caller
+    that needs the delay itself builds `Fraction(n, d)`.
     """
 
     lo: Fraction
@@ -93,29 +99,26 @@ class DelayWindow:
 
     # cached_property writes __dict__ directly, past the frozen __setattr__.
     @cached_property
-    def probes(self) -> tuple[Fraction, ...]:
+    def probes(self) -> tuple[tuple[int, int], ...]:
         """The window's fixed sample points: lo, the midpoint and hi (lo
-        alone for a point), or lo, lo+1 and lo+2 on an unbounded ray.
-
-        Each sum is one Fraction built from the numerators and denominators
-        through the public two-int constructor, like `draw`'s delay."""
+        alone for a point), or lo, lo+1 and lo+2 on an unbounded ray."""
         lo, hi = self.lo, self.hi
         ln, ld = lo.numerator, lo.denominator
         if hi is None:
-            return (lo, Fraction(ln + ld, ld), Fraction(ln + 2 * ld, ld))
-        if hi == lo:
-            return (lo,)
-        hd = hi.denominator
-        return (lo, Fraction(ln * hd + hi.numerator * ld, 2 * ld * hd), hi)
+            return ((ln, ld), (ln + ld, ld), (ln + 2 * ld, ld))
+        hn, hd = hi.numerator, hi.denominator
+        if hn == ln and hd == ld:
+            return ((ln, ld),)
+        return ((ln, ld), _lowest(ln * hd + hn * ld, 2 * ld * hd), (hn, hd))
 
-    def draw(self, rng: random.Random, max_den: int, ray: int) -> Fraction:
+    def draw(self, rng: random.Random, max_den: int, ray: int) -> tuple[int, int]:
         """lo plus a random fraction, of denominator at most max_den, of the
         window's length (of `ray` when the window is unbounded).  A point
         window returns lo without touching rng.
 
-        The result is lo + Fraction(k, den) * span, with the same two
-        randint calls, but it is built as one Fraction from the numerators
-        and denominators: on Python 3.11 each Fraction operator dispatches
+        The value is lo + Fraction(k, den) * span, with the same two
+        randint calls, but it is computed on the numerators and
+        denominators: on Python 3.11 each Fraction operator dispatches
         through a numbers.Rational check, and a sampled pass draws tens of
         thousands of delays."""
         lo, hi = self.lo, self.hi
@@ -126,10 +129,16 @@ class DelayWindow:
             sn = hi.numerator * ld - ln * hi.denominator
             sd = hi.denominator * ld
         if sn == 0:
-            return lo
+            return ln, ld
         den = rng.randint(1, max_den)
         k = rng.randint(0, den)
-        return Fraction(ln * den * sd + k * sn * ld, ld * den * sd)
+        return _lowest(ln * den * sd + k * sn * ld, ld * den * sd)
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for a positive d."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def initial_config(g: Game) -> Configuration:

@@ -41,16 +41,19 @@ heap (Liu & Smolka, "Simple linear-time algorithms for minimal fixed
 points", ICALP 1998), that tests owners and observations per location
 index.
 
-The build runs with the cyclic garbage collector paused.  It makes
-hundreds of thousands of tuples and no reference cycle, so every
-collection the allocations would trigger scans them and frees nothing;
-the collector is switched back on afterwards only if it was on.
+The build runs with the cyclic garbage collector paused, and so does the
+witness checker's `verify_chain`, through the one helper
+`collector_paused`.  Each makes hundreds of thousands of tuples and no
+reference cycle, so every collection the allocations would trigger scans
+them and frees nothing; the collector is switched back on afterwards
+only if it was on.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -285,7 +288,6 @@ class RegionGame:
             probes.append(a)
             probes.append((a + b) // 2)
         probes.append(ordered[-1])
-        probes.append(ordered[-1] + big)
         for t in probes:
             if _region([x + t for x in w], big, bounds) == mv.region:
                 return Move(mv.edge, Fraction(t, big * self.scale))
@@ -325,10 +327,19 @@ def build_region_graph(g: Game, scale: int = 1) -> RegionGame:
     collector is paused while the graph is built (see the module
     docstring).
     """
+    with collector_paused():
+        return _build(g, scale)
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the body of a `with`, and
+    switch it back on afterwards, whether the body returns or raises, only
+    if it was on before."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _build(g, scale)
+        yield
     finally:
         if enabled:
             gc.enable()

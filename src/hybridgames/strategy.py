@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .chain import Chain, lift_run
@@ -25,7 +26,7 @@ def random_strategy(g: Game, seed: int) -> StrategyFn:
         if not enabled:
             return None
         e, w = rng.choice(enabled)
-        return Move(e.id, w.draw(rng, max_den=4, ray=2))
+        return Move(e.id, Fraction(*w.draw(rng, max_den=4, ray=2)))
 
     return strat
 

@@ -5,7 +5,9 @@ tests that compare one against a reference computed on nodes;
 `time_closure`, the reference the region build's time successors are
 checked against; `first_move_strategy`, a deterministic opponent;
 `in_window`, a delay window's membership test; a sampler's moves, for
-the tests that replay `check_local_bisim` without its memo; and
+the tests that replay `check_local_bisim` without its memo;
+`probes_ops`, `draw_ops` and `delays_ops`, the sampler written on
+`Fraction` values, the oracle its integer pairs are checked against; and
 `region_of_ops`, `node_of_ops` and `concretize_ops`, the region reads
 written on `Fraction` operators, the oracle the solver's integer reads are
 checked against."""
@@ -13,6 +15,7 @@ checked against."""
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 from typing import Optional
 
@@ -126,7 +129,6 @@ def concretize_ops(rg: RegionGame, q: Configuration, mv: RegionMove) -> Move:
         probes.append(a)
         probes.append((a + b) / 2)
     probes.append(ordered[-1])
-    probes.append(ordered[-1] + 1)
     for t in probes:
         landed = tuple(x + t for x in w)
         if region_of_ops(landed, rg.bounds) == mv.region:
@@ -164,7 +166,57 @@ def moves_in(sampler, windows) -> list[Move]:
     """The sampled moves of already computed enabled edges, every edge's
     delays drawn through `sampler.delays` before any move is returned, the
     rng order of `check_local_bisim`."""
-    return [Move(e.id, t) for e, w in windows for t in sampler.delays(w)]
+    return [Move(e.id, Fraction(n, d)) for e, w in windows
+            for n, d in sampler.delays(w)]
+
+
+def probes_ops(w: DelayWindow) -> tuple[Fraction, ...]:
+    """The window's fixed sample points: lo, the midpoint and hi (lo
+    alone for a point), or lo, lo+1 and lo+2 on an unbounded ray.
+
+    Each sum is one Fraction built from the numerators and denominators
+    through the public two-int constructor, like `draw`'s delay."""
+    lo, hi = w.lo, w.hi
+    ln, ld = lo.numerator, lo.denominator
+    if hi is None:
+        return (lo, Fraction(ln + ld, ld), Fraction(ln + 2 * ld, ld))
+    if hi == lo:
+        return (lo,)
+    hd = hi.denominator
+    return (lo, Fraction(ln * hd + hi.numerator * ld, 2 * ld * hd), hi)
+
+
+def draw_ops(w: DelayWindow, rng: random.Random, max_den: int, ray: int) -> Fraction:
+    """lo plus a random fraction, of denominator at most max_den, of the
+    window's length (of `ray` when the window is unbounded).  A point
+    window returns lo without touching rng.
+
+    The result is lo + Fraction(k, den) * span, with the same two
+    randint calls, but it is built as one Fraction from the numerators
+    and denominators."""
+    lo, hi = w.lo, w.hi
+    ln, ld = lo.numerator, lo.denominator
+    if hi is None:
+        sn, sd = ray, 1
+    else:
+        sn = hi.numerator * ld - ln * hi.denominator
+        sd = hi.denominator * ld
+    if sn == 0:
+        return lo
+    den = rng.randint(1, max_den)
+    k = rng.randint(0, den)
+    return Fraction(ln * den * sd + k * sn * ld, ld * den * sd)
+
+
+def delays_ops(rng: random.Random, extra: int, w: DelayWindow) -> list[Fraction]:
+    """`MoveSampler.delays` on `Fraction` values: the probes, then each of
+    `extra` draws unless it equals an earlier delay."""
+    out = list(probes_ops(w))
+    for _ in range(extra):
+        t = draw_ops(w, rng, max_den=8, ray=2)
+        if t not in out:
+            out.append(t)
+    return out
 
 
 def replace_lowering(monkeypatch, real, fake) -> None:

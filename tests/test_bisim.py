@@ -5,14 +5,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hybridgames as hg
 import hybridgames.bisim as bisim_module
 import hybridgames.chain as chain_module
-from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine, _match
+from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine
 from hybridgames.samples import worked_example
 
-from fixtures import STAGE_NAME, in_window, moves_in, replace_lowering
+from fixtures import (STAGE_NAME, delays_ops, in_window, moves_in,
+                      replace_lowering)
 from gamegen import gen_isr_game
 
 G = worked_example()
@@ -271,6 +274,26 @@ class TestVerifyChain:
         assert a.render() == b.render()
 
 
+def unmemoised_match(w, q1, q2, move, forward):
+    """The matching clause for one sampled move on `Move`s and the plain
+    step: a g1 move from q1 matched by its g2 counterpart from q2 when
+    `forward`, else a g2 move from q2 by its g1 counterpart.  The mover's
+    side steps first."""
+    other = w.move_forward(q2, move) if forward else w.move_backward(move)
+    if other is None:
+        return "no counterpart move"
+    try:
+        if forward:
+            q1n, q2n = hg.step(w.g1, q1, move), hg.step(w.g2, q2, other)
+        else:
+            q2n, q1n = hg.step(w.g2, q2, move), hg.step(w.g1, q1, other)
+    except hg.MoveNotEnabled as exc:
+        return f"counterpart not enabled ({exc})"
+    if not w.contains(q1n, q2n):
+        return "successors not related"
+    return None
+
+
 def unmemoised_check_local_bisim(w, q1, q2, sampler):
     """check_local_bisim without a memo: the same clauses in the same order,
     each move's enabled edges and successors computed afresh by
@@ -293,7 +316,7 @@ def unmemoised_check_local_bisim(w, q1, q2, sampler):
         g, q = (w.g1, q1) if forward else (w.g2, q2)
         for move in moves_in(sampler, hg.enabled_edges(g, q)):
             checked += 1
-            problem = _match(w, q1, q2, move, forward)
+            problem = unmemoised_match(w, q1, q2, move, forward)
             if problem:
                 cex = hg.Counterexample(w.name, "forward" if forward else "backward",
                                         q1, q2, move, problem)
@@ -321,7 +344,7 @@ def unmemoised_verify_chain(g, samples, depth, seed=0):
             if not options:
                 break
             e, w = options[rng.randrange(len(options))]
-            move = hg.Move(e.id, w.draw(rng, max_den=6, ray=3))
+            move = hg.Move(e.id, F(*w.draw(rng, max_den=6, ray=3)))
             try:
                 lifted = hg.lift_step(chain, lifted, move)
             except hg.InvalidHistory:
@@ -453,23 +476,51 @@ class TestMemoAgainstOracle:
                                 " the window of edge e1b)")
 
 
+WINDOW_ENDS = st.fractions(min_value=0, max_value=10, max_denominator=12)
+
+
+@st.composite
+def sampled_windows(draw):
+    """A closed window, a point window or an unbounded ray."""
+    lo = draw(WINDOW_ENDS)
+    kind = draw(st.sampled_from(["closed", "point", "ray"]))
+    if kind == "ray":
+        return hg.DelayWindow(lo, None)
+    return hg.DelayWindow(lo, lo if kind == "point"
+                          else lo + draw(WINDOW_ENDS.filter(bool)))
+
+
 class TestMoveSampler:
     def setup_method(self):
         self.sampler = hg.MoveSampler(random.Random(7), extra=2)
 
     def test_compact_window_hits_both_ends(self):
         w = hg.DelayWindow(F(1), F(3))
-        got = self.sampler.delays(w)
+        got = [F(n, d) for n, d in self.sampler.delays(w)]
         assert F(1) in got and F(3) in got
         assert all(in_window(w, t) for t in got)
 
     def test_point_window_collapses(self):
-        assert self.sampler.delays(hg.DelayWindow(F(2), F(2))) == [F(2)]
+        assert self.sampler.delays(hg.DelayWindow(F(2), F(2))) == [(2, 1)]
 
     def test_ray_probes_past_the_corner(self):
         w = hg.DelayWindow(F(1), None)
         got = self.sampler.delays(w)
-        assert {F(1), F(2), F(3)} <= set(got)
+        assert {(1, 1), (2, 1), (3, 1)} <= set(got)
+
+    @given(sampled_windows(), st.integers(0, 2**32), st.integers(1, 3))
+    def test_delays_are_the_fraction_sampler_s_in_order(self, w, seed, extra):
+        # the same values, in the same order and with the same rng use, as
+        # the sampler written on Fraction values: these delays feed the
+        # check-bisim reports; the second call reads the cached probes
+        sampler = hg.MoveSampler(random.Random(seed), extra)
+        twin = random.Random(seed)
+        for _ in range(2):
+            got = sampler.delays(w)
+            assert all(type(n) is int and type(d) is int for n, d in got)
+            assert got == [(t.numerator, t.denominator)
+                           for t in delays_ops(twin, extra, w)]
+            assert sampler.rng.getstate() == twin.getstate()
 
     def test_keeps_no_per_call_state(self):
         w = hg.identity_witness(G)

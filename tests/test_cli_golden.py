@@ -52,6 +52,10 @@ def _cases(name: str, work: Path) -> dict:
         got[f"transform --to {stage}"] = _run(
             ["transform", game, "--to", stage], work / f"{stage}.json")
     got["check-bisim"] = _run(["check-bisim", game])
+    # many more seeded draws than the defaults, so that many of them repeat
+    # a window's probe or an earlier draw and meet the sampler's dedupe
+    got["check-bisim --samples 200 --depth 10"] = _run(
+        ["check-bisim", game, "--samples", "200", "--depth", "10"])
     for objective in (reach, safe):
         got[f"solve {objective}"] = _run(
             ["solve", game, "--objective", objective], work / f"{objective}.json")

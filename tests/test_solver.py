@@ -13,11 +13,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hybridgames as hg
-from hybridgames import cli, solver
+from hybridgames import chain, cli, solver
 from hybridgames.cli import parse_objective
 from hybridgames.samples import small_timed, worked_example
 
 from fixtures import (
+    broken_initialization,
     concretize_ops,
     node_of_ops,
     on_nodes,
@@ -270,13 +271,15 @@ def _ladder_game(p2_can_escape):
 def _probes(w, bounds):
     """The delays `concretize_move` tries from the scaled valuation `w`, in
     order: each time at which some clock reaches an integer no more than one
-    past its bound (and 0), the midpoint after each, then one past the last."""
+    past its bound (and 0), and the midpoint after each but the last.  At
+    the last every clock is past its bound, so no later delay lands in a
+    region it has not already reached."""
     times = sorted({F(0)} | {k - v for v, m in zip(w, bounds)
                              for k in range(math.ceil(v), m + 2)})
     probes = []
     for a, b in zip(times, times[1:]):
         probes += [a, (a + b) / 2]
-    return probes + [times[-1], times[-1] + 1]
+    return probes + [times[-1]]
 
 
 def _fractional_valuations(n):
@@ -374,6 +377,27 @@ class TestRegionGame:
                     landed = tuple(x + got.delay * rg.scale for x in w)
                     assert region_of_ops(landed, rg.bounds) == r
 
+    def test_a_refusal_reads_one_region_per_probe(self, monkeypatch):
+        # a move of a region the valuation has already passed is refused
+        # only after every probe, and no probe past the last candidate
+        reads = []
+        real = solver._region
+        monkeypatch.setattr(solver, "_region",
+                            lambda *args: reads.append(args) or real(*args))
+        refused = 0
+        for g in [small_timed(), *(gen.ladder_case(i)[0] for i in range(4))]:
+            rg = hg.build_region_graph(g)
+            zero = hg.RegionMove(R([0] * len(g.vars), [0] * len(g.vars)),
+                                 next(iter(g.edges)))
+            for val in filter(any, _fractional_valuations(len(g.vars))):
+                reads.clear()
+                with pytest.raises(hg.NoRealization):
+                    rg.concretize_move(hg.Configuration(g.init, val), zero)
+                w = tuple(v * rg.scale for v in val)
+                assert len(reads) == len(_probes(w, rg.bounds))
+                refused += 1
+        assert refused == 25
+
     def test_node_of_and_concretize_match_the_operator_reads_on_the_pools(self):
         realized = refused = 0
         for k, (g, rg) in enumerate(_pool_graphs()):
@@ -432,8 +456,8 @@ def _timed_with_half_bound():
 
 
 class TestCollectorPause:
-    """The build pauses the cyclic collector and leaves it as it found it,
-    whether the build returns or raises."""
+    """The build and the witness checker pause the cyclic collector and
+    leave it as they found it, whether they return or raise."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("make,invalid", [
@@ -451,6 +475,30 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("make,invalid", [
+        (worked_example, False), (broken_initialization, True)])
+    def test_verify_chain_restores_the_collector(self, monkeypatch, enabled,
+                                                 make, invalid):
+        # the chain is built inside the pause, so an invalid source game
+        # raises InvalidGame from within it
+        seen = []
+        real = chain.build_chain
+        monkeypatch.setattr(chain, "build_chain",
+                            lambda g: seen.append(gc.isenabled()) or real(g))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if invalid:
+                with pytest.raises(hg.InvalidGame):
+                    hg.verify_chain(make(), samples=4, depth=3)
+            else:
+                assert hg.verify_chain(make(), samples=4, depth=3).passed
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
 
 
 class TestAttractors:

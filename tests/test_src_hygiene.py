@@ -208,8 +208,9 @@ def test_every_module_imports_as_itself():
 
 
 def test_only_the_solver_imports_gc():
-    # the region build pauses the cyclic collector and restores it; no
-    # other module switches or tunes it
+    # the region build and verify_chain pause the cyclic collector through
+    # the solver's one helper, which restores it; no other module switches
+    # or tunes it
     assert [module for module, tree in MODULES.items()
             if "gc" in _import_parts(tree)] == ["solver.py"]
 

@@ -14,12 +14,16 @@ changed.  The counted call sites:
   the sampler's lifts are not seen); a decision is one latency sample the
   workload records, one call of the pulled-back strategy;
 - `bisim.step`, called by `bisim._Memo.step` on a memo miss, while
-  `verify_chain` checks a `certify` game (`_match`'s default `step`
-  argument is bound at definition time and is not seen);
+  `verify_chain` checks a `certify` game;
 - `bisim._match`, called by `bisim.check_local_bisim` once per clause key
   it decides, in the same `verify_chain` call (a clause whose g1 edge, g2
   edge and delay the opposite direction's clause already stepped is
   answered without one);
+- `bisim.Move`, the moves `bisim` builds in the same call: one per memo
+  miss's step, per counterexample and per sampled source move, and those
+  of `BisimWitness.move_forward`, which `chain.lift_step` calls while the
+  sampler lifts its plays (a clause is decided on edge ids and delay
+  integers, with no `Move`);
 - `bisim._prologue`, called by `bisim.check_local_bisim` for a pair that
   has no clause table yet, in the same call (a pair whose relation, owners
   and labels passed once is not checked again);
@@ -44,6 +48,7 @@ reviews its diff and states the before and after.
 """
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +112,7 @@ def count_certify(monkeypatch, index: str) -> tuple[dict, tuple]:
     """The counts, and the report with the arguments of every counted
     `step`, `_match` and `_prologue` call."""
     g = gen.thirds_game(int(index))
+    moves = _count(monkeypatch, bisim, "Move")
     steps = _count(monkeypatch, bisim, "step")
     matches = _count(monkeypatch, bisim, "_match")
     prologues = _count(monkeypatch, bisim, "_prologue")
@@ -114,7 +120,8 @@ def count_certify(monkeypatch, index: str) -> tuple[dict, tuple]:
     report = hg.verify_chain(g, samples=workloads.SAMPLES, depth=workloads.DEPTH,
                              seed=workloads.BISIM_SEED)
     counts = {"fraction_ops": sum(map(len, ops)), "memo_missed_step": len(steps),
-              "match": len(matches), "prologue": len(prologues)}
+              "match": len(matches), "moves_built": len(moves),
+              "prologue": len(prologues)}
     return counts, (report, steps, matches, prologues)
 
 
@@ -155,14 +162,21 @@ def test_memo_missed_steps_per_certify_game(monkeypatch, index):
     assert len({(id(g), q, move) for g, q, move in steps}) == len(steps)
     # each related pair's relation, owners and labels are checked at most once
     assert len({(id(w), q1, q2) for w, q1, q2 in prologues}) == len(prologues)
-    # each clause is decided at most once, and never after its mirror passed
+    # each clause is decided at most once, and never after its mirror passed;
+    # a clause's counterpart edge is the witness's own, and its delay is in
+    # lowest terms, so a move is named by one key
     decided, answered = set(), set()
-    for w, q1, q2, move, forward, _ in matches:
-        clause = (id(w), q1, q2, move, forward)
+    for w, q1, q2, e1, e2, n, d, forward, step in matches:
+        assert d > 0 and math.gcd(n, d) == 1
+        mover = hg.Move(e1 if forward else e2, Fraction(n, d))
+        other = w.move_forward(q2, mover) if forward else w.move_backward(mover)
+        assert (e2 if forward else e1) == (other and other.edge)
+        clause = (id(w), q1, q2, mover, forward)
         assert clause not in decided and clause not in answered
         decided.add(clause)
-        mirror = exact_mirror(w, q2, move, forward)
-        if mirror is not None and unwrapped(w, q1, q2, move, forward) is None:
+        mirror = exact_mirror(w, q2, mover, forward)
+        if mirror is not None and unwrapped(w, q1, q2, e1, e2, n, d, forward,
+                                            step) is None:
             answered.add((id(w), q1, q2, mirror, not forward))
 
 
