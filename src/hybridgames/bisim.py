@@ -15,10 +15,11 @@ the translated move with related successors.  Checks are sampled, not
 exhaustive: a Pass is evidence, a Fail is definite (it carries a
 counterexample that replays).  A sampled delay travels from the sampler
 through the clause table to the step memo as its lowest-terms numerator and
-denominator, and a clause as its two edge ids and those ints; a `Fraction`
-and a `Move` are built only when a memo miss really steps a game or when a
-counterexample is recorded.  `verify_chain` runs with the cyclic garbage
-collector paused, as the region build does (see `solver`).
+denominator, and a clause as its two edge ids and those ints; a memo miss
+steps through `semantics.advance` on those ints, relation membership is
+decided by cross-multiplying, and a `Move` and a delay `Fraction` are built
+only when a counterexample is recorded.  `verify_chain` runs with the cyclic
+garbage collector paused, as the region build does (see `solver`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Mapping, Optional
 from .core import (OFFSET_KIND, ONE, ZERO, Annotation, Edge, Game,
                    InvalidHistory, LocId, MoveNotEnabled, OwnershipMismatch,
                    Player, interned)
-from .semantics import Configuration, DelayWindow, Move, enabled_edges, step
+from .semantics import Configuration, DelayWindow, Move, advance, enabled_edges
 from .solver import collector_paused
 
 
@@ -109,14 +110,28 @@ class BisimWitness:
         fwd = {(self.g2.edges[e2].src, e1): e2 for e2, e1 in self.edge_back.items()}
         object.__setattr__(self, "edge_fwd", fwd)
 
-    def _image(self, loc2: LocId, val: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        a = self.affine.get(loc2)
-        return val if a is None else a.apply(val)
-
     def contains(self, q1: Configuration, q2: Configuration) -> bool:
-        """Relation membership."""
-        return (self.loc_back.get(q2.loc) == q1.loc
-                and self._image(q2.loc, q1.val) == q2.val)
+        """Relation membership: q2's location stands for q1's, and each q2
+        value is the affine image of q1's.  No image is built: each value is
+        compared with a*x + b by cross-multiplying numerators and
+        denominators, a unit scale and a zero shift skipped by identity as
+        in `Affine.apply`."""
+        if self.loc_back.get(q2.loc) != q1.loc:
+            return False
+        a = self.affine.get(q2.loc)
+        if a is None:
+            return q1.val == q2.val
+        for s, x, b, y in zip(a.scale, q1.val, a.shift, q2.val):
+            if s is ONE:
+                n, d = x.numerator, x.denominator
+            else:
+                n, d = s.numerator * x.numerator, s.denominator * x.denominator
+            if b is not ZERO:
+                bd = b.denominator
+                n, d = n * bd + b.numerator * d, d * bd
+            if n * y.denominator != y.numerator * d:
+                return False
+        return True
 
     def move_forward(self, q2: Configuration, m1: Move) -> Optional[Move]:
         """The g2 counterpart, from q2, of a g1 move."""
@@ -303,7 +318,8 @@ class _Memo:
     MoveNotEnabled, and per (witness, q1, q2) one table of clause outcomes
     keyed by (g1 edge, g2 edge, delay), an edge None where a move has no
     counterpart.  A delay is its numerator and denominator in lowest terms,
-    as the sampler gives it, and a step builds its `Move` only on a miss.
+    as the sampler gives it, and a miss steps through `semantics.advance`
+    on them, with no `Move` or delay `Fraction` built.
     A pair's table exists only once its prologue has passed, and the
     prologue is a pure function of the pair, so a pair with a table skips
     it.  A forward and a backward clause share a key exactly when each move
@@ -331,7 +347,7 @@ class _Memo:
         out = self.steps.get(key)
         if out is None:
             try:
-                out = step(g, q, Move(edge, Fraction(n, d)))
+                out = advance(g, q, edge, n, d)
             except MoveNotEnabled as exc:
                 out = str(exc)
             self.steps[key] = out
@@ -357,7 +373,7 @@ def check_local_bisim(w: BisimWitness, q1: Configuration, q2: Configuration,
     the table was made (a failing prologue makes none, so it runs again on
     every visit), and the table decides each pair of counterpart moves at
     most once, whichever direction steps them first.  A Move is built only
-    for a memo miss's step or for a counterexample.
+    for a counterexample.
     """
     sampler = sampler or MoveSampler()
     memo = memo or _Memo()

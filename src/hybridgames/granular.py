@@ -42,7 +42,8 @@ from math import lcm
 from typing import Optional
 
 from .core import ZERO, Game, GameError, MoveNotEnabled, Player
-from .semantics import Configuration, Move, enabled_edges, initial_config, step
+from .semantics import (Configuration, Move, advance, enabled_edges,
+                        initial_config, step)
 
 
 def _grid_constants(g: Game) -> tuple[int, list[Fraction]]:
@@ -64,12 +65,14 @@ def _grid_graph(g: Game, max_configs: int
     """Each clamped grid configuration reachable from the initial one, in
     discovery order (the initial one first), to its successors."""
     den, bound = _grid_constants(g)
-    unit = Fraction(1, 2 * den)
+    # Each slope's sign, per location, so a clamp compares no slope.
+    signs = {lid: tuple((s > 0) - (s < 0) for s in slopes)
+             for lid, slopes in g.slopes.items()}
 
     def clamped(q: Configuration) -> Configuration:
         return Configuration(q.loc, tuple(
-            b + 1 if s > 0 and v > b else -b - 1 if s < 0 and v < -b else v
-            for v, s, b in zip(q.val, g.slopes[q.loc], bound)))
+            b + 1 if c > 0 and v > b else -b - 1 if c < 0 and v < -b else v
+            for v, c, b in zip(q.val, signs[q.loc], bound)))
 
     init = initial_config(g)
     seen = {init}
@@ -79,14 +82,18 @@ def _grid_graph(g: Game, max_configs: int
         q = frontier.popleft()
         succs: dict[Configuration, None] = {}
         for e, w in enabled_edges(g, q):
-            t, last = w.lo, None
+            # The grid points lo + k/(2D) as int pairs (tn, td) over the
+            # fixed td = 2D times lo's denominator: one grid step adds lo's
+            # denominator to tn.
             # Once two grid points give one successor, every moving variable
             # the edge keeps is clamped, and stays so at every later point:
             # that ends the walk, along a ray too.
-            while (w.hi is None or t <= w.hi) and \
-                    (s := clamped(step(g, q, Move(e.id, t)))) != last:
+            lo, hi, last = w.lo, w.hi, None
+            tn, td = lo.numerator * 2 * den, lo.denominator * 2 * den
+            while (hi is None or tn * hi.denominator <= hi.numerator * td) and \
+                    (s := clamped(advance(g, q, e.id, tn, td))) != last:
                 succs[s] = None
-                last, t = s, t + unit
+                last, tn = s, tn + lo.denominator
         succ_map[q] = list(succs)
         for s in succs:
             if s not in seen:

@@ -4,6 +4,9 @@ A play is a sequence of joint moves: the owner of the current location picks
 an outgoing edge and a rational delay, the variables advance along their
 slopes for that long, the guard is checked at the end of the delay, and the
 reset is applied on the jump.  There are no standalone delay transitions.
+`step` is the one legality test; it hands the move's edge and the numerator
+and denominator of its delay to `advance`, which the witness checker's memo
+and the grid oracle call straight on the int pairs they hold.
 """
 
 from __future__ import annotations
@@ -152,39 +155,46 @@ def delay_window(g: Game, q: Configuration, edge_id: str) -> Optional[DelayWindo
     Returns None when the set is empty.  The result is always a closed
     interval or a closed unbounded ray intersected with t >= 0.  A stopped
     variable (Game.slopes shares ZERO) is only tested against its guard.
-    Each end (bound - v) / slope is one Fraction built from the numerators
-    and denominators through the public two-int constructor, which
-    normalises with one gcd: on Python 3.11 each Fraction operator
-    dispatches through a numbers.Rational check.
+    On Python 3.11 each Fraction operator dispatches through a
+    numbers.Rational check, so the window is solved on numerators and
+    denominators: each end (bound - v) / slope is an int pair with a
+    positive denominator, ends and guard bounds are compared by
+    cross-multiplying, and only the final lo and hi are built, through the
+    public two-int constructor.  lo is the shared ZERO when no end beats 0.
     """
     e = g.edges[edge_id]
     if e.src != q.loc:
         raise GameError(f"edge {edge_id} does not leave {q.loc.render()}")
     slopes = g.slopes[q.loc]
-    lo = ZERO
-    hi: Optional[Fraction] = None
+    lon, lod = 0, 1
+    hin: Optional[int] = None
+    hid = 1
     for i, glo, ghi in g.guards[edge_id]:
         v = q.val[i]
         slope = slopes[i]
+        vn, vd = v.numerator, v.denominator
+        ln, ld = glo.numerator, glo.denominator
+        hn, hd = ghi.numerator, ghi.denominator
         if slope is ZERO:
-            if not glo <= v <= ghi:
+            if ln * vd > vn * ld or vn * hd > hn * vd:
                 return None
             continue
-        # v + t*slope in [glo, ghi]; a negative slope swaps the endpoints.
-        vn, vd = v.numerator, v.denominator
+        # v + t*slope in [glo, ghi] for t in [a, b]; both ends are taken
+        # over the positive denominator vd*|sn|, which on a negative slope
+        # also swaps them.
         sn, sd = slope.numerator, slope.denominator
-        ld, hd = glo.denominator, ghi.denominator
-        a = Fraction((glo.numerator * vd - vn * ld) * sd, ld * vd * sn)
-        b = Fraction((ghi.numerator * vd - vn * hd) * sd, hd * vd * sn)
+        an, ad = (ln * vd - vn * ld) * sd, ld * vd * sn
+        bn, bd = (hn * vd - vn * hd) * sd, hd * vd * sn
         if sn < 0:
-            a, b = b, a
-        if a > lo:
-            lo = a
-        if hi is None or b < hi:
-            hi = b
-    if hi is not None and hi < lo:
+            an, ad, bn, bd = -bn, -bd, -an, -ad
+        if an * lod > lon * ad:
+            lon, lod = an, ad
+        if hin is None or bn * hid < hin * bd:
+            hin, hid = bn, bd
+    if hin is not None and hin * lod < lon * hid:
         return None
-    return DelayWindow(lo, hi)
+    return DelayWindow(Fraction(lon, lod) if lon else ZERO,
+                       None if hin is None else Fraction(hin, hid))
 
 
 def enabled_edges(g: Game, q: Configuration) -> list[tuple[Edge, DelayWindow]]:
@@ -200,6 +210,19 @@ def enabled_edges(g: Game, q: Configuration) -> list[tuple[Edge, DelayWindow]]:
 def step(g: Game, q: Configuration, move: Move) -> Configuration:
     """Apply one move exactly; raises MoveNotEnabled when it is not legal.
 
+    The one legality test of the package: `advance` on the move's edge and
+    the numerator and denominator of its delay."""
+    t = move.delay
+    return advance(g, q, move.edge, t.numerator, t.denominator)
+
+
+def advance(g: Game, q: Configuration, edge: str, n: int, d: int) -> Configuration:
+    """`step` on the move along `edge` with delay n/d, for a positive d
+    (n/d need not be in lowest terms); a MoveNotEnabled text names the
+    delay as Fraction(n, d).  The witness checker's memo and the grid
+    oracle hold delays as such int pairs and call it without building a
+    Move or a delay.
+
     On Python 3.11 each Fraction operator dispatches through a
     numbers.Rational check, so the step works on numerators and
     denominators.  A zero delay or a stopped variable keeps the value, and
@@ -209,14 +232,12 @@ def step(g: Game, q: Configuration, move: Move) -> Configuration:
     delay's sign and each guard bound are tested by cross-multiplying
     (denominators are positive, so the order is kept).  The values are the
     operators' and the verdicts those of `<` and `<=`."""
-    e = g.edges.get(move.edge)
+    e = g.edges.get(edge)
     if e is None or e.src != q.loc:
-        raise MoveNotEnabled(f"edge {move.edge} is not available at {q.loc.render()}")
-    t = move.delay
-    tn, td = t.numerator, t.denominator
-    if tn < 0:
+        raise MoveNotEnabled(f"edge {edge} is not available at {q.loc.render()}")
+    if n < 0:
         raise MoveNotEnabled("negative delay")
-    if tn == 0:
+    if n == 0:
         new = list(q.val)
     else:
         new = []
@@ -225,17 +246,17 @@ def step(g: Game, q: Configuration, move: Move) -> Configuration:
                 new.append(v)
             elif s is ONE:
                 vd = v.denominator
-                new.append(Fraction(v.numerator * td + tn * vd, vd * td))
+                new.append(Fraction(v.numerator * d + n * vd, vd * d))
             else:
                 vd, sd = v.denominator, s.denominator
-                new.append(Fraction(v.numerator * td * sd + tn * s.numerator * vd,
-                                    vd * td * sd))
+                new.append(Fraction(v.numerator * d * sd + n * s.numerator * vd,
+                                    vd * d * sd))
     for i, lo, hi in g.guards[e.id]:
         x = new[i]
         xn, xd = x.numerator, x.denominator
         if (lo.numerator * xd > xn * lo.denominator
                 or xn * hi.denominator > hi.numerator * xd):
-            raise MoveNotEnabled(f"delay {move.delay} outside the window of edge {move.edge}")
+            raise MoveNotEnabled(f"delay {Fraction(n, d)} outside the window of edge {edge}")
     for i, value in g.resets[e.id]:
         new[i] = value
     return Configuration(e.dst, tuple(new))

@@ -7,7 +7,9 @@ checked against; `first_move_strategy`, a deterministic opponent;
 `in_window`, a delay window's membership test; a sampler's moves, for
 the tests that replay `check_local_bisim` without its memo;
 `probes_ops`, `draw_ops` and `delays_ops`, the sampler written on
-`Fraction` values, the oracle its integer pairs are checked against; and
+`Fraction` values, the oracle its integer pairs are checked against;
+`delay_window_ops`, the delay window solved with `Fraction` comparison
+operators, the oracle of the int-pair solve; and
 `region_of_ops`, `node_of_ops` and `concretize_ops`, the region reads
 written on `Fraction` operators, the oracle the solver's integer reads are
 checked against."""
@@ -26,6 +28,7 @@ from hybridgames.core import (
     Edge,
     Flavor,
     Game,
+    GameError,
     Guard,
     Interval,
     InvalidGame,
@@ -217,6 +220,48 @@ def delays_ops(rng: random.Random, extra: int, w: DelayWindow) -> list[Fraction]
         if t not in out:
             out.append(t)
     return out
+
+
+def delay_window_ops(g: Game, q: Configuration,
+                     edge_id: str) -> Optional[DelayWindow]:
+    """Solve {t >= 0 | forall constrained x: v(x) + t*slope(x) in guard(x)}.
+
+    Returns None when the set is empty.  The result is always a closed
+    interval or a closed unbounded ray intersected with t >= 0.  A stopped
+    variable (Game.slopes shares ZERO) is only tested against its guard.
+    Each end (bound - v) / slope is one Fraction built from the numerators
+    and denominators through the public two-int constructor, which
+    normalises with one gcd: on Python 3.11 each Fraction operator
+    dispatches through a numbers.Rational check.
+    """
+    e = g.edges[edge_id]
+    if e.src != q.loc:
+        raise GameError(f"edge {edge_id} does not leave {q.loc.render()}")
+    slopes = g.slopes[q.loc]
+    lo = ZERO
+    hi: Optional[Fraction] = None
+    for i, glo, ghi in g.guards[edge_id]:
+        v = q.val[i]
+        slope = slopes[i]
+        if slope is ZERO:
+            if not glo <= v <= ghi:
+                return None
+            continue
+        # v + t*slope in [glo, ghi]; a negative slope swaps the endpoints.
+        vn, vd = v.numerator, v.denominator
+        sn, sd = slope.numerator, slope.denominator
+        ld, hd = glo.denominator, ghi.denominator
+        a = Fraction((glo.numerator * vd - vn * ld) * sd, ld * vd * sn)
+        b = Fraction((ghi.numerator * vd - vn * hd) * sd, hd * vd * sn)
+        if sn < 0:
+            a, b = b, a
+        if a > lo:
+            lo = a
+        if hi is None or b < hi:
+            hi = b
+    if hi is not None and hi < lo:
+        return None
+    return DelayWindow(lo, hi)
 
 
 def replace_lowering(monkeypatch, real, fake) -> None:

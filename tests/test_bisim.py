@@ -12,6 +12,7 @@ import hybridgames as hg
 import hybridgames.bisim as bisim_module
 import hybridgames.chain as chain_module
 from hybridgames.bisim import _MAX_FAILURES, _NO_MOVE, Affine
+from hybridgames.core import ONE, ZERO
 from hybridgames.samples import worked_example
 
 from fixtures import (STAGE_NAME, delays_ops, in_window, moves_in,
@@ -537,3 +538,62 @@ class TestMoveSampler:
         assert edges == {"e1", "e2"}
         for m in moves:
             assert in_window(hg.delay_window(G, q, m.edge), m.delay)
+
+
+# Scales and shifts of relation maps: the shared ONE and ZERO, fresh objects
+# equal to them (which Affine interns), negative and other scales.
+SCALES = (ONE, F(1), F(-1), F(2), F(-1, 3), F(3, 2))
+SHIFTS = (ZERO, F(0), F(1, 2), F(-3))
+VALUES = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def relation_cases(draw):
+    """An affine map with its g1 values, and a g2 valuation that is their
+    image, the image with one value moved, or drawn afresh."""
+    n = draw(st.integers(1, 3))
+    a = Affine(tuple(draw(st.sampled_from(SCALES)) for _ in range(n)),
+               tuple(draw(st.sampled_from(SHIFTS)) for _ in range(n)))
+    x = tuple(draw(VALUES) for _ in range(n))
+    kind = draw(st.sampled_from(("image", "one value off", "fresh")))
+    if kind == "fresh":
+        return a, x, tuple(draw(VALUES) for _ in range(n))
+    y = list(a.apply(x))
+    if kind == "one value off":
+        i = draw(st.integers(0, n - 1))
+        y[i] += draw(st.sampled_from((F(1), F(-1, 6), F(1, 12))))
+    return a, x, tuple(y)
+
+
+class TestContains:
+    # contains compares each value with a*x + b by cross-multiplying, with
+    # no image built; it must answer what the image test answers
+
+    L1, L2, L3 = hg.LocId("a"), hg.LocId("b"), hg.LocId("c")
+
+    @given(relation_cases(), st.sampled_from(("a", "b", "c", "d")),
+           st.sampled_from(("a", "x")))
+    def test_is_the_location_and_image_test(self, case, loc2, loc1):
+        # b maps back to a through the map, c to a through the identity,
+        # and d is no g2 location
+        a, x, y = case
+        w = hg.BisimWitness("t", G, G, {self.L2: self.L1, self.L3: self.L1},
+                            {self.L2: a}, {})
+        q1 = hg.Configuration(hg.LocId(loc1), x)
+        q2 = hg.Configuration(hg.LocId(loc2), y)
+        image = a.apply(x) if q2.loc == self.L2 else x
+        expected = w.loc_back.get(q2.loc) == q1.loc and image == y
+        assert w.contains(q1, q2) is expected
+
+    def test_every_sampled_stage_pair_is_contained(self):
+        chain = hg.build_chain(G)
+        witnesses = hg.stage_witnesses(chain)
+        for seed in range(5):
+            lifted = hg.lift_run(chain, hg.play(
+                G, hg.random_strategy(G, seed), hg.random_strategy(G, seed + 31), 8))
+            runs = [run.configs() for run in lifted]
+            for w, i, j in witnesses:
+                for q1, q2 in zip(runs[i], runs[j]):
+                    assert w.contains(q1, q2)
+                    moved = q2.val[:-1] + (q2.val[-1] + F(1, 7),)
+                    assert not w.contains(q1, hg.Configuration(q2.loc, moved))

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import hybridgames as hg
 from hybridgames.bisim import Affine
 from hybridgames.core import ONE, ZERO
+from hybridgames.semantics import advance
 from hybridgames.samples import worked_example
 
-from fixtures import first_move_strategy, in_window
+from fixtures import delay_window_ops, first_move_strategy, in_window
 from gamegen import gen_isr_game, gen_timed_game, probe_runs
 
 G = worked_example()
@@ -427,3 +428,86 @@ class TestIntegerBuiltArithmetic:
         scale, shift, x = zip(*triples)
         for got, a, v, b in zip(Affine(scale, shift).apply(x), scale, x, shift):
             assert_same_fraction(got, a * v + b)
+
+
+@st.composite
+def window_cases(draw):
+    """Slopes (stopped, unit and negative among them), a valuation and a
+    guard by variable index whose window may be empty, a point, bounded or
+    a ray: each variable's guard is absent, random, the point its value
+    reaches at one shared delay, or an interval around that point."""
+    n = draw(st.integers(1, 3))
+    slopes = [draw(st.sampled_from(SLOPES)) for _ in range(n)]
+    val = tuple(draw(RATIONALS) for _ in range(n))
+    at = draw(LENGTHS)
+    guard = {}
+    for i in range(n):
+        kind = draw(st.sampled_from(("none", "random", "point", "around")))
+        x = val[i] + at * slopes[i]
+        if kind == "random":
+            lo = draw(RATIONALS)
+            guard[i] = hg.Interval(lo, lo + draw(LENGTHS))
+        elif kind == "point":
+            guard[i] = hg.Interval(x, x)
+        elif kind == "around":
+            guard[i] = hg.Interval(x - draw(LENGTHS), x + draw(LENGTHS))
+    return slopes, val, guard
+
+
+# delay_window solves on int pairs and advance steps on an int-pair delay;
+# each must answer what the Fraction code answers
+
+@given(window_cases())
+def test_window_is_the_operator_solve(case):
+    slopes, val, guard = case
+    g = one_loop_game(slopes, guard, {})
+    q = hg.Configuration(g.init, val)
+    got, expected = hg.delay_window(g, q, "e"), delay_window_ops(g, q, "e")
+    assert got == expected
+    if expected is not None:
+        assert (got.lo is ZERO) is (expected.lo is ZERO)
+        assert_same_fraction(got.lo, expected.lo)
+        if expected.hi is not None:
+            assert_same_fraction(got.hi, expected.hi)
+
+
+def test_window_cases_cover_every_shape(monkeypatch):
+    # the property above, rerun on its own examples, meets every shape
+    # of window: empty, point, bounded, ray, lo kept at ZERO and lo past
+    # it, and a guard on a variable of negative slope
+    shapes, solve = set(), delay_window_ops
+
+    def recording(g, q, edge_id):
+        w = solve(g, q, edge_id)
+        if any(g.slopes[q.loc][i] < 0 for i, _, _ in g.guards[edge_id]):
+            shapes.add("negative slope")
+        if w is None:
+            shapes.add("empty")
+        else:
+            shapes.add("ray" if w.hi is None else
+                       "point" if w.hi == w.lo else "bounded")
+            shapes.add("lo ZERO" if w.lo is ZERO else "lo past 0")
+        return w
+    monkeypatch.setitem(globals(), "delay_window_ops", recording)
+    test_window_is_the_operator_solve()
+    assert shapes == {"empty", "point", "bounded", "ray", "lo ZERO",
+                      "lo past 0", "negative slope"}
+
+
+@given(loop_cases(), st.fractions(-2, 6, max_denominator=6),
+       st.integers(1, 4), st.sampled_from(("e", "f")))
+def test_advance_on_an_unnormalised_pair_is_step(case, t, k, edge):
+    slopes, val, guard, reset, _ = case
+    g = one_loop_game(slopes, guard, reset)
+    q = hg.Configuration(g.init, val)
+    try:
+        expected = hg.step(g, q, hg.Move(edge, t))
+    except hg.MoveNotEnabled as exc:
+        with pytest.raises(hg.MoveNotEnabled) as got:
+            advance(g, q, edge, k * t.numerator, k * t.denominator)
+        assert str(got.value) == str(exc)
+    else:
+        got = advance(g, q, edge, k * t.numerator, k * t.denominator)
+        assert got == expected
+        for x, y in zip(got.val, expected.val):
+            assert_same_fraction(x, y)

@@ -13,28 +13,36 @@ changed.  The counted call sites:
   workload plays a game (`bisim` binds its own `lift_step` at import, so
   the sampler's lifts are not seen); a decision is one latency sample the
   workload records, one call of the pulled-back strategy;
-- `bisim.step`, called by `bisim._Memo.step` on a memo miss, while
-  `verify_chain` checks a `certify` game;
+- `bisim.advance`, the integer-delay step core, called by
+  `bisim._Memo.step` on a memo miss, while `verify_chain` checks a
+  `certify` game;
 - `bisim._match`, called by `bisim.check_local_bisim` once per clause key
   it decides, in the same `verify_chain` call (a clause whose g1 edge, g2
   edge and delay the opposite direction's clause already stepped is
   answered without one);
-- `bisim.Move`, the moves `bisim` builds in the same call: one per memo
-  miss's step, per counterexample and per sampled source move, and those
-  of `BisimWitness.move_forward`, which `chain.lift_step` calls while the
-  sampler lifts its plays (a clause is decided on edge ids and delay
-  integers, with no `Move`);
+- `bisim.Move`, the moves `bisim` builds in the same call: one per
+  counterexample and per sampled source move, and those of
+  `BisimWitness.move_forward`, which `chain.lift_step` calls while the
+  sampler lifts its plays (a clause is decided, and a memo miss stepped,
+  on edge ids and delay integers, with no `Move`);
 - `bisim._prologue`, called by `bisim.check_local_bisim` for a pair that
   has no clause table yet, in the same call (a pair whose relation, owners
   and labels passed once is not checked again);
 - the arithmetic dunders of the `Fraction` class (`FRACTION_OPS`), in the
   same call, once per `+`, `-`, `*` or `/` with a `Fraction` operand on
-  either side.  `semantics.step`'s advance, `semantics.delay_window`'s
-  window ends, `DelayWindow.probes` and `bisim.Affine.apply` build their
-  sums and quotients through the two-int constructor and are not seen;
+  either side.  `semantics.advance`, `semantics.delay_window`,
+  `DelayWindow.probes` and `bisim.Affine.apply` build their sums and
+  quotients through the two-int constructor, and `delay_window` and
+  `BisimWitness.contains` compare by cross-multiplying, so none is seen;
   what is left is the chain's construction (`lowering`, `core`) and the
   witnesses' maps (`bisim`).  A class attribute is patched, so every
   module's operators are counted;
+- `Fraction.__new__`, patched on the class, in the same call: every
+  `Fraction` built by a call from outside the `fractions` module, the
+  two-int constructor included (`fractions_built`).  Those the operators
+  build inside it are left out: they are counted above, and Python 3.12
+  builds them without `__new__`, so leaving them out keeps the figure
+  the same on every release;
 - the same dunders while the `control` workload plays a game.
   `solver.region_of`, `RegionGame.node_of` and
   `RegionGame.concretize_move` read valuations as integers over one
@@ -88,6 +96,22 @@ def _count(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def _count_fractions(monkeypatch) -> list:
+    """Wrap `Fraction.__new__` so that every construction called from
+    outside the `fractions` module appends its arguments to the returned
+    list."""
+    calls = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") != "fractions":
+            calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return calls
+
+
 def count_regions(monkeypatch, index: str) -> tuple[dict, None]:
     g = gen.ladder_case(int(index))[0]
     calls = _count(monkeypatch, solver, "region_satisfies")
@@ -110,16 +134,18 @@ def count_control(monkeypatch, index: str) -> tuple[dict, int]:
 
 def count_certify(monkeypatch, index: str) -> tuple[dict, tuple]:
     """The counts, and the report with the arguments of every counted
-    `step`, `_match` and `_prologue` call."""
+    `advance`, `_match` and `_prologue` call."""
     g = gen.thirds_game(int(index))
     moves = _count(monkeypatch, bisim, "Move")
-    steps = _count(monkeypatch, bisim, "step")
+    steps = _count(monkeypatch, bisim, "advance")
     matches = _count(monkeypatch, bisim, "_match")
     prologues = _count(monkeypatch, bisim, "_prologue")
     ops = [_count(monkeypatch, Fraction, name) for name in FRACTION_OPS]
+    built = _count_fractions(monkeypatch)
     report = hg.verify_chain(g, samples=workloads.SAMPLES, depth=workloads.DEPTH,
                              seed=workloads.BISIM_SEED)
-    counts = {"fraction_ops": sum(map(len, ops)), "memo_missed_step": len(steps),
+    counts = {"fraction_ops": sum(map(len, ops)), "fractions_built": len(built),
+              "memo_missed_step": len(steps),
               "match": len(matches), "moves_built": len(moves),
               "prologue": len(prologues)}
     return counts, (report, steps, matches, prologues)
@@ -158,8 +184,8 @@ def test_memo_missed_steps_per_certify_game(monkeypatch, index):
     got, (report, steps, matches, prologues) = count_certify(monkeypatch, index)
     assert report.passed
     assert got == COUNTS["certify"][index]
-    # the memo steps each (game, configuration, move) at most once
-    assert len({(id(g), q, move) for g, q, move in steps}) == len(steps)
+    # the memo steps each (game, configuration, edge, delay) at most once
+    assert len({(id(g), q, edge, n, d) for g, q, edge, n, d in steps}) == len(steps)
     # each related pair's relation, owners and labels are checked at most once
     assert len({(id(w), q1, q2) for w, q1, q2 in prologues}) == len(prologues)
     # each clause is decided at most once, and never after its mirror passed;
